@@ -37,7 +37,6 @@ from .doubled_cover import (
 )
 from .errors import (
     AdequacyError,
-    BudgetError,
     ConfigurationNotFoundError,
     ExtensionError,
     FraisseError,
@@ -688,7 +687,7 @@ def main(argv=None) -> int:
             FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (SaturationError, BudgetError, ExtensionError) as e:
+    except (SaturationError, ExtensionError) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return INCONCLUSIVE
     except ConfigurationNotFoundError as e:

@@ -37,10 +37,6 @@ class SaturationError(FraisseError):
     """An operation's saturation prerequisite is not met."""
 
 
-class BudgetError(FraisseError):
-    """A point or work budget was exhausted before the operation finished."""
-
-
 class ConfigurationNotFoundError(FraisseError):
     """A required witness configuration does not occur in the given structure."""
 

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 from .amalgamation import P2Spec, assemble_pair, point_structure, require_adequate
 from .errors import (
-    BudgetError,
     ExtensionError,
     InputError,
     InvalidElementError,

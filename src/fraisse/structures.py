@@ -5,8 +5,10 @@ tuples; nothing is assumed about symmetry or irreflexivity unless a caller
 builds it in.  Structures are value objects: `==` is literal equality of
 vocabulary, size, and tables, while `canonical_key` identifies structures
 up to isomorphism (colour refinement plus backtracking over a minimum
-encoding, so no external graph-canonicalisation dependency is needed at
-the sizes this package targets).
+encoding, pruned by the automorphisms the search finds, so no external
+graph-canonicalisation dependency is needed at the sizes this package
+targets).  `is_isomorphic` reads its witness off the canonical orders of
+its two arguments.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class FinStructure:
             clean[name] = frozenset(rows)
         self.tables = clean
         self._hash = hash((vocab, size, tuple(frozenset(clean[n]) for n in vocab.names())))
-        self._canon: TypeId | None = None
+        self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
         self._bits: dict[str, tuple[int, ...]] | None = None
 
     def table(self, name: str) -> frozenset[tuple[int, ...]]:
@@ -403,25 +405,24 @@ def find_embeddings(a: FinStructure, b: FinStructure,
     return out
 
 
-def _iso_invariant(s: FinStructure):
-    colors = _refine_colors(s, _initial_colors(s))
-    hist = sorted(
-        (colors.count(c) for c in set(colors)))
-    tabs = tuple(len(s.tables[n]) for n in s.vocab.names())
-    ones = sorted(tuple_type(s, (v,)).payload for v in range(s.size))
-    return (s.size, tabs, hist, ones)
-
-
 def is_isomorphic(a: FinStructure, b: FinStructure) -> Embedding | None:
-    """An isomorphism witness if one exists, else None."""
+    """An isomorphism witness if one exists, else None.
+
+    The witness sends each point of `a` to the point of `b` that holds the
+    same place in b's canonical order as it holds in a's: equal keys mean
+    both orders lay out the same labelled structure.
+    """
     if a.vocab != b.vocab:
         raise VocabularyError("isomorphism endpoints use different vocabularies")
-    if a.size != b.size:
+    if a.size != b.size or any(len(a.tables[name]) != len(b.tables[name])
+                               for name in a.vocab.names()):
         return None
-    if _iso_invariant(a) != _iso_invariant(b):
+    if canonical_key(a) != canonical_key(b):
         return None
-    found = find_embeddings(a, b, limit=1)
-    return found[0] if found else None
+    mapping = [0] * a.size
+    for x, y in zip(a._canon[1], b._canon[1]):
+        mapping[x] = y
+    return Embedding(a, b, mapping, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -431,97 +432,214 @@ def is_isomorphic(a: FinStructure, b: FinStructure) -> Embedding | None:
 def _incidences(s: FinStructure) -> list[list[tuple[int, tuple[int, ...]]]]:
     inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(s.size)]
     for si, (name, _arity) in enumerate(s.vocab.symbols):
-        for t in sorted(s.tables[name]):
+        for t in s.tables[name]:
             for v in set(t):
                 inc[v].append((si, t))
     return inc
 
 
 def _initial_colors(s: FinStructure) -> list[int]:
-    sigs = [tuple_type(s, (v,)).payload for v in range(s.size)]
+    # which symbols hold on (v, ..., v): ranks as the one-point payload would
+    tabs = [(s.tables[name], arity) for name, arity in s.vocab.symbols]
+    sigs = [tuple((v,) * arity in tab for tab, arity in tabs) for v in range(s.size)]
     ranks = {p: i for i, p in enumerate(sorted(set(sigs)))}
     return [ranks[p] for p in sigs]
 
 
-def _refine_colors(s: FinStructure, colors: list[int],
-                   inc: list[list[tuple[int, tuple[int, ...]]]] | None = None
-                   ) -> list[int]:
-    if inc is None:
-        inc = _incidences(s)
+def _templates(s: FinStructure, inc: list[list[tuple[int, tuple[int, ...]]]]):
+    """Each point's incidences as integer codes, built once per structure.
+
+    Refinement describes an incidence (si, t) of v by (si, x), where x[j]
+    is -1 where t[j] is v and the current colour of t[j] elsewhere.  The
+    code of (si, x) is si * M**R + sum over j of (x[j] + n + 1) * M**(r-1-j),
+    with r the arity, R the largest arity and M = 2n + 1.  Colours lie in
+    [-n, n), so every digit lies in [0, M) and codes sort and compare
+    exactly as the pairs do.  Per point this returns the codes that no
+    colour changes, the (constant, weight, point) triples of incidences
+    with one other point, and (constant, ((weight, point), ...)) for the
+    rest.
+    """
     n = s.size
+    m = 2 * n + 1
+    top = m ** s.vocab.rho
+    fixed: list[list[int]] = [[] for _ in range(n)]
+    single: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    multi: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(n)]
+    weights = {arity: [m ** (arity - 1 - j) for j in range(arity)]
+               for _name, arity in s.vocab.symbols}
+    for v in range(n):
+        for si, t in inc[v]:
+            const = si * top
+            var = []
+            for w, u in zip(weights[len(t)], t):
+                if u == v:
+                    const += n * w
+                else:
+                    const += (n + 1) * w
+                    var.append((w, u))
+            if not var:
+                fixed[v].append(const)
+            elif len(var) == 1:
+                single[v].append((const, *var[0]))
+            else:
+                multi[v].append((const, tuple(var)))
+    return fixed, single, multi
+
+
+def _refine_colors(colors: list[int], templates) -> list[int]:
+    """Refine until no class splits; colours are ranks of (colour, sorted
+    incidence codes).  A point alone in its class keeps an empty profile:
+    its colour already sets its rank."""
+    fixed, single, multi = templates
+    n = len(colors)
+    count = len(set(colors))
     while True:
+        sizes: dict[int, int] = {}
+        for c in colors:
+            sizes[c] = sizes.get(c, 0) + 1
         sigs = []
         for v in range(n):
-            prof = sorted((si, tuple(-1 if u == v else colors[u] for u in t))
-                          for si, t in inc[v])
-            sigs.append((colors[v], tuple(prof)))
+            c = colors[v]
+            if sizes[c] == 1:
+                sigs.append((c, ()))
+                continue
+            codes = fixed[v] + [k + w * colors[u] for k, w, u in single[v]]
+            for k, ws in multi[v]:
+                codes.append(k + sum(w * colors[u] for w, u in ws))
+            codes.sort()
+            sigs.append((c, tuple(codes)))
         ranks = {g: i for i, g in enumerate(sorted(set(sigs)))}
-        new = [ranks[g] for g in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+        if len(ranks) == count:
+            return [ranks[g] for g in sigs]
+        count = len(ranks)
+        colors = [ranks[g] for g in sigs]
+
+
+def _join_orbits(root: dict[int, int], g: list[int]) -> None:
+    """Merge the orbits in `root` along the automorphism g.  Each point
+    links towards the least point of its orbit, so a point is the least
+    of its orbit exactly when it links to itself."""
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for v in root:
+        a, b = find(v), find(g[v])
+        if a != b:
+            root[max(a, b)] = min(a, b)
+
+
+def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
+    """The least row sequence over the leaves of the search tree, and an
+    order of the points whose rows it is.
+
+    A node is an order of some points.  Its children place one more point,
+    taken from the least colour class left unplaced after the placed points
+    are individualised and the colouring refined.  A point's row lists the
+    facts it shares with points placed before it, by position.  Subtrees
+    whose rows already exceed the best are cut.  A leaf whose rows equal
+    the best yields an automorphism (best order to this order); the search
+    then returns to where the two orders part, and at each node explores
+    one child per orbit of the automorphisms found that fix the node's
+    points.  Cut and skipped subtrees hold no smaller leaf.
+    """
+    n = s.size
+    if n == 0:
+        return (), ()
+    inc = _incidences(s)
+    templates = _templates(s, inc)
+    base = _refine_colors(_initial_colors(s), templates)
+    nsym = len(s.vocab.symbols)
+    pos = [-1] * n
+    order: list[int] = []
+    rows: list = []
+    best_rows: list | None = None
+    best_order: list[int] = []
+    autos: list[list[int]] = []
+
+    def row_for(v: int):
+        hits: list[list[tuple[int, ...]]] = [[] for _ in range(nsym)]
+        at = pos.__getitem__
+        for si, t in inc[v]:
+            p = tuple(map(at, t))
+            if -1 not in p:
+                hits[si].append(p)
+        return tuple(tuple(sorted(h)) for h in hits)
+
+    def dfs(better: bool) -> int:
+        """Explore below `order`; return the depth to resume at."""
+        nonlocal best_rows, best_order
+        i = len(order)
+        if i == n:
+            if best_rows is None or better:
+                best_rows, best_order = list(rows), list(order)
+                return n
+            auto = [0] * n
+            for x, y in zip(best_order, order):
+                auto[x] = y
+            autos.append(auto)
+            j = 0
+            while best_order[j] == order[j]:
+                j += 1
+            return j
+        if i == n - 1:
+            cell = [pos.index(-1)]
+        else:
+            # at the root, refining the stable `base` again returns it unchanged
+            colors = list(base)
+            if order:
+                for p, u in enumerate(order):
+                    colors[u] = -(p + 1)
+                colors = _refine_colors(colors, templates)
+            target = min(colors[v] for v in range(n) if pos[v] < 0)
+            cell = [v for v in range(n) if pos[v] < 0 and colors[v] == target]
+        root: dict[int, int] = {}
+        used = 0
+        for v in cell:
+            if v != cell[0]:
+                if not root:
+                    root = {u: u for u in cell}
+                # automorphisms fixing `order` map the cell onto itself
+                for g in autos[used:]:
+                    if all(g[u] == u for u in order):
+                        _join_orbits(root, g)
+                used = len(autos)
+                if root[v] != v:
+                    continue
+            pos[v] = i
+            row = row_for(v)
+            sub_better = better
+            if not better and best_rows is not None:
+                if row > best_rows[i]:
+                    pos[v] = -1
+                    continue
+                sub_better = row < best_rows[i]
+            order.append(v)
+            rows.append(row)
+            before = best_rows
+            back = dfs(sub_better)
+            order.pop()
+            rows.pop()
+            pos[v] = -1
+            if best_rows is not before:
+                better = False
+            if back < i:
+                return back
+        return n
+
+    dfs(False)
+    assert best_rows is not None
+    return tuple(best_rows), tuple(best_order)
 
 
 def canonical_key(s: FinStructure) -> TypeId:
     """A TypeId equal across structures exactly when they are isomorphic."""
     if s._canon is not None:
-        return s._canon
-    n = s.size
-    if n == 0:
-        key = TypeId("structure", s.vocab.symbols, (0, ()))
-        s._canon = key
-        return key
-    inc = _incidences(s)
-    base = _refine_colors(s, _initial_colors(s), inc)
-    symbols = s.vocab.symbols
-    tables = s.tables
-    best: list | None = None
-
-    def row_for(order: list[int], v: int):
-        pos = {u: i for i, u in enumerate(order)}
-        pos[v] = len(order)
-        placed = set(order)
-        placed.add(v)
-        row = []
-        for name, _arity in symbols:
-            hits = [tuple(pos[x] for x in t) for t in tables[name]
-                    if v in t and set(t) <= placed]
-            row.append(tuple(sorted(hits)))
-        return tuple(row)
-
-    def dfs(order: list[int], rows: list, better: bool) -> None:
-        nonlocal best
-        i = len(order)
-        if i == n:
-            if better or best is None:
-                best = list(rows)
-            return
-        colors = list(base)
-        for p, u in enumerate(order):
-            colors[u] = -(p + 1)
-        colors = _refine_colors(s, colors, inc)
-        remaining = [v for v in range(n) if v not in order]
-        target = min(colors[v] for v in remaining)
-        for v in remaining:
-            if colors[v] != target:
-                continue
-            row = row_for(order, v)
-            sub_better = better
-            if not sub_better and best is not None:
-                if row > best[i]:
-                    continue
-                if row < best[i]:
-                    sub_better = True
-            order.append(v)
-            rows.append(row)
-            dfs(order, rows, sub_better)
-            rows.pop()
-            order.pop()
-
-    dfs([], [], False)
-    assert best is not None
-    key = TypeId("structure", symbols, (n, tuple(best)))
-    s._canon = key
+        return s._canon[0]
+    rows, order = _canonical_search(s)
+    key = TypeId("structure", s.vocab.symbols, (s.size, rows))
+    s._canon = (key, order)
     return key
 
 

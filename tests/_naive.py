@@ -6,9 +6,9 @@ plainly, so agreement with the fast paths is meaningful.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from fraisse.structures import FinStructure, graph_vocabulary
+from fraisse.structures import FinStructure, Vocabulary, graph_vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +37,22 @@ def all_graphs(n: int, symbol: str = "adj"):
 def random_graph(rng, n: int, symbol: str = "adj") -> FinStructure:
     m = n * (n - 1) // 2
     return graph_of_bits(n, rng.getrandbits(m) if m else 0, symbol)
+
+
+MIXED = Vocabulary([("mark", 1), ("arc", 2), ("tri", 3)])
+
+
+def random_mixed(rng, n: int, p: float = 0.3) -> FinStructure:
+    """A structure over MIXED: each mark and each ordered pair (loops
+    included) holds with probability p, each ordered triple (repeats
+    included) with probability p / 8."""
+    pts = range(n)
+    return FinStructure(MIXED, n, {
+        "mark": [(v,) for v in pts if rng.random() < p],
+        "arc": [(u, v) for u in pts for v in pts if rng.random() < p],
+        "tri": [(u, v, w) for u in pts for v in pts for w in pts
+                if rng.random() < p / 8],
+    })
 
 
 def permuted_copy(rng, s: FinStructure) -> tuple[FinStructure, list[int]]:
@@ -80,13 +96,7 @@ def _maps_exactly(a: FinStructure, b: FinStructure, m: dict[int, int]) -> bool:
 
 
 def _rows(points, arity):
-    if arity == 1:
-        return [(p,) for p in points]
-    out = []
-    for p in points:
-        for q in points:
-            out.append((p, q))
-    return out
+    return list(product(points, repeat=arity))
 
 
 def iso_map(a: FinStructure, b: FinStructure) -> dict[int, int] | None:

@@ -1,0 +1,153 @@
+"""Canonical search: recorded key values, symmetric inputs, and
+isomorphism witnesses checked against networkx.
+
+`tests/golden/canonical_keys.txt` holds `<label> <fingerprint>` for every
+input of `golden_inputs()`, as the search without automorphism pruning
+computed them.  A faster search must reproduce every line.  Key values
+set the order of `enum` output, so rewrite the file only when they change
+on purpose:
+
+    PYTHONPATH=src python tests/test_canonical_search.py > tests/golden/canonical_keys.txt
+"""
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraisse.structures import canonical_key, is_isomorphic, undirected_graph
+
+from _naive import (graph_of_bits, is_valid_embedding, naive_is_isomorphic,
+                    permuted_copy, random_graph, random_mixed)
+
+GOLDEN = Path(__file__).parent / "golden" / "canonical_keys.txt"
+
+
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _petersen():
+    return undirected_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)])
+
+
+# The symmetric graphs of perfbench's `classes` workload.
+BENCH_SYMMETRIC = {
+    "empty6": undirected_graph(6, []),
+    "complete6": undirected_graph(6, _pairs(6)),
+    "matching8": undirected_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    "cycle8": undirected_graph(8, [(i, (i + 1) % 8) for i in range(8)]),
+    "cycle10": undirected_graph(10, [(i, (i + 1) % 10) for i in range(10)]),
+    "K33": undirected_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "2K3": undirected_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    "petersen": _petersen(),
+}
+
+# Inputs whose cells stay large after refinement, so an unpruned search
+# walks every ordering of them.
+SYMMETRIC = {
+    "empty10": undirected_graph(10, []),
+    "matching12": undirected_graph(12, [(2 * i, 2 * i + 1) for i in range(6)]),
+    "K44": undirected_graph(8, [(i, j) for i in range(4) for j in range(4, 8)]),
+    "cube3": undirected_graph(8, [(v, v ^ (1 << b)) for v in range(8)
+                                  for b in range(3) if v < v ^ (1 << b)]),
+    "petersen": _petersen(),
+}
+
+
+def golden_inputs():
+    """(label, structure) for every input whose key value is recorded."""
+    for bits in range(1 << 10):
+        yield f"g5-{bits}", graph_of_bits(5, bits)
+    rng = random.Random(20261018)
+    for i in range(200):
+        yield f"rand-{i}", random_graph(rng, 6 + i % 4)
+    for name, g in BENCH_SYMMETRIC.items():
+        yield f"sym-{name}", g
+    rng = random.Random(20261019)
+    for i in range(50):
+        yield f"mixed-{i}", random_mixed(rng, 1 + i % 7)
+
+
+def test_keys_match_recorded_fingerprints():
+    recorded = dict(line.split() for line in GOLDEN.read_text().splitlines())
+    got = {label: canonical_key(s).fingerprint for label, s in golden_inputs()}
+    assert len(recorded) == len(got) == 1024 + 200 + 8 + 50
+    assert [k for k in got if got[k] != recorded[k]] == []
+
+
+def _check_witness(a, b):
+    w = is_isomorphic(a, b)
+    assert w is not None
+    assert is_valid_embedding(a, b, w.map)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetric_inputs(name):
+    g = SYMMETRIC[name]
+    rng = random.Random(name)
+    for _ in range(3):
+        h, _perm = permuted_copy(rng, g)
+        assert canonical_key(h) == canonical_key(g)
+        _check_witness(g, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7),
+       st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+       st.randoms(use_true_random=False))
+def test_mixed_vocabulary_keys_and_witnesses(n, p, rng):
+    s = random_mixed(rng, n, p)
+    h, _perm = permuted_copy(rng, s)
+    assert canonical_key(h) == canonical_key(s)
+    _check_witness(s, h)
+    other = random_mixed(rng, n, p)
+    w = is_isomorphic(s, other)
+    assert (w is not None) == naive_is_isomorphic(s, other)
+    if w is not None:
+        assert is_valid_embedding(s, other, w.map)
+
+
+def _nx_graph(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.size))
+    out.add_edges_from(g.tables["adj"])
+    return out
+
+
+def test_isomorphism_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261020)
+    pairs = []
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n)
+        pairs.append((g, permuted_copy(rng, g)[0]))
+        pairs.append((g, random_graph(rng, n)))
+        # same size and edge count: only the search can tell them apart
+        edges = sorted(g.tables["adj"])
+        if edges:
+            u, v = rng.choice(edges)
+            free = [p for p in _pairs(n) if p not in g.tables["adj"]]
+            if free:
+                moved = {e for e in edges if e not in ((u, v), (v, u))}
+                a, b = rng.choice(free)
+                pairs.append((g, undirected_graph(n, moved | {(a, b)})))
+    sym = list(SYMMETRIC.values())
+    pairs += [(a, b) for a in sym for b in sym if a.size == b.size]
+    pairs += [(g, permuted_copy(rng, g)[0]) for g in sym]
+    for a, b in pairs:
+        w = is_isomorphic(a, b)
+        assert (w is not None) == nx.is_isomorphic(_nx_graph(nx, a), _nx_graph(nx, b))
+        if w is not None:
+            assert is_valid_embedding(a, b, w.map)
+
+
+if __name__ == "__main__":
+    for label, s in golden_inputs():
+        print(label, canonical_key(s).fingerprint)

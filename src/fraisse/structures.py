@@ -14,7 +14,7 @@ its two arguments.
 from __future__ import annotations
 
 import hashlib
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidElementError, VocabularyError
@@ -23,7 +23,7 @@ from .errors import InvalidElementError, VocabularyError
 class Vocabulary:
     """An ordered list of relation symbols with arities."""
 
-    __slots__ = ("symbols", "_arity", "_hash")
+    __slots__ = ("symbols", "_arity", "_hash", "_names", "_binary", "_unary")
 
     def __init__(self, symbols: Iterable[tuple[str, int]]):
         syms = []
@@ -42,9 +42,12 @@ class Vocabulary:
         self.symbols: tuple[tuple[str, int], ...] = tuple(syms)
         self._arity = dict(self.symbols)
         self._hash = hash(self.symbols)
+        self._names = tuple(name for name, _ in syms)
+        self._binary = tuple(name for name, a in syms if a == 2)
+        self._unary = tuple(name for name, a in syms if a == 1)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.symbols)
+        return self._names
 
     def arity(self, name: str) -> int:
         try:
@@ -66,10 +69,10 @@ class Vocabulary:
         return self.rho <= 2
 
     def binary_symbols(self) -> tuple[str, ...]:
-        return tuple(n for n, a in self.symbols if a == 2)
+        return self._binary
 
     def unary_symbols(self) -> tuple[str, ...]:
-        return tuple(n for n, a in self.symbols if a == 1)
+        return self._unary
 
     def extended(self, extra: Iterable[tuple[str, int]]) -> "Vocabulary":
         return Vocabulary(list(self.symbols) + list(extra))
@@ -103,8 +106,12 @@ class FinStructure:
             if name not in vocab:
                 raise VocabularyError(f"table for unknown symbol {name!r}")
         for name, arity in vocab.symbols:
+            given = tables.get(name, ())
+            if type(given) in (set, frozenset) and _clean_rows(given, arity, size):
+                clean[name] = frozenset(given)
+                continue
             rows = set()
-            for t in tables.get(name, ()):
+            for t in given:
                 t = tuple(int(x) for x in t)
                 if len(t) != arity:
                     raise InvalidElementError(
@@ -117,7 +124,7 @@ class FinStructure:
         self.tables = clean
         self._hash = hash((vocab, size, tuple(frozenset(clean[n]) for n in vocab.names())))
         self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
-        self._bits: dict[str, tuple[int, ...]] | None = None
+        self._bits: dict[tuple[str, bool], tuple[int, ...]] | None = None
 
     def table(self, name: str) -> frozenset[tuple[int, ...]]:
         self.vocab.arity(name)
@@ -128,16 +135,30 @@ class FinStructure:
 
     def out_bits(self, symbol: str) -> tuple[int, ...]:
         """Row bitmasks for a binary symbol: bit u of row v set iff (v, u) holds."""
+        return self._rows(symbol, False)
+
+    def in_bits(self, symbol: str) -> tuple[int, ...]:
+        """Row bitmasks of the converse: bit u of row v set iff (u, v) holds.
+        For a symmetric relation this is the out_bits tuple itself."""
+        return self._rows(symbol, True)
+
+    def _rows(self, symbol: str, converse: bool) -> tuple[int, ...]:
         if self.vocab.arity(symbol) != 2:
             raise VocabularyError(f"{symbol!r} is not binary")
         if self._bits is None:
             self._bits = {}
-        if symbol not in self._bits:
+        key = (symbol, converse)
+        if key not in self._bits:
             rows = [0] * self.size
             for (v, u) in self.tables[symbol]:
+                if converse:
+                    v, u = u, v
                 rows[v] |= 1 << u
-            self._bits[symbol] = tuple(rows)
-        return self._bits[symbol]
+            rows = tuple(rows)
+            if converse and rows == self.out_bits(symbol):
+                rows = self.out_bits(symbol)        # symmetric: one shared tuple
+            self._bits[key] = rows
+        return self._bits[key]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FinStructure) and self.vocab == other.vocab
@@ -149,6 +170,17 @@ class FinStructure:
     def __repr__(self) -> str:
         facts = sum(len(t) for t in self.tables.values())
         return f"FinStructure(size={self.size}, facts={facts}, vocab={self.vocab!r})"
+
+
+def _clean_rows(rows, arity: int, size: int) -> bool:
+    """Whether every row is a plain tuple of `arity` plain ints in 0..size-1,
+    checked in C-level passes; else the per-tuple loop normalises or raises."""
+    flat = chain.from_iterable
+    if (set(map(type, rows)) != {tuple} or set(map(len, rows)) != {arity}
+            or set(map(type, flat(rows))) != {int}):
+        return False
+    points = set(flat(rows))
+    return min(points) >= 0 and max(points) < size
 
 
 class Embedding:
@@ -370,16 +402,18 @@ def find_embeddings(a: FinStructure, b: FinStructure,
     mapping = [-1] * a.size
     used = [False] * b.size
 
+    # level i -> (each position tuple over 0..i holding i, fact of a?, b's table)
+    checks: dict[int, list[tuple[tuple[int, ...], bool, frozenset]]] = {}
+
     def consistent(i: int) -> bool:
-        for name, arity in symbols:
-            ta, tb = a.tables[name], b.tables[name]
-            for pos in product(range(i + 1), repeat=arity):
-                if i not in pos:
-                    continue
-                src = tuple(pos)
-                if (src in ta) != (tuple(mapping[p] for p in pos) in tb):
-                    return False
-        return True
+        if i not in checks:
+            checks[i] = [(pos, pos in a.tables[name], b.tables[name])
+                         for name, arity in symbols for j in range(arity)
+                         for head in product(range(i), repeat=j)
+                         for tail in product(range(i + 1), repeat=arity - 1 - j)
+                         for pos in (head + (i,) + tail,)]
+        at = mapping.__getitem__
+        return all((tuple(map(at, pos)) in tb) == fact for pos, fact, tb in checks[i])
 
     def dfs(i: int) -> bool:
         if i == a.size:

@@ -209,49 +209,47 @@ def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
 def _axiom_holds_binary(s: FinStructure, ax: AxiomSpec, sym: str) -> bool:
     n = s.size
     full = (1 << n) - 1
-    table = s.tables[sym]
-    rows_out = list(s.out_bits(sym))
-    symmetric = all((b, a) in table for (a, b) in table)
-    if symmetric:
-        rows_in = rows_out
-    else:
-        rows_in = [0] * n
-        for (a, b) in table:
-            rows_in[b] |= 1 << a
+    rows_out = s.out_bits(sym)
+    rows_in = s.in_bits(sym)
     loop_mask = 0
-    for v in range(n):
-        if (v, v) in table:
-            loop_mask |= 1 << v
-    point_loop = (0, 0) in ax.point.tables[sym]
-    cand0 = loop_mask if point_loop else full & ~loop_mask
+    for v, row in enumerate(rows_out):
+        loop_mask |= row & (1 << v)
+    cand0 = loop_mask if (0, 0) in ax.point.tables[sym] else full & ~loop_mask
     slots = []
     for link in ax.links:
         t = link.tables[sym]
-        base_loop = (0, 0) in t
-        domain = loop_mask if base_loop else full & ~loop_mask
+        domain = loop_mask if (0, 0) in t else full & ~loop_mask
         slots.append((domain, (0, 1) in t, (1, 0) in t))
     k = ax.k
     if k == 0:
         return cand0 != 0
+    # cover[z]: the points y other than z with which z realises the last
+    # slot's link (y -> z iff out_b, z -> y iff in_b)
+    _domain, out_b, in_b = slots[-1]
+    cover = [(rows_in[z] if out_b else ~rows_in[z])
+             & (rows_out[z] if in_b else ~rows_out[z]) & ~(1 << z) for z in range(n)]
 
     def rec(i: int, used: int, cand: int) -> bool:
         domain, out_b, in_b = slots[i]
-        last = i == k - 1
-        for x in range(n):
-            bit = 1 << x
-            if used & bit or not (domain & bit):
-                continue
-            cx = cand & (rows_out[x] if out_b else ~rows_out[x])
-            if in_b:
-                cx &= rows_in[x]
-            else:
-                cx &= ~rows_in[x]
-            if last:
-                if cx & ~(used | bit) & full == 0:
+        todo = domain & ~used
+        if i == k - 1:
+            # every unused base point needs an unused candidate covering it
+            pool = cand & ~used
+            while todo:
+                if not pool:
                     return False
-            else:
-                if not rec(i + 1, used | bit, cx):
-                    return False
+                z = pool & -pool
+                pool ^= z
+                todo &= ~cover[z.bit_length() - 1]
+            return True
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            x = bit.bit_length() - 1
+            cx = (cand & (rows_out[x] if out_b else ~rows_out[x])
+                  & (rows_in[x] if in_b else ~rows_in[x]))
+            if not rec(i + 1, used | bit, cx):
+                return False
         return True
 
     return rec(0, 0, cand0)
@@ -299,6 +297,12 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
     vocab = p2.vocab
     binaries = vocab.binary_symbols()
     tables: dict[str, set] = {name: set() for name, _ in vocab.symbols}
+    # per ordered pair of point types, each permitted option as the tables
+    # that gain (u, v) and the tables that gain (v, u)
+    links = [[tuple((tuple(tables[sym] for sym, (b01, _) in zip(binaries, dirs) if b01),
+                     tuple(tables[sym] for sym, (_, b10) in zip(binaries, dirs) if b10))
+                    for dirs in p2.permitted_links(t0, t1))
+              for t1 in one_types] for t0 in one_types]
     chosen = [rng.randrange(len(one_types)) for _ in range(n)]
     for v, ti in enumerate(chosen):
         t = one_types[ti]
@@ -306,18 +310,17 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
             for row in t.tables[name]:
                 tables[name].add(tuple(v for _ in row))
     for u in range(n):
-        tu = one_types[chosen[u]]
+        row = links[chosen[u]]
         for v in range(u + 1, n):
-            options = p2.permitted_links(tu, one_types[chosen[v]])
+            options = row[chosen[v]]
             if not options:
                 raise AdequacyError(
                     "a pair of permitted point types admits no permitted link")
-            dirs = options[rng.randrange(len(options))]
-            for sym, (b01, b10) in zip(binaries, dirs):
-                if b01:
-                    tables[sym].add((u, v))
-                if b10:
-                    tables[sym].add((v, u))
+            fwd, back = options[rng.randrange(len(options))]
+            for tab in fwd:
+                tab.add((u, v))
+            for tab in back:
+                tab.add((v, u))
     return FinStructure(vocab, n, tables)
 
 

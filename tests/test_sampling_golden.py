@@ -1,0 +1,117 @@
+"""Sampling: recorded sample digests and a recorded `zeroone` report.
+
+`tests/golden/sample_uniform.txt` holds `<label> <digest>` for every
+sample of `golden_samples()`, and `tests/golden/zeroone_full2.txt` holds
+the stdout of
+
+    fraisse zeroone --p2 graph.p2 --full 2 --sizes 10,25,50 --trials 8 --seed 3
+
+run in a directory holding `graph_p2()` as `graph.p2`.  Samples and
+reports are part of the reproducibility contract (same seed, same
+bytes), so a faster sampler or evaluator must reproduce both files.
+Rewrite them only when sampling changes on purpose:
+
+    PYTHONPATH=src python tests/test_sampling_golden.py samples > tests/golden/sample_uniform.txt
+    PYTHONPATH=src python tests/test_sampling_golden.py zeroone > tests/golden/zeroone_full2.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from fraisse.amalgamation import P2Spec, assemble_pair, graph_p2
+from fraisse.cli import main
+from fraisse.structures import FinStructure, Vocabulary
+from fraisse.textio import p2_document
+from fraisse.zero_one import sample_uniform
+
+GOLDEN = Path(__file__).parent / "golden"
+ZEROONE_ARGS = ["zeroone", "--p2", "graph.p2", "--full", "2",
+                "--sizes", "10,25,50", "--trials", "8", "--seed", "3"]
+
+MARKED = Vocabulary([("red", 1), ("arc", 2)])
+
+
+def marked_p2() -> P2Spec:
+    """Four one-point types (plain, red, looped, red and looped) over a
+    directed relation; pairs admit between one and four link options."""
+    points = [FinStructure(MARKED, 1, {"red": red, "arc": loop})
+              for red in ((), ((0,),)) for loop in ((), ((0, 0),))]
+    members = [FinStructure(MARKED, 0)] + points
+    dirs_all = ((0, 0), (0, 1), (1, 0), (1, 1))
+    for i, t0 in enumerate(points):
+        for t1 in points[i:]:
+            red0, red1 = bool(t0.tables["red"]), bool(t1.tables["red"])
+            for d in dirs_all:
+                if red0 and red1 and d != (1, 1):
+                    continue                # two reds: both arcs
+                if red0 != red1 and d[1]:
+                    continue                # no arc from a red point's partner back
+                members.append(assemble_pair(t0, t1, (d,)))
+    return P2Spec(members)
+
+
+def digest(s: FinStructure) -> str:
+    body = repr((s.size, [sorted(s.tables[name]) for name in s.vocab.names()]))
+    return hashlib.sha256(body.encode()).hexdigest()[:24]
+
+
+def golden_samples():
+    """(label, sample) for every recorded sample."""
+    p2 = graph_p2()
+    for n in (0, 1, 2, 7, 50, 200):
+        for seed in (0, 1, 2, 0x5EED):
+            yield f"graph-{n}-{seed}", sample_uniform(p2, n, seed)
+    marked = marked_p2()
+    for n in (0, 1, 2, 9, 40):
+        for seed in (0, 3, 17):
+            yield f"marked-{n}-{seed}", sample_uniform(marked, n, seed)
+
+
+def zeroone_stdout() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "graph.p2").write_text(p2_document(graph_p2()))
+        cwd = os.getcwd()
+        buf = io.StringIO()
+        try:
+            os.chdir(tmp)
+            with contextlib.redirect_stdout(buf):
+                assert main(ZEROONE_ARGS) == 0
+        finally:
+            os.chdir(cwd)
+    return buf.getvalue()
+
+
+def test_samples_match_recorded_digests():
+    recorded = dict(line.split() for line in
+                    (GOLDEN / "sample_uniform.txt").read_text().splitlines())
+    got = {label: digest(s) for label, s in golden_samples()}
+    assert len(recorded) == len(got) == 6 * 4 + 5 * 3
+    assert [k for k in got if got[k] != recorded[k]] == []
+
+
+def test_marked_spec_has_several_point_types():
+    p2 = marked_p2()
+    types = p2.one_types()
+    assert len(types) == 4
+    counts = {len(p2.permitted_links(a, b)) for a in types for b in types}
+    assert counts == {1, 2, 4}
+
+
+def test_zeroone_report_matches_recorded_stdout():
+    assert zeroone_stdout() == (GOLDEN / "zeroone_full2.txt").read_text()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["samples"]:
+        for label, s in golden_samples():
+            print(label, digest(s))
+    elif sys.argv[1:] == ["zeroone"]:
+        sys.stdout.write(zeroone_stdout())
+    else:
+        sys.exit("usage: test_sampling_golden.py samples|zeroone")

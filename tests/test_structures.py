@@ -52,6 +52,90 @@ def test_structure_rejects_unknown_symbol():
         FinStructure(v, 2, {"edge": frozenset()})
 
 
+MIXED3 = Vocabulary([("mark", 1), ("arc", 2), ("tri", 3)])
+
+# (label, size, tables, outcome): the normalised tables, or the exception
+# type and message.  Set order decides which bad tuple a message names.
+VALIDATION_CASES = [
+    ("set-ok", 3, {"arc": {(0, 1), (2, 2)}, "mark": {(1,)}, "tri": {(0, 1, 2)}},
+     {"mark": [(1,)], "arc": [(0, 1), (2, 2)], "tri": [(0, 1, 2)]}),
+    ("frozenset-ok", 3, {"arc": frozenset({(0, 1), (1, 0)})},
+     {"mark": [], "arc": [(0, 1), (1, 0)], "tri": []}),
+    ("list-ok", 3, {"arc": [(0, 1), (0, 1), (2, 0)]},
+     {"mark": [], "arc": [(0, 1), (2, 0)], "tri": []}),
+    ("empty", 0, {"arc": set(), "mark": frozenset(), "tri": []},
+     {"mark": [], "arc": [], "tri": []}),
+    ("set-short", 3, {"arc": {(0, 1), (1,)}},
+     ("InvalidElementError", "'arc' expects arity 2, got tuple (1,)")),
+    ("set-long", 3, {"arc": {(0, 1, 2)}},
+     ("InvalidElementError", "'arc' expects arity 2, got tuple (0, 1, 2)")),
+    ("frozenset-short", 3, {"tri": frozenset({(0, 1)})},
+     ("InvalidElementError", "'tri' expects arity 3, got tuple (0, 1)")),
+    ("set-high", 3, {"arc": {(0, 1), (1, 3)}},
+     ("InvalidElementError", "tuple (1, 3) for 'arc' is outside universe 0..2")),
+    ("set-negative", 3, {"arc": {(-1, 0)}},
+     ("InvalidElementError", "tuple (-1, 0) for 'arc' is outside universe 0..2")),
+    ("frozenset-high", 3, {"mark": frozenset({(3,)})},
+     ("InvalidElementError", "tuple (3,) for 'mark' is outside universe 0..2")),
+    ("list-high", 3, {"arc": [(0, 1), (2, 5)]},
+     ("InvalidElementError", "tuple (2, 5) for 'arc' is outside universe 0..2")),
+    ("list-negative", 3, {"mark": [(0,), (-2,)]},
+     ("InvalidElementError", "tuple (-2,) for 'mark' is outside universe 0..2")),
+    ("list-rows", 3, {"arc": [[0, 1], [1, 2]]},
+     {"mark": [], "arc": [(0, 1), (1, 2)], "tri": []}),
+    ("list-row-short", 3, {"arc": [[0]]},
+     ("InvalidElementError", "'arc' expects arity 2, got tuple (0,)")),
+    ("set-bool", 3, {"arc": {(True, False), (0, 2)}},
+     {"mark": [], "arc": [(0, 2), (1, 0)], "tri": []}),
+    ("set-float", 3, {"arc": {(1.0, 2.0)}},
+     {"mark": [], "arc": [(1, 2)], "tri": []}),
+    ("set-float-frac", 3, {"arc": {(1.5, 0.2)}},
+     {"mark": [], "arc": [(1, 0)], "tri": []}),
+    ("set-float-high", 3, {"arc": {(1.0, 3.0)}},
+     ("InvalidElementError", "tuple (1, 3) for 'arc' is outside universe 0..2")),
+    ("set-str", 3, {"mark": {("2",)}},
+     {"mark": [(2,)], "arc": [], "tri": []}),
+    ("set-bad-str", 3, {"mark": {("x",)}},
+     ("ValueError", "invalid literal for int() with base 10: 'x'")),
+    ("set-none", 3, {"mark": {(None,)}},
+     ("TypeError", "int() argument must be a string, a bytes-like object "
+                   "or a real number, not 'NoneType'")),
+    ("size-0-row", 0, {"mark": {(0,)}},
+     ("InvalidElementError", "tuple (0,) for 'mark' is outside universe 0..-1")),
+    ("unknown-symbol", 3, {"nope": {(0,)}},
+     ("VocabularyError", "table for unknown symbol 'nope'")),
+    ("frozenset-bool-high", 2, {"arc": frozenset({(True, 2)})},
+     ("InvalidElementError", "tuple (1, 2) for 'arc' is outside universe 0..1")),
+]
+
+
+@pytest.mark.parametrize("label,size,tables,expected", VALIDATION_CASES,
+                         ids=[case[0] for case in VALIDATION_CASES])
+def test_structure_validation_outcomes(label, size, tables, expected):
+    # outcomes recorded before set tables got a bulk validation pass
+    try:
+        s = FinStructure(MIXED3, size, tables)
+    except Exception as e:
+        assert (type(e).__name__, str(e)) == expected
+        return
+    assert {name: sorted(s.tables[name]) for name in MIXED3.names()} == expected
+    for table in s.tables.values():
+        assert type(table) is frozenset
+        assert all(type(t) is tuple and all(type(x) is int for x in t)
+                   for t in table)
+
+
+def test_in_bits_transpose_out_bits():
+    v = graph_vocabulary()
+    s = FinStructure(v, 3, {"adj": {(0, 1), (2, 2), (2, 0)}})
+    assert s.out_bits("adj") == (0b010, 0, 0b101)
+    assert s.in_bits("adj") == (0b100, 0b001, 0b100)
+    g = undirected_graph(3, [(0, 1), (1, 2)])
+    assert g.in_bits("adj") is g.out_bits("adj")
+    with pytest.raises(VocabularyError):
+        expand_with_marks(g, [("red", [0])]).in_bits("red")
+
+
 def test_undirected_graph_symmetrizes():
     g = undirected_graph(3, [(0, 1)])
     assert g.tables["adj"] == frozenset({(0, 1), (1, 0)})

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse.amalgamation import graph_p2, in_rp2
-from fraisse.errors import InputError, ParseError
-from fraisse.structures import expand_with_marks, undirected_graph
-from fraisse.zero_one import (AxiomSpec, axiom_compatible, axiom_holds,
-                              convergence_report, estimate_probability,
-                              full_extension_axioms, parse_axiom,
-                              sample_uniform, wilson_interval)
+from fraisse.amalgamation import P2Spec, assemble_pair, graph_p2, in_rp2
+from fraisse.errors import AdequacyError, InputError, ParseError
+from fraisse.structures import (FinStructure, Vocabulary, expand_with_marks,
+                                undirected_graph)
+from fraisse.zero_one import (AxiomSpec, _axiom_holds_binary, axiom_compatible,
+                              axiom_holds, convergence_report,
+                              estimate_probability, full_extension_axioms,
+                              parse_axiom, sample_uniform, wilson_interval)
 
 from _naive import all_graphs, graph_of_bits, naive_axiom_holds, random_graph
 
@@ -129,6 +130,65 @@ def test_generic_path_with_marks_matches_naive():
             assert axiom_holds(m, ax) == naive_axiom_holds(m, ax)
 
 
+ARC = Vocabulary([("arc", 2)])
+ARC_POINTS = [FinStructure(ARC, 1, {"arc": loop}) for loop in ((), {(0, 0)})]
+ARC_DIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+ARC_SEGMENTS = ("arc>", "arc<", "arc", "-")
+
+
+def _directed(n, bits):
+    """Directed structure over ARC: bit u * n + v says whether (u, v) holds,
+    loops included."""
+    return FinStructure(ARC, n, {"arc": {(u, v) for u in range(n) for v in range(n)
+                                         if bits >> (u * n + v) & 1}})
+
+
+def _directed_axioms(rng, count):
+    """Parsed axioms with k = 0..3 over every segment kind, plus axioms
+    whose base slots carry loops, which the text format cannot state."""
+    out = []
+    for _ in range(count):
+        k = rng.randrange(4)
+        text = f"ext {k}: " + " | ".join(rng.choice(ARC_SEGMENTS) for _ in range(k))
+        if rng.random() < 0.5:
+            text += " @ loop:arc"
+        out.append(parse_axiom(ARC, text))
+        point = rng.choice(ARC_POINTS)
+        out.append(AxiomSpec([assemble_pair(rng.choice(ARC_POINTS), point,
+                                            (rng.choice(ARC_DIRS),))
+                              for _ in range(k)], point))
+    return out
+
+
+def _check_directed(s, axioms):
+    for ax in axioms:
+        want = naive_axiom_holds(s, ax)
+        assert _axiom_holds_binary(s, ax, "arc") == want, (s.tables, ax)
+        assert axiom_holds(s, ax) == want
+
+
+def test_directed_fast_path_matches_naive():
+    rng = random.Random(31)
+    axioms = _directed_axioms(rng, 40)
+    assert {ax.k for ax in axioms} == {0, 1, 2, 3}
+    asymmetric = looped = 0
+    for _ in range(150):
+        n = rng.randrange(0, 8)
+        s = _directed(n, rng.getrandbits(n * n) if n else 0)
+        _check_directed(s, axioms)
+        asymmetric += s.in_bits("arc") is not s.out_bits("arc")
+        looped += any((v, v) in s.tables["arc"] for v in range(n))
+    assert asymmetric > 60 and looped > 60
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * n)) - 1))),
+       st.randoms(use_true_random=False))
+def test_directed_fast_path_matches_naive_property(spec, rng):
+    _check_directed(_directed(*spec), _directed_axioms(rng, 6))
+
+
 def test_loop_marked_axiom_is_incompatible():
     loopy = parse_axiom(P2.vocab, "ext 1: adj @ loop:adj")
     assert not axiom_compatible(P2, loopy)
@@ -153,6 +213,35 @@ def test_sample_uniform_edge_fairness():
     hits = sum(1 for s in range(200)
                if sample_uniform(P2, 2, seed=s).tables["adj"])
     assert 70 <= hits <= 130
+
+
+def _two_colour_p2():
+    """Plain and red points; two red points admit no link at all."""
+    vocab = Vocabulary([("red", 1), ("adj", 2)])
+    plain, red = (FinStructure(vocab, 1, {"red": r}) for r in ((), {(0,)}))
+    pairs = [assemble_pair(a, b, (d,)) for a, b in ((plain, plain), (plain, red))
+             for d in ((0, 0), (1, 1))]
+    return P2Spec([FinStructure(vocab, 0), plain, red] + pairs), red
+
+
+def test_sample_raises_only_when_a_drawn_pair_has_no_link():
+    p2, red = _two_colour_p2()
+    red_index = p2.one_types().index(red)
+    assert p2.permitted_links(red, red) == ()
+    raised = kept = 0
+    for seed in range(40):
+        rng = random.Random(seed)          # point types are drawn first
+        reds = [rng.randrange(2) for _ in range(3)].count(red_index)
+        if reds >= 2:
+            with pytest.raises(AdequacyError):
+                sample_uniform(p2, 3, seed)
+            raised += 1
+        else:
+            s = sample_uniform(p2, 3, seed)
+            assert len(s.tables["red"]) == reds
+            kept += 1
+        assert len(sample_uniform(p2, 1, seed).tables["adj"]) == 0
+    assert raised and kept
 
 
 def test_sample_density_at_size_50():

@@ -27,6 +27,7 @@ from .structures import (
     find_embeddings,
     graph_vocabulary,
     induced_substructure,
+    point_codes,
 )
 
 
@@ -59,7 +60,13 @@ class ExplicitList:
 
 
 class P2Spec:
-    """Permitted structures of size <= 2 over one vocabulary."""
+    """Permitted structures of size <= 2 over one vocabulary.
+
+    A point is named by its code (`point_codes`).  The cross-link options
+    of each ordered pair of point codes are worked out on first use and
+    kept in one table, which `permitted_links` and the class operations
+    below all read.
+    """
 
     def __init__(self, members: Iterable[FinStructure],
                  vocab: Vocabulary | None = None, size_bound: int = 4):
@@ -76,12 +83,13 @@ class P2Spec:
         self.members = members
         self.size_bound = int(size_bound)
         self._keys = frozenset(canonical_key(m) for m in members)
-        self._one_reps: dict[TypeId, FinStructure] = {}
+        ones: dict[TypeId, FinStructure] = {}
         for m in members:
             if m.size == 1:
-                self._one_reps.setdefault(canonical_key(m), m)
-        self._link_cache: dict[tuple[TypeId, TypeId], tuple[tuple, ...]] = {}
-        self._sig_cache: tuple[frozenset, frozenset] | None = None
+                ones.setdefault(canonical_key(m), m)
+        self._ones = [ones[k] for k in sorted(ones)]
+        self._point_codes = frozenset(point_codes(m)[0] for m in self._ones)
+        self._links: dict[tuple[int, int], tuple[tuple, ...]] = {}
 
     def is_member(self, s: FinStructure) -> bool:
         """Membership of a structure of size <= 2, up to isomorphism."""
@@ -89,7 +97,7 @@ class P2Spec:
 
     def one_types(self) -> list[FinStructure]:
         """One representative per permitted one-point type, sorted."""
-        return [self._one_reps[k] for k in sorted(self._one_reps)]
+        return list(self._ones)
 
     def two_members(self) -> list[FinStructure]:
         by_key = {}
@@ -97,9 +105,6 @@ class P2Spec:
             if m.size == 2:
                 by_key.setdefault(canonical_key(m), m)
         return [by_key[k] for k in sorted(by_key)]
-
-    def one_rep(self, key: TypeId) -> FinStructure:
-        return self._one_reps[key]
 
     def permitted_links(self, t0: FinStructure, t1: FinStructure) -> tuple[tuple, ...]:
         """Cross-link options for an ordered pair of one-point types.
@@ -109,76 +114,67 @@ class P2Spec:
         assembled two-point structure is permitted.  Sorted, so option 0
         is a deterministic choice.
         """
-        key = (canonical_key(t0), canonical_key(t1))
-        cached = self._link_cache.get(key)
-        if cached is not None:
-            return cached
-        options = []
-        nbin = len(self.vocab.binary_symbols())
-        for dirs in product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=nbin):
-            if self.is_member(assemble_pair(t0, t1, dirs)):
-                options.append(dirs)
-        result = tuple(sorted(options))
-        self._link_cache[key] = result
-        return result
+        _check_halves(t0, t1)
+        if t0.vocab != self.vocab:
+            return ()
+        return self.links(point_codes(t0)[0], point_codes(t1)[0])
 
-    # -- fast membership signatures for binary vocabularies ----------------
+    def links(self, cu: int, cv: int) -> tuple[tuple, ...]:
+        """`permitted_links` for the one-point types with codes cu and cv."""
+        options = self._links.get((cu, cv))
+        if options is None:
+            t0, t1 = self._coded_point(cu), self._coded_point(cv)
+            nbin = len(self.vocab.binary_symbols())
+            # product yields the options in sorted order
+            options = self._links[cu, cv] = tuple(
+                dirs for dirs in product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=nbin)
+                if self.is_member(assemble_pair(t0, t1, dirs)))
+        return options
 
-    def _signatures(self) -> tuple[frozenset, frozenset]:
-        if self._sig_cache is None:
-            if not self.vocab.binary:
-                raise VocabularyError("signature fast path needs a binary vocabulary")
-            ones = set()
-            twos = set()
-            for m in self.members:
-                if m.size == 1:
-                    ones.add(_point_sig(m, 0))
-                elif m.size == 2:
-                    twos.add(_pair_sig(m, 0, 1))
-                    twos.add(_pair_sig(m, 1, 0))
-            self._sig_cache = (frozenset(ones), frozenset(twos))
-        return self._sig_cache
+    def _coded_point(self, code: int) -> FinStructure:
+        """The one-point structure whose point has the given code."""
+        syms = self.vocab.symbols
+        return FinStructure(self.vocab, 1, {
+            name: [(0,) * arity] for i, (name, arity) in enumerate(syms)
+            if code >> (len(syms) - 1 - i) & 1})
 
 
 ClassSpec = Union[ExplicitList, P2Spec]
 
 
-def assemble_pair(t0: FinStructure, t1: FinStructure, dirs) -> FinStructure:
-    """The two-point structure with point 0 like t0, point 1 like t1,
-    and cross links given per binary symbol as (0->1, 1->0) bits."""
-    vocab = t0.vocab
-    if t1.vocab != vocab:
+def _check_halves(t0: FinStructure, t1: FinStructure) -> None:
+    if t1.vocab != t0.vocab:
         raise VocabularyError("pair halves use different vocabularies")
     if t0.size != 1 or t1.size != 1:
         raise InvalidElementError("pair halves must be one-point structures")
+
+
+def _add_links(tables: dict[str, set], bsyms, u: int, v: int, dirs) -> None:
+    """Add the cross links `dirs`, (u->v, v->u) bits per binary symbol."""
+    for sym, (buv, bvu) in zip(bsyms, dirs):
+        if buv:
+            tables[sym].add((u, v))
+        if bvu:
+            tables[sym].add((v, u))
+
+
+def assemble_pair(t0: FinStructure, t1: FinStructure, dirs) -> FinStructure:
+    """The two-point structure with point 0 like t0, point 1 like t1,
+    and cross links given per binary symbol as (0->1, 1->0) bits."""
+    _check_halves(t0, t1)
+    vocab = t0.vocab
     tables: dict[str, set] = {}
     for name, _arity in vocab.symbols:
         rows = set(t0.tables[name])
         rows.update(tuple(1 for _ in t) for t in t1.tables[name])
         tables[name] = rows
-    for sym, (b01, b10) in zip(vocab.binary_symbols(), dirs):
-        if b01:
-            tables[sym].add((0, 1))
-        if b10:
-            tables[sym].add((1, 0))
+    _add_links(tables, vocab.binary_symbols(), 0, 1, dirs)
     return FinStructure(vocab, 2, tables)
 
 
 def point_structure(s: FinStructure, v: int) -> FinStructure:
     """The one-point induced substructure at v."""
     return induced_substructure(s, (v,))[0]
-
-
-def _point_sig(s: FinStructure, v: int):
-    una = tuple((v,) in s.tables[n] for n in s.vocab.unary_symbols())
-    loops = tuple((v, v) in s.tables[n] for n in s.vocab.binary_symbols())
-    return (una, loops)
-
-
-def _pair_sig(s: FinStructure, u: int, v: int):
-    cross = tuple(((u, v) in s.tables[n], (v, u) in s.tables[n])
-                  for n in s.vocab.binary_symbols())
-    return (_point_sig(s, u), _point_sig(s, v), cross)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +195,16 @@ def in_rp2(p2: P2Spec, s: FinStructure) -> bool:
     """Does every one- and two-point induced substructure belong to p2?"""
     if s.vocab != p2.vocab:
         raise VocabularyError("structure and permission set use different vocabularies")
-    if p2.vocab.binary:
-        ones, twos = p2._signatures()
-        for v in range(s.size):
-            if _point_sig(s, v) not in ones:
-                return False
-        for u in range(s.size):
-            for v in range(u + 1, s.size):
-                if _pair_sig(s, u, v) not in twos:
-                    return False
-        return True
-    for v in range(s.size):
-        if not p2.is_member(induced_substructure(s, (v,))[0]):
-            return False
-    for pair in combinations(range(s.size), 2):
-        if not p2.is_member(induced_substructure(s, pair)[0]):
+    if not p2.vocab.binary:
+        return all(p2.is_member(induced_substructure(s, subset)[0])
+                   for size in (1, 2) for subset in combinations(range(s.size), size))
+    codes = point_codes(s)
+    if not p2._point_codes.issuperset(codes):
+        return False
+    tabs = [s.tables[sym] for sym in p2.vocab.binary_symbols()]
+    for u, v in combinations(range(s.size), 2):
+        dirs = tuple(((u, v) in t, (v, u) in t) for t in tabs)
+        if dirs not in p2.links(codes[u], codes[v]):
             return False
     return True
 
@@ -226,28 +217,24 @@ def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
     if not p2.vocab.binary:
         raise VocabularyError("enumeration needs a binary vocabulary")
     level = [FinStructure(p2.vocab, 0)]
+    ones = [(t, point_codes(t)[0]) for t in p2.one_types()]
+    bsyms = p2.vocab.binary_symbols()
     for size in range(1, n + 1):
         by_key: dict[TypeId, FinStructure] = {}
-        ones = p2.one_types()
+        w = size - 1
         for parent in level:
-            parent_points = [point_structure(parent, v) for v in range(parent.size)]
-            for newt in ones:
-                option_lists = [p2.permitted_links(pt, newt) for pt in parent_points]
-                if any(not opts for opts in option_lists):
+            codes = point_codes(parent)
+            for newt, cw in ones:
+                option_lists = [p2.links(cv, cw) for cv in codes]
+                if not all(option_lists):
                     continue
                 for choice in product(*option_lists):
                     tables = {name: set(tab) for name, tab in parent.tables.items()}
-                    w = parent.size
                     for name, _a in p2.vocab.symbols:
                         for t in newt.tables[name]:
                             tables[name].add(tuple(w for _ in t))
-                    bsyms = p2.vocab.binary_symbols()
                     for v, dirs in enumerate(choice):
-                        for sym, (bvw, bwv) in zip(bsyms, dirs):
-                            if bvw:
-                                tables[sym].add((v, w))
-                            if bwv:
-                                tables[sym].add((w, v))
+                        _add_links(tables, bsyms, v, w, dirs)
                     cand = FinStructure(p2.vocab, size, tables)
                     by_key.setdefault(canonical_key(cand), cand)
         level = [by_key[k] for k in sorted(by_key)]
@@ -331,19 +318,9 @@ def check_1_adequate(p2: P2Spec) -> AdequacyReport:
     has_empty = any(m.size == 0 for m in p2.members)
     if not has_empty:
         notes.append("the empty structure is not permitted")
-    hp_ce = None
-    for m in p2.members:
-        for size in range(1, m.size + 1):
-            for subset in combinations(range(m.size), size):
-                sub, _ = induced_substructure(m, subset)
-                if not p2.is_member(sub):
-                    hp_ce = (m, subset, sub)
-                    notes.append("permitted structures are not substructure-closed")
-                    break
-            if hp_ce:
-                break
-        if hp_ce:
-            break
+    hp_ce = check_hp(p2).counterexample
+    if hp_ce:
+        notes.append("permitted structures are not substructure-closed")
     twos = p2.two_members()
     has_two = bool(twos)
     if not has_two:
@@ -423,12 +400,13 @@ class APReport:
 _SAMPLE_WITNESSES = 16
 
 
-def _orbit_reps(embs: list[Embedding], auts: list[Embedding]) -> list[Embedding]:
-    """One embedding per orbit under post-composition with target maps."""
+def _orbit_reps(a: FinStructure, b: FinStructure, auts: list[Embedding]) -> list[Embedding]:
+    """One embedding of a into b per orbit under post-composition with
+    b's automorphisms `auts`."""
     seen = set()
     reps = []
-    for f in embs:
-        key = min(tuple(a.map[x] for x in f.map) for a in auts)
+    for f in find_embeddings(a, b):
+        key = min(tuple(h.map[x] for x in f.map) for h in auts)
         if key not in seen:
             seen.add(key)
             reps.append(f)
@@ -449,19 +427,16 @@ def _free_amalgam(p2: P2Spec, b: FinStructure, c: FinStructure,
         for t in c.tables[name]:
             tables[name].add(tuple(idx_c[x] for x in t))
     bsyms = b.vocab.binary_symbols()
-    b_new = [v for v in range(b.size) if v not in set(f.map)]
-    for u in b_new:
-        tu = point_structure(b, u)
+    codes_b, codes_c = point_codes(b), point_codes(c)
+    image = set(f.map)
+    for u in range(b.size):
+        if u in image:
+            continue
         for v in extra:
-            tv = point_structure(c, v)
-            options = p2.permitted_links(tu, tv)
+            options = p2.links(codes_b[u], codes_c[v])
             if not options:
                 return None
-            for sym, (buv, bvu) in zip(bsyms, options[0]):
-                if buv:
-                    tables[sym].add((u, idx_c[v]))
-                if bvu:
-                    tables[sym].add((idx_c[v], u))
+            _add_links(tables, bsyms, u, idx_c[v], options[0])
     d = FinStructure(b.vocab, size, tables)
     beta = Embedding(b, d, tuple(range(b.size)))
     gamma = Embedding(c, d, tuple(idx_c[v] for v in range(c.size)))
@@ -522,16 +497,23 @@ def check_ap(spec: ClassSpec, amalgam_bound: int,
         return fallback_pool
 
     report = APReport("holds", amalgam_bound, triple_bound)
-    auts = {id(r): find_embeddings(r, r) for r in reps}
-    for b in reps:
-        for c in reps:
-            for a in reps:
+    auts = [find_embeddings(r, r) for r in reps]
+    orbits: dict[tuple[int, int], list[Embedding]] = {}
+
+    def orbit_reps(i: int, j: int) -> list[Embedding]:
+        if (i, j) not in orbits:
+            orbits[i, j] = _orbit_reps(reps[i], reps[j], auts[j])
+        return orbits[i, j]
+
+    for ib, b in enumerate(reps):
+        for ic, c in enumerate(reps):
+            for ia, a in enumerate(reps):
                 if a.size > min(b.size, c.size):
                     continue
-                fs = _orbit_reps(find_embeddings(a, b), auts[id(b)])
+                fs = orbit_reps(ia, ib)
                 if not fs:
                     continue
-                gs = _orbit_reps(find_embeddings(a, c), auts[id(c)])
+                gs = orbit_reps(ia, ic)
                 if not gs:
                     continue
                 for f in fs:

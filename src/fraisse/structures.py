@@ -358,6 +358,18 @@ def tuple_type(s: FinStructure, tup: Sequence[int]) -> TypeId:
     return TypeId("tuple", s.vocab.symbols, tuple_payload(s.vocab, s.tables, tup))
 
 
+def point_codes(s: FinStructure) -> list[int]:
+    """The one-point type of each point as an int: of the vocabulary's m
+    symbols, the i-th sets bit m-1-i when it holds on (v, ..., v).  Two
+    points have equal codes exactly when their one-point induced
+    substructures are equal, and codes sort as the tuples of those facts."""
+    codes = [0] * s.size
+    for name, arity in s.vocab.symbols:
+        tab = s.tables[name]
+        codes = [c << 1 | ((v,) * arity in tab) for v, c in enumerate(codes)]
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # embeddings and isomorphism
 
@@ -473,11 +485,10 @@ def _incidences(s: FinStructure) -> list[list[tuple[int, tuple[int, ...]]]]:
 
 
 def _initial_colors(s: FinStructure) -> list[int]:
-    # which symbols hold on (v, ..., v): ranks as the one-point payload would
-    tabs = [(s.tables[name], arity) for name, arity in s.vocab.symbols]
-    sigs = [tuple((v,) * arity in tab for tab, arity in tabs) for v in range(s.size)]
-    ranks = {p: i for i, p in enumerate(sorted(set(sigs)))}
-    return [ranks[p] for p in sigs]
+    # one-point types, ranked as the tuples of their loop facts: keys depend on it
+    codes = point_codes(s)
+    ranks = {c: i for i, c in enumerate(sorted(set(codes)))}
+    return [ranks[c] for c in codes]
 
 
 def _templates(s: FinStructure, inc: list[list[tuple[int, tuple[int, ...]]]]):

@@ -268,3 +268,23 @@ def naive_axiom_holds(s: FinStructure, ax) -> bool:
         if not found:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# classes generated by permitted structures of size <= 2
+
+
+def naive_induced(s: FinStructure, pts) -> FinStructure:
+    """The substructure induced on `pts`; pts[i] becomes point i."""
+    index = {v: i for i, v in enumerate(pts)}
+    return FinStructure(s.vocab, len(pts), {
+        name: {tuple(index[x] for x in row) for row in s.tables[name]
+               if all(x in index for x in row)}
+        for name in s.vocab.names()})
+
+
+def naive_in_rp2(members, s: FinStructure) -> bool:
+    """Is every 1- and 2-point induced substructure of s isomorphic to
+    one of `members`?"""
+    return all(any(naive_is_isomorphic(naive_induced(s, pts), m) for m in members)
+               for k in (1, 2) for pts in combinations(range(s.size), k))

@@ -1,6 +1,8 @@
 """Permission sets, hereditary/amalgamation checks, and enumeration."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,10 @@ from fraisse.amalgamation import (ExplicitList, P2Spec, age, assemble_pair,
                                   enumerate_rp2, graph_p2, in_rp2,
                                   point_structure, require_adequate)
 from fraisse.errors import AdequacyError
-from fraisse.structures import canonical_key, undirected_graph
+from fraisse.structures import FinStructure, Vocabulary, canonical_key, undirected_graph
 
-from _naive import all_graphs, graph_of_bits, naive_is_isomorphic
+from _naive import all_graphs, graph_of_bits, naive_in_rp2, naive_is_isomorphic
+from test_sampling_golden import MARKED, marked_p2
 
 graphs = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.tuples(st.just(n),
@@ -147,3 +150,74 @@ def test_ap_witnesses_embed_both_sides():
 def test_p2_rejects_oversized_members():
     with pytest.raises(Exception):
         P2Spec([undirected_graph(3, [])])
+
+
+DIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+TWO_ARCS = Vocabulary([("a", 2), ("b", 2)])
+
+
+def two_arcs_members() -> list[FinStructure]:
+    """Points with or without an a-loop (never a b-loop); a pair may
+    carry b only alongside a in the same direction, and two looped
+    points carry a both ways."""
+    points = [FinStructure(TWO_ARCS, 1, {"a": loop}) for loop in ((), ((0, 0),))]
+    members = [FinStructure(TWO_ARCS, 0)] + points
+    for t0 in points:
+        for t1 in points:
+            both = bool(t0.tables["a"]) and bool(t1.tables["a"])
+            for da, db in product(DIRS, repeat=2):
+                if all(a >= b for a, b in zip(da, db)) and (not both or da == (1, 1)):
+                    members.append(assemble_pair(t0, t1, (da, db)))
+    return members
+
+
+def _bits_rows(n: int, bits: int) -> set[tuple[int, int]]:
+    return {(u, v) for u in range(n) for v in range(n) if bits >> (u * n + v) & 1}
+
+
+# n points, then n bits for red or a, and n * n bits (loops included) per binary symbol
+_raw = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1),
+                        st.integers(0, (1 << (n * n)) - 1),
+                        st.integers(0, (1 << (n * n)) - 1)))
+# indices of members left out, so that some specs miss point types and links
+_drops = st.sets(st.integers(min_value=0, max_value=35), max_size=6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_raw, _drops)
+def test_in_rp2_matches_naive_on_marked_arcs(raw, drops):
+    n, red, arc, _ = raw
+    members = [m for i, m in enumerate(marked_p2().members) if i not in drops]
+    s = FinStructure(MARKED, n, {"red": [(v,) for v in range(n) if red >> v & 1],
+                                 "arc": _bits_rows(n, arc)})
+    assert in_rp2(P2Spec(members, vocab=MARKED), s) == naive_in_rp2(members, s)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_raw, _drops)
+def test_in_rp2_matches_naive_on_two_binary_symbols(raw, drops):
+    n, loops, a, b = raw
+    members = [m for i, m in enumerate(two_arcs_members()) if i not in drops]
+    # the a-loops come from `loops` so that looped points are not rare
+    rows_a = {(u, v) for u, v in _bits_rows(n, a) if u != v}
+    rows_a |= {(v, v) for v in range(n) if loops >> v & 1}
+    s = FinStructure(TWO_ARCS, n, {"a": rows_a, "b": _bits_rows(n, b & a)})
+    assert in_rp2(P2Spec(members, vocab=TWO_ARCS), s) == naive_in_rp2(members, s)
+
+
+def test_in_rp2_sees_both_inside_and_outside():
+    p2 = P2Spec(two_arcs_members())
+    inside = FinStructure(TWO_ARCS, 3, {"a": {(0, 0), (1, 1), (0, 1), (1, 0), (1, 2)},
+                                        "b": {(1, 2)}})
+    assert in_rp2(p2, inside) and naive_in_rp2(p2.members, inside)
+    outside = FinStructure(TWO_ARCS, 3, {"a": {(0, 1)}, "b": {(1, 0)}})
+    assert not in_rp2(p2, outside) and not naive_in_rp2(p2.members, outside)
+
+
+def test_permitted_links_match_assembled_members():
+    p2 = marked_p2()
+    for t0 in p2.one_types():
+        for t1 in p2.one_types():
+            want = tuple((d,) for d in DIRS if p2.is_member(assemble_pair(t0, t1, (d,))))
+            assert p2.permitted_links(t0, t1) == want

@@ -8,7 +8,7 @@ import pytest
 
 from fraisse.amalgamation import P2Spec, graph_p2
 from fraisse.cli import main
-from fraisse.structures import undirected_graph
+from fraisse.structures import FinStructure, Vocabulary, undirected_graph
 from fraisse.textio import p2_document, parse_document, structure_document
 
 from _naive import naive_is_isomorphic
@@ -50,6 +50,25 @@ def test_check_hp_and_ap(p2file, capsys):
     code, out, _ = run(["check-ap", "--p2", p2file,
                         "--amalgam-bound", "6", "--triple-bound", "3"], capsys)
     assert code == 0
+
+
+def test_check_ap_fails_and_inconclusive_exit_codes(tmp_path, capsys):
+    # a plain and a red point are permitted, but no two-point structure:
+    # two points over the empty base have no amalgam at all
+    vocab = Vocabulary([("red", 1), ("arc", 2)])
+    lonely = tmp_path / "lonely.p2"
+    lonely.write_text(p2_document(P2Spec([
+        FinStructure(vocab, 0), FinStructure(vocab, 1),
+        FinStructure(vocab, 1, {"red": [(0,)]})])))
+    argv = ["check-ap", "--p2", str(lonely), "--triple-bound", "1", "--amalgam-bound"]
+    code, out, _ = run(argv + ["2"], capsys)
+    assert code == 1
+    assert "verdict: fails" in out
+    assert "counterexample base/sides sizes: 0/1/1" in out
+    # with room for one point only, the two-point amalgams are out of reach
+    code, out, _ = run(argv + ["1"], capsys)
+    assert code == 3
+    assert "inconclusive triples: 2" in out and "verdict: inconclusive" in out
 
 
 def test_enum_emits_parseable_structures(p2file, capsys):

@@ -26,7 +26,15 @@ from .errors import (
     InvalidElementError,
     SaturationError,
 )
-from .generic import GenericOracle, extend_one_point, graph_extension, mix64
+from .generic import (
+    ExtensionType,
+    GenericOracle,
+    extend_one_point,
+    extension_at,
+    find_realization,
+    graph_extension,
+    mix64,
+)
 from .structures import (
     FinStructure,
     TypeId,
@@ -212,7 +220,6 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0,
             f"(covered prefix is {prefix}, need at least {n + 1} points)")
     fbits = d.base.out_bits(d.symbol)
     vocab, tables = d.m.vocab, d.m.tables
-    msize = d.m.size
     report = Claim2Report(n, trials, 0, prefix)
 
     def fadj(a: int, b: int) -> int:
@@ -248,17 +255,10 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0,
         if tuple_payload(vocab, tables, dom) != tuple_payload(vocab, tables, img):
             report.failures.append((t, "sampled map is not a partial isomorphism"))
             continue
-        u_extra = 2 * g_extra
-        want = tuple_payload(vocab, tables, dom + (u_extra,))
-        img_set = set(img)
-        hit = None
-        for w in range(msize):
-            if w in img_set:
-                continue
-            if tuple_payload(vocab, tables, img + (w,)) == want:
-                hit = w
-                break
-        if hit is None:
+        # the map is a partial isomorphism, so a point extends it exactly
+        # when it realises over img what the fresh point realises over dom
+        tau = extension_at(d.m, dom, 2 * g_extra)
+        if find_realization(d.m, ExtensionType(vocab, img, tau.dirs, tau.point)) is None:
             if len(report.failures) < cap:
                 report.failures.append((t, "no extension point found"))
         else:

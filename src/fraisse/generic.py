@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
-from .amalgamation import P2Spec, assemble_pair, point_structure, require_adequate
+from .amalgamation import P2Spec, _add_links, require_adequate
 from .errors import (
     ExtensionError,
     InputError,
     InvalidElementError,
     SaturationError,
+    VocabularyError,
 )
-from .structures import FinStructure, TypeId, Vocabulary, tuple_payload, tuple_type
+from .structures import FinStructure, Vocabulary, point_codes, tuple_payload
 
 M64 = (1 << 64) - 1
 
@@ -46,36 +47,36 @@ def mix64(*parts: int) -> int:
 class ExtensionType:
     """A one-point extension pattern over an ordered base.
 
-    `links[i]` is a permitted two-point structure read as (base point i,
-    new point); `point` is the new point's permitted one-point structure.
+    `point` is the new point's code (`point_codes`), and `dirs[i]` is its
+    link to base point i as a `P2Spec.links` option: a tuple holding, per
+    binary symbol, the (base point -> new point, new point -> base point)
+    bits as a pair.  Only binary vocabularies have such patterns.
     """
 
-    __slots__ = ("base", "links", "point", "point_key", "link_keys")
+    __slots__ = ("vocab", "base", "dirs", "point")
 
-    def __init__(self, base: Sequence[int], links: Sequence[FinStructure],
-                 point: FinStructure):
-        self.base = tuple(int(b) for b in base)
-        self.links = tuple(links)
+    def __init__(self, vocab: Vocabulary, base: Sequence[int], dirs: Sequence, point: int):
+        if vocab.rho > 2:
+            raise VocabularyError("extension patterns need a binary vocabulary")
+        self.vocab = vocab
+        self.base = tuple(base)
+        self.dirs = tuple(dirs)
         self.point = point
-        if len(self.links) != len(self.base):
+        if len(self.dirs) != len(self.base):
             raise ExtensionError("one link pattern per base point is required")
         if len(set(self.base)) != len(self.base):
             raise ExtensionError("base points must be distinct")
-        if point.size != 1:
-            raise ExtensionError("the new point's pattern must have size 1")
-        for link in self.links:
-            if link.size != 2:
-                raise ExtensionError("link patterns must have size 2")
-            if link.vocab != point.vocab:
-                raise ExtensionError("link and point patterns use different vocabularies")
-            if tuple_type(link, (1,)).payload != tuple_type(point, (0,)).payload:
-                raise ExtensionError(
-                    "a link pattern disagrees with the new point's own pattern")
-        self.point_key = tuple_type(point, (0,))
-        self.link_keys = tuple(tuple_type(link, (0, 1)) for link in self.links)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ExtensionType) and self.base == other.base
+                and self.dirs == other.dirs and self.point == other.point
+                and self.vocab == other.vocab)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.dirs, self.point))
 
     def __repr__(self) -> str:
-        return f"ExtensionType(base={self.base}, point={self.point_key.fingerprint})"
+        return f"ExtensionType(base={self.base}, dirs={self.dirs}, point={self.point})"
 
 
 def graph_extension(vocab: Vocabulary, base: Sequence[int],
@@ -88,12 +89,22 @@ def graph_extension(vocab: Vocabulary, base: Sequence[int],
             raise InputError("pass symbol= when the vocabulary has several binary symbols")
         symbol = bsyms[0]
     adj = set(adjacent)
-    point = FinStructure(vocab, 1)
-    links = []
-    for b in base:
-        table = {symbol: [(0, 1), (1, 0)]} if b in adj else {}
-        links.append(FinStructure(vocab, 2, table))
-    return ExtensionType(tuple(base), links, point)
+    dirs = [tuple((1, 1) if sym == symbol and b in adj else (0, 0) for sym in bsyms)
+            for b in base]
+    return ExtensionType(vocab, base, dirs, 0)
+
+
+def extension_at(s: FinStructure, base: Sequence[int], a: int) -> ExtensionType:
+    """The pattern that point a, outside `base`, realises over it in s."""
+    base = tuple(base)
+    if a in base:
+        raise InvalidElementError(f"point {a} is in the base {base}")
+    rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
+    # per binary symbol, the (b -> a, a -> b) bits for every base point b
+    links = [zip([out[b] >> a & 1 for b in base], [inn[b] >> a & 1 for b in base])
+             for out, inn in rows]
+    dirs = tuple(zip(*links)) if links else ((),) * len(base)
+    return ExtensionType(s.vocab, base, dirs, point_codes(s)[a])
 
 
 @dataclass
@@ -112,8 +123,8 @@ class GenericOracle:
         self._rng = random.Random(self.seed)
         self._tables: dict[str, set] = {name: set() for name in p2.vocab.names()}
         self._size = 0
-        self._points: list[FinStructure] = []
-        self._point_keys: list[TypeId] = []
+        self._codes: list[int] = []
+        self._ones = {point_codes(t)[0]: t for t in p2.one_types()}
         self._log: list[LogEntry] = []
         self._sat: dict[int, int] = {}
         self._frozen: FinStructure | None = None
@@ -153,14 +164,8 @@ class GenericOracle:
         return max((p for k, p in self._sat.items() if k >= level), default=0)
 
     def point_struct(self, v: int) -> FinStructure:
-        return self._points[v]
-
-    def point_key(self, v: int) -> TypeId:
-        return self._point_keys[v]
-
-    def pair_key(self, u: int, v: int) -> TypeId:
-        return TypeId("tuple", self.vocab.symbols,
-                      tuple_payload(self.vocab, self._tables, (u, v)))
+        """The permitted one-point structure of point v."""
+        return self._ones[self._codes[v]]
 
     # -- growth -------------------------------------------------------------
 
@@ -179,50 +184,38 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
     """Add one point realising `tau` over its base; links to all other
     points are drawn uniformly from the permitted options.  Returns the
     new point's index."""
-    s_size = o._size
+    w = o._size
+    if tau.vocab != o.vocab:
+        raise ExtensionError("the pattern and the oracle use different vocabularies")
     for b in tau.base:
-        if b < 0 or b >= s_size:
+        if b < 0 or b >= w:
             raise ExtensionError(f"base point {b} is outside the universe")
-    for b, link in zip(tau.base, tau.links):
-        if tuple_type(link, (0,)).payload != o.point_key(b).payload:
-            raise ExtensionError(
-                f"link pattern at base point {b} disagrees with that point's own facts")
-        if not o.p2.is_member(link):
-            raise ExtensionError("a link pattern is not permitted")
-    if not o.p2.is_member(tau.point):
+    point = o._ones.get(tau.point)
+    if point is None:
         raise ExtensionError("the new point's pattern is not permitted")
+    for b, dirs in zip(tau.base, tau.dirs):
+        if dirs not in o.p2.links(o._codes[b], tau.point):
+            raise ExtensionError(f"the link pattern at base point {b} is not permitted")
 
-    w = s_size
     tables = o._tables
     for name, _a in o.vocab.symbols:
-        for t in tau.point.tables[name]:
-            tables[name].add(tuple(w for _ in t))
-    base_set = set(tau.base)
+        for t in point.tables[name]:
+            tables[name].add((w,) * len(t))
     bsyms = o.vocab.binary_symbols()
-    for b, link in zip(tau.base, tau.links):
-        for sym in bsyms:
-            if (0, 1) in link.tables[sym]:
-                tables[sym].add((b, w))
-            if (1, 0) in link.tables[sym]:
-                tables[sym].add((w, b))
+    for b, dirs in zip(tau.base, tau.dirs):
+        _add_links(tables, bsyms, b, w, dirs)
+    base_set = set(tau.base)
     drawn = []
-    for v in range(s_size):
+    for v in range(w):
         if v in base_set:
             continue
-        options = o.p2.permitted_links(o.point_struct(v), tau.point)
-        if not options:
-            raise ExtensionError(
-                f"no permitted link between point {v} and the new point's pattern")
+        # adequacy gives every pair of permitted codes at least one option
+        options = o.p2.links(o._codes[v], tau.point)
         dirs = options[o._rng.randrange(len(options))]
         drawn.append((v, dirs))
-        for sym, (bvw, bwv) in zip(bsyms, dirs):
-            if bvw:
-                tables[sym].add((v, w))
-            if bwv:
-                tables[sym].add((w, v))
+        _add_links(tables, bsyms, v, w, dirs)
     o._size = w + 1
-    o._points.append(tau.point)
-    o._point_keys.append(tau.point_key)
+    o._codes.append(tau.point)
     o._frozen = None
     o._log.append(LogEntry("extend", _extend_detail(o, w, tau, drawn)))
     return w
@@ -231,31 +224,26 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
 def _extend_detail(o: GenericOracle, w: int, tau: ExtensionType, drawn) -> str:
     bsyms = o.vocab.binary_symbols()
 
-    def bits(link: FinStructure) -> str:
-        return ",".join(
-            f"{sym}:{int((0, 1) in link.tables[sym])}{int((1, 0) in link.tables[sym])}"
-            for sym in bsyms) or "-"
+    def links(pairs) -> str:
+        return " ".join(
+            f"{v}[{','.join(f'{sym}:{a:d}{b:d}' for sym, (a, b) in zip(bsyms, dirs)) or '-'}]"
+            for v, dirs in pairs) or "-"
 
-    base_part = " ".join(f"{b}[{bits(link)}]" for b, link in zip(tau.base, tau.links)) or "-"
-    unary = [sym for sym in o.vocab.unary_symbols() if (0,) in tau.point.tables[sym]]
-    drawn_part = " ".join(
-        f"{v}[{','.join(f'{sym}:{a}{b}' for sym, (a, b) in zip(bsyms, dirs)) or '-'}]"
-        for v, dirs in drawn) or "-"
-    return (f"new={w} marks={','.join(unary) or '-'} base {base_part} "
-            f"drawn {drawn_part}")
+    marks = [sym for sym in o.vocab.unary_symbols() if (0,) in o.point_struct(w).tables[sym]]
+    return (f"new={w} marks={','.join(marks) or '-'} "
+            f"base {links(zip(tau.base, tau.dirs))} drawn {links(drawn)}")
 
 
 def grow_random(o: GenericOracle, n: int) -> list[int]:
     """Add n points with empty base: the point pattern is drawn uniformly
     from the permitted one-point types, all links from the seed stream."""
-    ones = o.p2.one_types()
+    ones = list(o._ones)
     if not ones:
         raise ExtensionError("no one-point pattern is permitted")
     added = []
     for _ in range(n):
         point = ones[o._rng.randrange(len(ones))]
-        tau = ExtensionType((), (), point)
-        added.append(extend_one_point(o, tau))
+        added.append(extend_one_point(o, ExtensionType(o.vocab, (), (), point)))
     return added
 
 
@@ -263,59 +251,48 @@ def grow_random(o: GenericOracle, n: int) -> list[int]:
 # saturation
 
 
-def one_point_extensions(p2: P2Spec, points: Sequence[FinStructure],
+def one_point_extensions(p2: P2Spec, points: Sequence[FinStructure | int],
                          base: Sequence[int]) -> list[ExtensionType]:
     """All compatible extension patterns over `base`, in a deterministic
-    order.  `points[i]` is the one-point structure at base point i."""
+    order.  `points[i]` is the one-point structure at base point i, or
+    its code."""
+    codes = [p if isinstance(p, int) else point_codes(p)[0] for p in points]
     out = []
-    base = tuple(base)
     for newt in p2.one_types():
-        option_lists = [p2.permitted_links(points[i], newt) for i in range(len(base))]
-        if any(not opts for opts in option_lists):
-            continue
-        for choice in product(*option_lists):
-            links = [assemble_pair(points[i], newt, dirs)
-                     for i, dirs in enumerate(choice)]
-            out.append(ExtensionType(base, links, newt))
+        cw = point_codes(newt)[0]
+        option_lists = [p2.links(cb, cw) for cb in codes]
+        if all(option_lists):
+            out.extend(ExtensionType(p2.vocab, base, choice, cw)
+                       for choice in product(*option_lists))
     return out
+
+
+def realizer_bits(s: FinStructure, tau: ExtensionType, exclude: Iterable[int] = ()) -> int:
+    """Bitmask of the points of s outside the base and `exclude` that
+    realise tau: those with the pattern's point code, narrowed by one
+    AND per base point and binary symbol with that point's out- or
+    in-row or its complement."""
+    if tau.vocab is not s.vocab and tau.vocab != s.vocab:
+        raise VocabularyError("the pattern and the structure use different vocabularies")
+    if tau.base and (min(tau.base) < 0 or max(tau.base) >= s.size):
+        raise InvalidElementError(f"base {tau.base} is not within universe 0..{s.size - 1}")
+    mask = s.code_bits(tau.point)
+    for x in chain(tau.base, exclude):
+        mask &= ~(1 << x)
+    rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
+    for b, dirs in zip(tau.base, tau.dirs):
+        for (out, inn), (to_new, from_new) in zip(rows, dirs):
+            mask &= (out[b] if to_new else ~out[b]) & (inn[b] if from_new else ~inn[b])
+        if not mask:
+            break
+    return mask
 
 
 def find_realization(s: FinStructure, tau: ExtensionType,
                      exclude: Iterable[int] = ()) -> int | None:
     """First point of s realising tau over its base, or None."""
-    banned = set(tau.base) | set(exclude)
-    want_point = tau.point_key.payload
-    want_links = [k.payload for k in tau.link_keys]
-    for c in range(s.size):
-        if c in banned:
-            continue
-        if tuple_type(s, (c,)).payload != want_point:
-            continue
-        if all(tuple_type(s, (b, c)).payload == want_links[i]
-               for i, b in enumerate(tau.base)):
-            return c
-    return None
-
-
-def _realized(o: GenericOracle, tau: ExtensionType) -> bool:
-    banned = set(tau.base)
-    want_point = tau.point_key.payload
-    want_links = [k.payload for k in tau.link_keys]
-    vocab = o.vocab
-    tables = o._tables
-    for c in range(o._size):
-        if c in banned:
-            continue
-        if o._point_keys[c].payload != want_point:
-            continue
-        ok = True
-        for i, b in enumerate(tau.base):
-            if tuple_payload(vocab, tables, (b, c)) != want_links[i]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    mask = realizer_bits(s, tau, exclude)
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 @dataclass
@@ -341,9 +318,8 @@ def saturate(o: GenericOracle, k: int, new_point_budget: int | None = None
     added = 0
     for size in range(0, k + 1):
         for subset in combinations(range(pre), size):
-            pts = [o._points[b] for b in subset]
-            for tau in one_point_extensions(o.p2, pts, subset):
-                if _realized(o, tau):
+            for tau in one_point_extensions(o.p2, [o._codes[b] for b in subset], subset):
+                if find_realization(o.current, tau) is not None:
                     continue
                 if new_point_budget is not None and added >= new_point_budget:
                     o._log.append(LogEntry(
@@ -394,12 +370,11 @@ def verify_saturation(p2: P2Spec, s: FinStructure, k: int,
     prefix = s.size if prefix is None else prefix
     if prefix > s.size:
         raise InputError("prefix exceeds the universe")
-    point_structs = [point_structure(s, v) for v in range(prefix)]
+    codes = point_codes(s)
     failures = []
     for size in range(0, k + 1):
         for subset in combinations(range(prefix), size):
-            pts = [point_structs[b] for b in subset]
-            for tau in one_point_extensions(p2, pts, subset):
+            for tau in one_point_extensions(p2, [codes[b] for b in subset], subset):
                 if find_realization(s, tau) is None:
                     failures.append((subset, tau))
     return (not failures), failures
@@ -569,15 +544,10 @@ def homogeneity_probe(o: GenericOracle, m: int, trials: int) -> ProbeReport:
         if x is None:
             successes += 1
             continue
-        want = tuple_type(s, subset + (x,)).payload
-        hit = None
-        for y in range(s.size):
-            if y in image:
-                continue
-            if tuple_payload(s.vocab, s.tables, image + (y,)) == want:
-                hit = y
-                break
-        if hit is not None:
+        # f is an embedding, so y extends it exactly when y realises over
+        # the image what x realises over the subset
+        tau = extension_at(s, subset, x)
+        if find_realization(s, ExtensionType(s.vocab, image, tau.dirs, tau.point)) is not None:
             successes += 1
         else:
             failures.append((subset, image, x))

@@ -23,7 +23,7 @@ from .errors import InvalidElementError, VocabularyError
 class Vocabulary:
     """An ordered list of relation symbols with arities."""
 
-    __slots__ = ("symbols", "_arity", "_hash", "_names", "_binary", "_unary")
+    __slots__ = ("symbols", "_arity", "_hash", "_names", "_binary", "_unary", "_rho")
 
     def __init__(self, symbols: Iterable[tuple[str, int]]):
         syms = []
@@ -45,6 +45,7 @@ class Vocabulary:
         self._names = tuple(name for name, _ in syms)
         self._binary = tuple(name for name, a in syms if a == 2)
         self._unary = tuple(name for name, a in syms if a == 1)
+        self._rho = max((a for _, a in syms), default=0)
 
     def names(self) -> tuple[str, ...]:
         return self._names
@@ -61,7 +62,7 @@ class Vocabulary:
     @property
     def rho(self) -> int:
         """Maximum arity (0 for the empty vocabulary)."""
-        return max((a for _, a in self.symbols), default=0)
+        return self._rho
 
     @property
     def binary(self) -> bool:
@@ -91,7 +92,8 @@ class Vocabulary:
 class FinStructure:
     """A finite structure: a vocabulary, a size, and one table per symbol."""
 
-    __slots__ = ("vocab", "size", "tables", "_hash", "_canon", "_bits")
+    __slots__ = ("vocab", "size", "tables", "_hash", "_canon", "_bits", "_codes",
+                 "_code_bits")
 
     def __init__(self, vocab: Vocabulary, size: int,
                  tables: dict[str, Iterable[tuple[int, ...]]] | None = None):
@@ -125,6 +127,8 @@ class FinStructure:
         self._hash = hash((vocab, size, tuple(frozenset(clean[n]) for n in vocab.names())))
         self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
         self._bits: dict[tuple[str, bool], tuple[int, ...]] | None = None
+        self._codes: tuple[int, ...] | None = None
+        self._code_bits: dict[int, int] | None = None
 
     def table(self, name: str) -> frozenset[tuple[int, ...]]:
         self.vocab.arity(name)
@@ -142,13 +146,21 @@ class FinStructure:
         For a symmetric relation this is the out_bits tuple itself."""
         return self._rows(symbol, True)
 
+    def code_bits(self, code: int) -> int:
+        """Bitmask of the points whose code (`point_codes`) is `code`."""
+        if self._code_bits is None:
+            self._code_bits = {}
+            for v, c in enumerate(point_codes(self)):
+                self._code_bits[c] = self._code_bits.get(c, 0) | 1 << v
+        return self._code_bits.get(code, 0)
+
     def _rows(self, symbol: str, converse: bool) -> tuple[int, ...]:
-        if self.vocab.arity(symbol) != 2:
-            raise VocabularyError(f"{symbol!r} is not binary")
         if self._bits is None:
             self._bits = {}
         key = (symbol, converse)
         if key not in self._bits:
+            if self.vocab.arity(symbol) != 2:
+                raise VocabularyError(f"{symbol!r} is not binary")
             rows = [0] * self.size
             for (v, u) in self.tables[symbol]:
                 if converse:
@@ -358,16 +370,19 @@ def tuple_type(s: FinStructure, tup: Sequence[int]) -> TypeId:
     return TypeId("tuple", s.vocab.symbols, tuple_payload(s.vocab, s.tables, tup))
 
 
-def point_codes(s: FinStructure) -> list[int]:
+def point_codes(s: FinStructure) -> tuple[int, ...]:
     """The one-point type of each point as an int: of the vocabulary's m
     symbols, the i-th sets bit m-1-i when it holds on (v, ..., v).  Two
     points have equal codes exactly when their one-point induced
-    substructures are equal, and codes sort as the tuples of those facts."""
-    codes = [0] * s.size
-    for name, arity in s.vocab.symbols:
-        tab = s.tables[name]
-        codes = [c << 1 | ((v,) * arity in tab) for v, c in enumerate(codes)]
-    return codes
+    substructures are equal, and codes sort as the tuples of those facts.
+    Computed once per structure."""
+    if s._codes is None:
+        codes = [0] * s.size
+        for name, arity in s.vocab.symbols:
+            tab = s.tables[name]
+            codes = [c << 1 | ((v,) * arity in tab) for v, c in enumerate(codes)]
+        s._codes = tuple(codes)
+    return s._codes
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, InvalidElementError, SaturationError
-from .generic import ExtensionType, GenericOracle, extend_one_point
+from .generic import (
+    ExtensionType,
+    GenericOracle,
+    extend_one_point,
+    extension_at,
+    realizer_bits,
+)
 from .structures import FinStructure, TypeId, Vocabulary, tuple_payload, tuple_type
 
 
@@ -131,6 +137,7 @@ class OracleAclSource:
 
     def __init__(self, oracle: GenericOracle):
         self.oracle = oracle
+        self._last: tuple = ((), -1, None)     # (base, ref, pattern) last added
 
     def snapshot(self) -> FinStructure:
         return self.oracle.current
@@ -143,10 +150,11 @@ class OracleAclSource:
         return self.oracle.saturated_prefix(level)
 
     def add_realization(self, base: tuple[int, ...], ref: int) -> bool:
-        o = self.oracle
-        links = [link_between(o.vocab, o._tables, b, ref) for b in base]
-        tau = ExtensionType(base, links, o.point_struct(ref))
-        extend_one_point(o, tau)
+        # facts among existing points never change, so a repeated request
+        # reuses its pattern instead of freezing the grown oracle again
+        if self._last[:2] != (base, ref):
+            self._last = (base, ref, extension_at(self.oracle.current, base, ref))
+        extend_one_point(self.oracle, self._last[2])
         return True
 
 
@@ -154,25 +162,10 @@ def link_between(vocab: Vocabulary, tables, b: int, c: int) -> FinStructure:
     """The two-point structure induced on (b, c), read positionally."""
     if b == c:
         raise InvalidElementError("a link needs two distinct points")
-    tbl: dict[str, set] = {}
-    for name, arity in vocab.symbols:
-        rows = set()
-        if arity == 1:
-            if (b,) in tables[name]:
-                rows.add((0,))
-            if (c,) in tables[name]:
-                rows.add((1,))
-        elif arity == 2:
-            for xy, ij in (((b, b), (0, 0)), ((b, c), (0, 1)),
-                           ((c, b), (1, 0)), ((c, c), (1, 1))):
-                if xy in tables[name]:
-                    rows.add(ij)
-        else:
-            for t in tables[name]:
-                if set(t) <= {b, c}:
-                    rows.add(tuple(0 if x == b else 1 for x in t))
-        tbl[name] = rows
-    return FinStructure(vocab, 2, tbl)
+    pos = {b: 0, c: 1}
+    return FinStructure(vocab, 2, {
+        name: {tuple(pos[x] for x in t) for t in tables[name] if all(x in pos for x in t)}
+        for name in vocab.names()})
 
 
 def as_acl_source(obj):
@@ -194,7 +187,9 @@ class _AclEngine:
     Every issued verdict stays valid under further growth: realizations
     are never destroyed, equality-bound types never gain any, and a
     source saying "no more realizations can exist" certifies that for
-    the whole class, not just the present approximation.
+    the whole class, not just the present approximation.  Growth never
+    changes the facts among existing points either, so a point's key over
+    a base is fixed and its verdict is memoised under both.
     """
 
     def __init__(self, source, d: int, budget: int | None):
@@ -202,98 +197,73 @@ class _AclEngine:
         self.d = d
         self.remaining = budget          # None = unlimited
         self.added = 0
-        self._verdicts: dict[tuple[tuple[int, ...], tuple], str] = {}
-
-    def require_level(self, base_size: int) -> int:
-        prefix = self.src.saturated_prefix(base_size + 1)
-        return prefix
+        # (base, key) -> verdict, and (base, a) -> the verdict of a's key
+        self._verdicts: dict[tuple, str] = {}
 
     @staticmethod
-    def _disc(s: FinStructure, base: tuple[int, ...], a: int):
-        """Link pattern of a point over a fixed base: together with the
-        base itself this determines the tuple type of base + (a,), since
-        the base-internal facts are shared by every candidate."""
-        last = len(base)
-        facts = []
-        for name, arity in s.vocab.symbols:
-            table = s.tables[name]
-            if arity == 1:
-                facts.append((a,) in table)
-            elif arity == 2:
-                hits = []
-                for i, b in enumerate(base):
-                    if (b, a) in table:
-                        hits.append((i, last))
-                    if (a, b) in table:
-                        hits.append((last, i))
-                if (a, a) in table:
-                    hits.append((last, last))
-                facts.append(tuple(sorted(hits)))
-            else:
-                posmap = {p: i for i, p in enumerate(base)}
-                posmap[a] = last
-                hits = set()
-                for row in table:
-                    if a in row and all(x in posmap for x in row):
-                        hits.add(tuple(posmap[x] for x in row))
-                facts.append(tuple(sorted(hits)))
-        return tuple(facts)
+    def _key(s: FinStructure, base: tuple[int, ...], a: int):
+        """What a realises over base: its extension pattern, or, when a
+        symbol has arity above 2, the payload of base + (a,)."""
+        if s.vocab.binary:
+            return extension_at(s, base, a)
+        return tuple_payload(s.vocab, s.tables, base + (a,))
+
+    @staticmethod
+    def _realizers(s: FinStructure, base: tuple[int, ...], key) -> int:
+        """Bitmask of the points outside base that realise key."""
+        if isinstance(key, ExtensionType):
+            return realizer_bits(s, key)
+        return sum(1 << c for c in range(s.size) if c not in base
+                   and tuple_payload(s.vocab, s.tables, base + (c,)) == key)
 
     def verdict(self, base: tuple[int, ...], a: int) -> str:
         """"algebraic" | "non-algebraic" | "inconclusive" for a over base."""
         if a in base:
             return "algebraic"
-        s = self.src.snapshot()
-        key = self._disc(s, base, a)
-        memo_key = (base, key)
-        got = self._verdicts.get(memo_key)
+        got = self._verdicts.get((base, a))
         if got is not None:
             return got
-        bset = set(base)
-        count = 0
-        for c in range(s.size):
-            if c not in bset and self._disc(s, base, c) == key:
-                count += 1
-                if count >= self.d:
+        s = self.src.snapshot()
+        key = self._key(s, base, a)
+        got = self._verdicts.get((base, key))
+        if got is None:
+            count = self._realizers(s, base, key).bit_count()
+            while count < self.d:
+                if self.remaining is not None and self.added >= self.remaining:
+                    got = "inconclusive"
                     break
-        ref = a
-        while count < self.d:
-            if self.remaining is not None and self.added >= self.remaining:
-                result = "inconclusive"
-                break
-            if not self.src.add_realization(base, ref):
-                result = "algebraic"
-                break
-            self.added += 1
-            count += 1
-        else:
-            result = "non-algebraic"
-        self._verdicts[memo_key] = result
-        return result
+                if not self.src.add_realization(base, a):
+                    got = "algebraic"
+                    break
+                self.added += 1
+                count += 1
+            else:
+                got = "non-algebraic"
+            self._verdicts[base, key] = got
+        self._verdicts[base, a] = got
+        return got
 
     def count_realizations(self, base: tuple[int, ...], a: int,
                            cap: int | None = None) -> list[int]:
         if a in base:
             return [a]
         s = self.src.snapshot()
-        key = self._disc(s, base, a)
-        bset = set(base)
+        bits = self._realizers(s, base, self._key(s, base, a))
         out = []
-        for c in range(s.size):
-            if c not in bset and self._disc(s, base, c) == key:
-                out.append(c)
-                if cap is not None and len(out) >= cap:
-                    break
+        while bits and (cap is None or len(out) < cap):
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
         return out
 
 
-def _check_base(source, base: Sequence[int], engine: _AclEngine) -> tuple[int, ...]:
+def _check_base(source, base: Sequence[int]) -> tuple[int, ...]:
     base = tuple(int(b) for b in base)
     if len(set(base)) != len(base):
         raise InputError(f"base {base} repeats a point")
     if any(b < 0 or b >= source.size for b in base):
         raise InvalidElementError(f"base {base} leaves the universe")
-    prefix = engine.require_level(len(base))
+    prefix = source.saturated_prefix(len(base) + 1)
     need = max(base) + 1 if base else 0
     if prefix < need or (not base and prefix < 0):
         raise SaturationError(
@@ -338,7 +308,7 @@ def acl_approx(source, base: Sequence[int], d: int = 5,
     prefix covering the base."""
     src = as_acl_source(source)
     engine = _AclEngine(src, d, growth_budget)
-    base = _check_base(src, base, engine)
+    base = _check_base(src, base)
     n0 = src.size
     entries = []
     inconclusive = 0

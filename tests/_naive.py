@@ -191,11 +191,19 @@ def type_desc(s: FinStructure, tup) -> tuple:
         if arity == 1:
             hits = tuple(i for i, x in enumerate(tup) if (x,) in table)
         else:
-            hits = tuple((i, j) for i in range(len(tup))
-                         for j in range(len(tup))
-                         if (tup[i], tup[j]) in table)
+            hits = tuple(pos for pos in product(range(len(tup)), repeat=arity)
+                         if tuple(tup[i] for i in pos) in table)
         facts.append((name, hits))
     return (len(tup), tuple(eq), tuple(facts))
+
+
+def naive_realizers(s: FinStructure, base, a: int) -> list[int]:
+    """The points c outside `base`, ascending, for which base + (c,) has
+    the same type as base + (a,)."""
+    base = tuple(base)
+    want = type_desc(s, base + (a,))
+    return [c for c in range(s.size)
+            if c not in base and type_desc(s, base + (c,)) == want]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,16 @@ def test_gen_is_deterministic(p2file, capsys):
     assert out3 != out1
 
 
+def test_gen_budget_exhausted_exits_3(p2file, capsys):
+    # the first pass needs more than one new point, so it stops at the budget
+    code, out, _ = run(["gen", "--p2", p2file, "--points", "6", "--saturate", "2",
+                        "--passes", "2", "--budget", "1", "--seed", "3"], capsys)
+    assert code == 3
+    assert "# budget exhausted: True" in out
+    assert "# final size: 7" in out
+    assert "#   saturate level=2 pre=6 added=1 exhausted" in out
+
+
 def test_env_seed_is_honoured(p2file, capsys, monkeypatch):
     monkeypatch.setenv("FRAISSE_SEED", "4")
     _, out_env, _ = run(["gen", "--p2", p2file, "--points", "6"], capsys)

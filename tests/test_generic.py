@@ -4,15 +4,16 @@ from __future__ import annotations
 import pytest
 
 from fraisse.amalgamation import P2Spec, graph_p2, in_rp2
-from fraisse.errors import AdequacyError, InputError
-from fraisse.generic import (back_and_forth, extend_one_point,
+from fraisse.errors import AdequacyError, ExtensionError, InputError, VocabularyError
+from fraisse.generic import (ExtensionType, back_and_forth, extend_one_point,
                              find_realization, graph_extension,
                              grow_random, homogeneity_probe, mix64,
                              new_generic, one_point_extensions, saturate,
                              saturate_until_stable, verify_saturation)
-from fraisse.structures import undirected_graph
+from fraisse.structures import Vocabulary, undirected_graph
 
-from _naive import naive_is_isomorphic
+from _naive import MIXED, naive_is_isomorphic
+from test_sampling_golden import MARKED
 
 
 def fresh(seed=3, points=6):
@@ -63,6 +64,60 @@ def test_extend_one_point_realizes_pattern():
     s = o.current
     assert (2, v) in s.tables["adj"]
     assert (0, v) not in s.tables["adj"]
+
+
+NO, YES = ((0, 0),), ((1, 1),)      # one graph link: absent, both ways
+
+
+@pytest.mark.parametrize("base, dirs, point", [
+    ((0, 6), (NO, YES), 0),                 # base point outside the universe
+    ((-1,), (NO,), 0),
+    ((1, 1), (NO, YES), 0),                 # repeated base point
+    ((0, 1), (NO,), 0),                     # too few link patterns
+    ((0,), (NO, YES), 0),                   # too many
+    ((0, 1), (NO, ((0, 0), (1, 1))), 0),    # two symbols' bits in a one-symbol link
+    ((0, 1), (NO, ()), 0),                  # none
+    ((0,), (((2, 0),),), 0),                # a bit that is not 0 or 1
+    ((0, 1), (YES, ((1, 0),)), 0),          # a one-way arc in a symmetric spec
+    ((0,), (NO,), 1),                       # a looped point, not permitted
+])
+def test_bad_extensions_leave_the_oracle_untouched(base, dirs, point):
+    o = fresh(4, 6)
+    size, log, current = o.size, o.log, o.current
+    with pytest.raises(ExtensionError):
+        extend_one_point(o, ExtensionType(o.vocab, base, dirs, point))
+    assert (o.size, o.log, o.current) == (size, log, current)
+    assert extend_one_point(o, ExtensionType(o.vocab, (0,), (YES,), 0)) == size
+
+
+def test_extension_from_another_vocabulary_is_rejected():
+    o = fresh(4, 3)
+    with pytest.raises(ExtensionError):
+        extend_one_point(o, ExtensionType(MARKED, (0,), (YES,), 0))
+    assert o.size == 3
+
+
+def test_patterns_need_a_binary_vocabulary():
+    with pytest.raises(VocabularyError):
+        ExtensionType(MIXED, (), (), 0)
+
+
+def test_extensions_over_marked_points_write_marks_and_one_way_arcs():
+    from test_sampling_golden import marked_p2
+    o = new_generic(marked_p2(), 2)
+    grow_random(o, 4)
+    red = 0b10                              # code of a red, unlooped point
+    b = next(v for v in range(o.size) if not o.point_struct(v).tables["red"])
+    tau = next(t for t in one_point_extensions(o.p2, [o.point_struct(b)], (b,))
+               if t.point == red and sum(t.dirs[0][0]) == 1)
+    (to_new, from_new), = tau.dirs[0]
+    w = extend_one_point(o, tau)
+    s = o.current
+    assert (w,) in s.tables["red"] and (w, w) not in s.tables["arc"]
+    assert ((b, w) in s.tables["arc"], (w, b) in s.tables["arc"]) == (to_new, from_new)
+    assert "marks=red" in o.log[-1].detail
+    assert find_realization(s, tau) == w
+    assert o.point_struct(w).tables["red"] == {(0,)}
 
 
 def test_find_realization():

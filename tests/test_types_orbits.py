@@ -15,7 +15,7 @@ from fraisse.types_orbits import (acl_approx, check_degenerate_dependence,
                                   check_triviality, enumerate_types,
                                   link_between, types_determined_by_pairs)
 
-from _naive import random_graph, type_desc
+from _naive import naive_induced, random_graph, random_mixed, type_desc
 
 P3 = undirected_graph(3, [(0, 1), (1, 2)])
 
@@ -83,6 +83,16 @@ def test_link_between_reads_positionally():
     assert lb2.tables["adj"] == frozenset()
     with pytest.raises(InvalidElementError):
         link_between(P3.vocab, P3.tables, 1, 1)
+
+
+def test_link_between_matches_naive_induced_pairs():
+    rng = random.Random(11)
+    for _ in range(20):
+        s = random_mixed(rng, 4, p=0.5)
+        for b in range(4):
+            for c in range(4):
+                if b != c:
+                    assert link_between(s.vocab, s.tables, b, c) == naive_induced(s, (b, c))
 
 
 # -- acl over the generic oracle ------------------------------------------------
@@ -208,7 +218,7 @@ def test_acl_sees_pair_locked_point():
     assert rep.closure == frozenset({0, 1, 2})
 
 
-# -- engine discriminator agrees with tuple types -------------------------------
+# -- engine key agrees with tuple types -------------------------------
 
 
 def test_verdict_key_matches_tuple_types():
@@ -220,8 +230,8 @@ def test_verdict_key_matches_tuple_types():
         cands = [c for c in range(6) if c not in base]
         for c1 in cands:
             for c2 in cands:
-                same_disc = (_AclEngine._disc(g, base, c1)
-                             == _AclEngine._disc(g, base, c2))
+                same_key = (_AclEngine._key(g, base, c1)
+                            == _AclEngine._key(g, base, c2))
                 same_type = (tuple_type(g, base + (c1,))
                              == tuple_type(g, base + (c2,)))
-                assert same_disc == same_type
+                assert same_key == same_type

@@ -24,6 +24,7 @@ from _naive import naive_realizers, random_mixed
 from test_sampling_golden import MARKED
 
 BONDED = Vocabulary([("adj", 2), ("bond", 2)])
+MARKS = Vocabulary([("red", 1), ("blue", 1)])
 
 
 def _rows(n: int, bits: int) -> set[tuple[int, int]]:
@@ -43,6 +44,12 @@ def bonded(n: int, adj: int, bond: int) -> FinStructure:
                                     "bond": _rows(n, bond)})
 
 
+def marks_only(n: int, red: int, blue: int) -> FinStructure:
+    """Two unary symbols and no binary one: every link pattern is empty."""
+    return FinStructure(MARKS, n, {"red": [(v,) for v in range(n) if red >> v & 1],
+                                   "blue": [(v,) for v in range(n) if blue >> v & 1]})
+
+
 def _case(build):
     """(structure, base, a): a structure on 1-6 points, a base of up to
     three distinct points and a point outside it."""
@@ -57,7 +64,7 @@ def _split(case):
     return s, tuple(order[:k]), order[k]
 
 
-CASES = st.one_of(_case(marked_arcs), _case(bonded))
+CASES = st.one_of(_case(marked_arcs), _case(bonded), _case(marks_only))
 
 
 class StaticSource:

@@ -1,18 +1,24 @@
 """Sampling: recorded sample digests and a recorded `zeroone` report.
 
 `tests/golden/sample_uniform.txt` holds `<label> <digest>` for every
-sample of `golden_samples()`, and `tests/golden/zeroone_full2.txt` holds
+sample of `golden_samples()`, `tests/golden/zeroone_full2.txt` holds
 the stdout of
 
     fraisse zeroone --p2 graph.p2 --full 2 --sizes 10,25,50 --trials 8 --seed 3
 
-run in a directory holding `graph_p2()` as `graph.p2`.  Samples and
-reports are part of the reproducibility contract (same seed, same
-bytes), so a faster sampler or evaluator must reproduce both files.
-Rewrite them only when sampling changes on purpose:
+run in a directory holding `graph_p2()` as `graph.p2`, and
+`tests/golden/zeroone_marked_full2.txt` the stdout of
+
+    fraisse zeroone --p2 marked.p2 --full 2 --sizes 8,16,24 --trials 4 --seed 5
+
+run beside `marked_p2()` as `marked.p2`.  Samples and reports are part
+of the reproducibility contract (same seed, same bytes), so a faster
+sampler or evaluator must reproduce all three files.  Rewrite them only
+when sampling changes on purpose:
 
     PYTHONPATH=src python tests/test_sampling_golden.py samples > tests/golden/sample_uniform.txt
     PYTHONPATH=src python tests/test_sampling_golden.py zeroone > tests/golden/zeroone_full2.txt
+    PYTHONPATH=src python tests/test_sampling_golden.py zeroone-marked > tests/golden/zeroone_marked_full2.txt
 """
 from __future__ import annotations
 
@@ -33,6 +39,8 @@ from fraisse.zero_one import sample_uniform
 GOLDEN = Path(__file__).parent / "golden"
 ZEROONE_ARGS = ["zeroone", "--p2", "graph.p2", "--full", "2",
                 "--sizes", "10,25,50", "--trials", "8", "--seed", "3"]
+MARKED_ARGS = ["zeroone", "--p2", "marked.p2", "--full", "2",
+               "--sizes", "8,16,24", "--trials", "4", "--seed", "5"]
 
 MARKED = Vocabulary([("red", 1), ("arc", 2)])
 
@@ -73,18 +81,24 @@ def golden_samples():
             yield f"marked-{n}-{seed}", sample_uniform(marked, n, seed)
 
 
-def zeroone_stdout() -> str:
+def zeroone_stdout(p2: P2Spec | None = None, args=ZEROONE_ARGS) -> str:
+    """Stdout of `fraisse <args>`, run beside p2 (default `graph_p2()`)
+    written under the file name that args[2] gives."""
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "graph.p2").write_text(p2_document(graph_p2()))
+        Path(tmp, args[2]).write_text(p2_document(p2 or graph_p2()))
         cwd = os.getcwd()
         buf = io.StringIO()
         try:
             os.chdir(tmp)
             with contextlib.redirect_stdout(buf):
-                assert main(ZEROONE_ARGS) == 0
+                assert main(args) == 0
         finally:
             os.chdir(cwd)
     return buf.getvalue()
+
+
+def marked_zeroone_stdout() -> str:
+    return zeroone_stdout(marked_p2(), MARKED_ARGS)
 
 
 def test_samples_match_recorded_digests():
@@ -107,11 +121,17 @@ def test_zeroone_report_matches_recorded_stdout():
     assert zeroone_stdout() == (GOLDEN / "zeroone_full2.txt").read_text()
 
 
+def test_marked_zeroone_report_matches_recorded_stdout():
+    assert marked_zeroone_stdout() == (GOLDEN / "zeroone_marked_full2.txt").read_text()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["samples"]:
         for label, s in golden_samples():
             print(label, digest(s))
     elif sys.argv[1:] == ["zeroone"]:
         sys.stdout.write(zeroone_stdout())
+    elif sys.argv[1:] == ["zeroone-marked"]:
+        sys.stdout.write(marked_zeroone_stdout())
     else:
-        sys.exit("usage: test_sampling_golden.py samples|zeroone")
+        sys.exit("usage: test_sampling_golden.py samples|zeroone|zeroone-marked")

@@ -87,6 +87,10 @@ class AxiomSpec:
         vocab = self.vocab
         segs = []
         for link in self.links:
+            slot_marks = [sym for sym in vocab.unary_symbols() if (0,) in link.tables[sym]]
+            slot_marks += [f"loop:{sym}" for sym in vocab.binary_symbols()
+                           if (0, 0) in link.tables[sym]]
+            prefix = f"[{','.join(slot_marks)}] " if slot_marks else ""
             toks = []
             for sym in vocab.binary_symbols():
                 out_b = (0, 1) in link.tables[sym]
@@ -97,7 +101,7 @@ class AxiomSpec:
                     toks.append(sym + ">")
                 elif in_b:
                     toks.append(sym + "<")
-            segs.append(",".join(toks) if toks else "-")
+            segs.append(prefix + (",".join(toks) if toks else "-"))
         text = f"ext {self.k}: " + " | ".join(segs) if segs else f"ext 0:"
         marks = [sym for sym in vocab.unary_symbols()
                  if (0,) in self.point.tables[sym]]
@@ -150,6 +154,18 @@ def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:
     links = []
     for seg in segs:
         tables: dict[str, set] = {name: set() for name, _ in vocab.symbols}
+        if seg.startswith("["):
+            slot_marks, sep, seg = seg[1:].partition("]")
+            if not sep:
+                raise ParseError(f"unclosed slot marks in {text!r}")
+            seg = seg.strip()
+            for tok in (t.strip() for t in slot_marks.split(",") if t.strip()):
+                if tok.startswith("loop:") and tok[5:] in vocab.binary_symbols():
+                    tables[tok[5:]].add((0, 0))
+                elif tok in vocab.unary_symbols():
+                    tables[tok].add((0,))
+                else:
+                    raise ParseError(f"unknown slot mark {tok!r}")
         for name in vocab.binary_symbols():
             tables[name].update((1, 1) for t in point_tables[name] if t == (0, 0))
         for name in vocab.unary_symbols():

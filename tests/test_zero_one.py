@@ -17,6 +17,7 @@ from fraisse.zero_one import (AxiomSpec, _axiom_holds_binary, axiom_compatible,
                               parse_axiom, sample_uniform, wilson_interval)
 
 from _naive import all_graphs, graph_of_bits, naive_axiom_holds, random_graph
+from test_sampling_golden import MARKED, marked_p2
 
 P2 = graph_p2()
 ALL_AXIOMS = [ax for k in (0, 1, 2) for ax in full_extension_axioms(P2, k)]
@@ -57,9 +58,28 @@ def test_full_axiom_counts():
     assert [len(full_extension_axioms(P2, k)) for k in (0, 1, 2)] == [1, 2, 4]
 
 
+BONDED = Vocabulary([("adj", 2), ("bond", 2)])
+
+
+def bonded_p2() -> P2Spec:
+    """Symmetric loop-free adj/2 beside a directed bond/2 that may loop."""
+    points = [FinStructure(BONDED, 1, {"bond": loop}) for loop in ((), {(0, 0)})]
+    pairs = [assemble_pair(a, b, (adj, bond)) for a in points for b in points
+             for adj in ((0, 0), (1, 1)) for bond in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    return P2Spec([FinStructure(BONDED, 0)] + points + pairs)
+
+
 def test_axiom_labels_round_trip():
     for ax in ALL_AXIOMS:
         assert parse_axiom(P2.vocab, ax.label()) == ax
+    for p2 in (marked_p2(), bonded_p2()):
+        axioms = [ax for k in (0, 1, 2) for ax in full_extension_axioms(p2, k)]
+        labels = [ax.label() for ax in axioms]
+        assert len(set(labels)) == len(labels)
+        for ax, text in zip(axioms, labels):
+            assert parse_axiom(p2.vocab, text) == ax
+    marked = parse_axiom(MARKED, "ext 2: [red,loop:arc] arc> | - @ red")
+    assert marked.label() == "ext 2: [red,loop:arc] arc> | - @ red"
 
 
 def test_axioms_are_sorted_and_distinct():
@@ -69,7 +89,7 @@ def test_axioms_are_sorted_and_distinct():
 
 def test_parse_axiom_rejects_malformed():
     for bad in ("ext 2: adj", "ext 1: nope", "nonsense", "ext -1:",
-                "ext 1: adj | adj"):
+                "ext 1: adj | adj", "ext 1: [loop:adj adj", "ext 1: [red] adj"):
         with pytest.raises(ParseError):
             parse_axiom(P2.vocab, bad)
 

@@ -62,8 +62,9 @@ class ExplicitList:
 class P2Spec:
     """Permitted structures of size <= 2 over one vocabulary.
 
-    A point is named by its code (`point_codes`).  The cross-link options
-    of each ordered pair of point codes are worked out on first use and
+    A point is named by its code (`point_codes`); `codes` lists the
+    permitted ones in `one_types()` order.  The cross-link options of
+    each ordered pair of point codes are worked out on first use and
     kept in one table, which `permitted_links` and the class operations
     below all read.
     """
@@ -88,7 +89,7 @@ class P2Spec:
             if m.size == 1:
                 ones.setdefault(canonical_key(m), m)
         self._ones = [ones[k] for k in sorted(ones)]
-        self._point_codes = frozenset(point_codes(m)[0] for m in self._ones)
+        self.codes = tuple(point_codes(m)[0] for m in self._ones)
         self._links: dict[tuple[int, int], tuple[tuple, ...]] = {}
 
     def is_member(self, s: FinStructure) -> bool:
@@ -199,7 +200,7 @@ def in_rp2(p2: P2Spec, s: FinStructure) -> bool:
         return all(p2.is_member(induced_substructure(s, subset)[0])
                    for size in (1, 2) for subset in combinations(range(s.size), size))
     codes = point_codes(s)
-    if not p2._point_codes.issuperset(codes):
+    if not set(codes).issubset(p2.codes):
         return False
     tabs = [s.tables[sym] for sym in p2.vocab.binary_symbols()]
     for u, v in combinations(range(s.size), 2):
@@ -217,7 +218,7 @@ def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
     if not p2.vocab.binary:
         raise VocabularyError("enumeration needs a binary vocabulary")
     level = [FinStructure(p2.vocab, 0)]
-    ones = [(t, point_codes(t)[0]) for t in p2.one_types()]
+    ones = list(zip(p2.one_types(), p2.codes))
     bsyms = p2.vocab.binary_symbols()
     for size in range(1, n + 1):
         by_key: dict[TypeId, FinStructure] = {}

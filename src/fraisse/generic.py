@@ -124,7 +124,7 @@ class GenericOracle:
         self._tables: dict[str, set] = {name: set() for name in p2.vocab.names()}
         self._size = 0
         self._codes: list[int] = []
-        self._ones = {point_codes(t)[0]: t for t in p2.one_types()}
+        self._ones = dict(zip(p2.codes, p2.one_types()))
         self._log: list[LogEntry] = []
         self._sat: dict[int, int] = {}
         self._frozen: FinStructure | None = None
@@ -237,7 +237,7 @@ def _extend_detail(o: GenericOracle, w: int, tau: ExtensionType, drawn) -> str:
 def grow_random(o: GenericOracle, n: int) -> list[int]:
     """Add n points with empty base: the point pattern is drawn uniformly
     from the permitted one-point types, all links from the seed stream."""
-    ones = list(o._ones)
+    ones = o.p2.codes
     if not ones:
         raise ExtensionError("no one-point pattern is permitted")
     added = []
@@ -258,8 +258,7 @@ def one_point_extensions(p2: P2Spec, points: Sequence[FinStructure | int],
     its code."""
     codes = [p if isinstance(p, int) else point_codes(p)[0] for p in points]
     out = []
-    for newt in p2.one_types():
-        cw = point_codes(newt)[0]
+    for cw in p2.codes:
         option_lists = [p2.links(cb, cw) for cb in codes]
         if all(option_lists):
             out.extend(ExtensionType(p2.vocab, base, choice, cw)

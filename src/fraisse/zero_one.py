@@ -1,12 +1,15 @@
 """Extension axioms and sampling experiments on permitted structures.
 
 An extension axiom says: for every ordered tuple of k distinct points
-whose one-point types match the axiom's base slots, some further point
-realizes the prescribed two-point link with each of them and has the
-prescribed one-point type.  Sampling draws structures uniformly in the
-labelled sense: each point's one-point type uniform over the permitted
-ones, each unordered pair's cross links uniform over the permitted
-options for the chosen endpoint types, all independently."""
+whose point codes match the axiom's base slots, some further point has
+the axiom's point code and realises the prescribed link with each of
+them.  Axioms use the oracle's encoding (`generic.ExtensionType`): a
+point is its code (`structures.point_codes`) and a link is a
+`P2Spec.links` option, so only binary vocabularies have axioms.  One
+evaluator reads every axiom on row bitmasks.  Sampling draws structures
+uniformly in the labelled sense: each point's code uniform over the
+permitted ones, each unordered pair's cross links uniform over the
+permitted options for the chosen endpoint codes, all independently."""
 
 from __future__ import annotations
 
@@ -14,11 +17,12 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 from math import sqrt
+from typing import Sequence
 
-from .amalgamation import P2Spec, assemble_pair
+from .amalgamation import P2Spec
 from .errors import AdequacyError, InputError, ParseError, VocabularyError
 from .generic import mix64
-from .structures import FinStructure, Vocabulary, tuple_payload
+from .structures import FinStructure, Vocabulary
 
 Z95 = 1.959963984540054
 
@@ -38,39 +42,40 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (lo, hi)
 
 
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_ARROWS = {(1, 1): "", (1, 0): ">", (0, 1): "<"}
+
+
 class AxiomSpec:
-    """One extension axiom: k base slots, each a two-point link structure
-    read as (base point, new point), plus the new point's one-point type."""
+    """One extension axiom in the format of `ExtensionType`: `slots[i]`
+    is base slot i's point code, `dirs[i]` the new point's link to it as
+    a `P2Spec.links` option, and `point` the new point's code."""
 
-    __slots__ = ("links", "point", "k", "point_payload", "link_payloads",
-                 "base_payloads", "_sort_key")
+    __slots__ = ("vocab", "slots", "dirs", "point", "k", "_sort_key")
 
-    def __init__(self, links, point: FinStructure):
-        self.links = tuple(links)
+    def __init__(self, vocab: Vocabulary, slots: Sequence[int], dirs: Sequence,
+                 point: int):
+        if vocab.rho > 2:
+            raise VocabularyError("extension axioms need a binary vocabulary")
+        self.vocab = vocab
+        self.slots = tuple(slots)
+        self.dirs = tuple(map(tuple, dirs))
         self.point = point
-        self.k = len(self.links)
-        if point.size != 1:
-            raise InputError("the new point's type must be a one-point structure")
-        vocab = point.vocab
-        self.point_payload = tuple_payload(vocab, point.tables, (0,))
-        lps = []
-        bps = []
-        for link in self.links:
-            if link.vocab != vocab:
-                raise VocabularyError("axiom links use a different vocabulary")
-            if link.size != 2:
-                raise InputError("axiom links must be two-point structures")
-            if tuple_payload(vocab, link.tables, (1,)) != self.point_payload:
-                raise InputError("axiom link disagrees with the new point's type")
-            lps.append(tuple_payload(vocab, link.tables, (0, 1)))
-            bps.append(tuple_payload(vocab, link.tables, (0,)))
-        self.link_payloads = tuple(lps)
-        self.base_payloads = tuple(bps)
-        self._sort_key = (self.k, self.point_payload, self.link_payloads)
-
-    @property
-    def vocab(self) -> Vocabulary:
-        return self.point.vocab
+        self.k = len(self.slots)
+        if len(self.dirs) != self.k:
+            raise InputError("one link option per base slot is required")
+        nbin = len(vocab.binary_symbols())
+        for option in self.dirs:
+            if len(option) != nbin or not all(pair in _PAIRS for pair in option):
+                raise InputError(f"link option {option} needs one (0/1, 0/1) pair "
+                                 "per binary symbol")
+        top = 1 << len(vocab.symbols)
+        for code in self.slots + (point,):
+            if not 0 <= code < top:
+                raise InputError(f"point code {code} is not in 0..{top - 1}")
+        self._sort_key = (self.k, point, tuple(
+            _link_key(vocab, slot, option, point)
+            for slot, option in zip(self.slots, self.dirs)))
 
     def sort_key(self):
         return self._sort_key
@@ -86,27 +91,14 @@ class AxiomSpec:
         """Compact text form, parseable by parse_axiom."""
         vocab = self.vocab
         segs = []
-        for link in self.links:
-            slot_marks = [sym for sym in vocab.unary_symbols() if (0,) in link.tables[sym]]
-            slot_marks += [f"loop:{sym}" for sym in vocab.binary_symbols()
-                           if (0, 0) in link.tables[sym]]
-            prefix = f"[{','.join(slot_marks)}] " if slot_marks else ""
-            toks = []
-            for sym in vocab.binary_symbols():
-                out_b = (0, 1) in link.tables[sym]
-                in_b = (1, 0) in link.tables[sym]
-                if out_b and in_b:
-                    toks.append(sym)
-                elif out_b:
-                    toks.append(sym + ">")
-                elif in_b:
-                    toks.append(sym + "<")
-            segs.append(prefix + (",".join(toks) if toks else "-"))
+        for slot, option in zip(self.slots, self.dirs):
+            marks = _mark_tokens(vocab, slot)
+            toks = [sym + _ARROWS[pair]
+                    for sym, pair in zip(vocab.binary_symbols(), option) if any(pair)]
+            segs.append((f"[{','.join(marks)}] " if marks else "")
+                        + (",".join(toks) or "-"))
         text = f"ext {self.k}: " + " | ".join(segs) if segs else f"ext 0:"
-        marks = [sym for sym in vocab.unary_symbols()
-                 if (0,) in self.point.tables[sym]]
-        marks += [f"loop:{sym}" for sym in vocab.binary_symbols()
-                  if (0, 0) in self.point.tables[sym]]
+        marks = _mark_tokens(vocab, self.point)
         if marks:
             text += " @ " + ",".join(marks)
         return text
@@ -115,15 +107,54 @@ class AxiomSpec:
         return f"AxiomSpec({self.label()!r})"
 
 
+def _link_key(vocab: Vocabulary, slot: int, option, point: int) -> tuple:
+    """The link's place in the order that tuple types give its two-point
+    structure: per symbol, which positions hold, among (base) and (new)
+    for a unary symbol and among (base, base), (base, new), (new, base)
+    and (new, new) for a binary one."""
+    m = len(vocab.symbols)
+    pairs = iter(option)
+    key = []
+    for i, (_name, arity) in enumerate(vocab.symbols):
+        on_base, on_new = slot >> (m - 1 - i) & 1, point >> (m - 1 - i) & 1
+        facts = (on_base, *next(pairs), on_new) if arity == 2 else (on_base, on_new)
+        key.append(tuple(j for j, f in enumerate(facts) if f))
+    return tuple(key)
+
+
+def _mark_tokens(vocab: Vocabulary, code: int) -> list[str]:
+    """The marks of a point code: its unary symbols, then 'loop:sym' for
+    each binary symbol holding on (v, v)."""
+    m = len(vocab.symbols)
+    held = [(name, arity) for i, (name, arity) in enumerate(vocab.symbols)
+            if code >> (m - 1 - i) & 1]
+    return ([name for name, arity in held if arity == 1]
+            + [f"loop:{name}" for name, arity in held if arity == 2])
+
+
+def _mark_code(vocab: Vocabulary, text: str) -> int:
+    """The point code of a comma-separated list of marks."""
+    names = vocab.names()
+    code = 0
+    for tok in (t.strip() for t in text.split(",") if t.strip()):
+        name, arity = (tok[5:], 2) if tok.startswith("loop:") else (tok, 1)
+        if name not in vocab or vocab.arity(name) != arity:
+            raise ParseError(f"unknown mark {tok!r} in axiom")
+        code |= 1 << (len(names) - 1 - names.index(name))
+    return code
+
+
 def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:
     """Parse 'ext k: seg | ... | seg [@ marks]'.
 
-    Each segment lists the links between one base point and the new
-    point: comma-separated tokens 'sym' (both directions), 'sym>'
-    (base to new), 'sym<' (new to base), or '-' for no link.  Base
-    points carry no facts of their own in this format.  The optional
-    '@' part lists unary symbols (and 'loop:sym') holding on the new
-    point."""
+    Each segment is one base slot: its point's marks in brackets, left
+    out when it has none, then the links between that point and the new
+    point as comma-separated tokens 'sym' (both directions), 'sym>'
+    (base to new), 'sym<' (new to base), or '-' for no link, as in
+    '[red,loop:arc] arc>'.  The optional '@' part marks the new point.
+    A mark is a unary symbol or 'loop:sym' for a binary symbol holding
+    on (v, v).  Only binary vocabularies have axioms; any other raises
+    VocabularyError."""
     body = text.strip()
     if not body.startswith("ext"):
         raise ParseError(f"axiom must start with 'ext': {text!r}")
@@ -135,54 +166,32 @@ def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:
         raise ParseError(f"bad axiom arity in {text!r}") from None
     rest, _, markpart = rest.partition("@")
     segs = [s.strip() for s in rest.split("|")] if rest.strip() else []
-    if k == 0 and segs in ([], [""]):
-        segs = []
     if len(segs) != k:
         raise ParseError(f"axiom declares {k} slots but lists {len(segs)}")
-    point_tables: dict[str, set] = {name: set() for name, _ in vocab.symbols}
-    for tok in (t.strip() for t in markpart.split(",") if t.strip()):
-        if tok.startswith("loop:"):
-            sym = tok[5:]
-            if sym not in vocab.binary_symbols():
-                raise ParseError(f"unknown binary symbol in {tok!r}")
-            point_tables[sym].add((0, 0))
-        else:
-            if tok not in vocab.unary_symbols():
-                raise ParseError(f"unknown unary symbol {tok!r}")
-            point_tables[tok].add((0,))
-    point = FinStructure(vocab, 1, point_tables)
-    links = []
+    bsyms = vocab.binary_symbols()
+    slots, dirs = [], []
     for seg in segs:
-        tables: dict[str, set] = {name: set() for name, _ in vocab.symbols}
+        slot = 0
         if seg.startswith("["):
-            slot_marks, sep, seg = seg[1:].partition("]")
+            marks, sep, seg = seg[1:].partition("]")
             if not sep:
                 raise ParseError(f"unclosed slot marks in {text!r}")
-            seg = seg.strip()
-            for tok in (t.strip() for t in slot_marks.split(",") if t.strip()):
-                if tok.startswith("loop:") and tok[5:] in vocab.binary_symbols():
-                    tables[tok[5:]].add((0, 0))
-                elif tok in vocab.unary_symbols():
-                    tables[tok].add((0,))
-                else:
-                    raise ParseError(f"unknown slot mark {tok!r}")
-        for name in vocab.binary_symbols():
-            tables[name].update((1, 1) for t in point_tables[name] if t == (0, 0))
-        for name in vocab.unary_symbols():
-            tables[name].update((1,) for t in point_tables[name])
+            slot, seg = _mark_code(vocab, marks), seg.strip()
+        option = dict.fromkeys(bsyms, (0, 0))
         if seg != "-":
             for tok in (t.strip() for t in seg.split(",") if t.strip()):
                 if tok.endswith(">"):
-                    sym, dirs = tok[:-1], ((0, 1),)
+                    sym, pair = tok[:-1], (1, 0)
                 elif tok.endswith("<"):
-                    sym, dirs = tok[:-1], ((1, 0),)
+                    sym, pair = tok[:-1], (0, 1)
                 else:
-                    sym, dirs = tok, ((0, 1), (1, 0))
-                if sym not in vocab.binary_symbols():
+                    sym, pair = tok, (1, 1)
+                if sym not in bsyms:
                     raise ParseError(f"unknown binary symbol {sym!r} in axiom")
-                tables[sym].update(dirs)
-        links.append(FinStructure(vocab, 2, tables))
-    return AxiomSpec(links, point)
+                option[sym] = (option[sym][0] | pair[0], option[sym][1] | pair[1])
+        slots.append(slot)
+        dirs.append(tuple(option.values()))
+    return AxiomSpec(vocab, slots, dirs, _mark_code(vocab, markpart))
 
 
 def full_extension_axioms(p2: P2Spec, k: int) -> list[AxiomSpec]:
@@ -190,22 +199,20 @@ def full_extension_axioms(p2: P2Spec, k: int) -> list[AxiomSpec]:
     if k < 0:
         raise InputError("axiom arity must be non-negative")
     axioms = []
-    for point in p2.one_types():
-        choices = []
-        for t0 in p2.one_types():
-            for dirs in p2.permitted_links(t0, point):
-                choices.append(assemble_pair(t0, point, dirs))
+    for point in p2.codes:
+        choices = [(slot, option) for slot in p2.codes for option in p2.links(slot, point)]
         for combo in product(choices, repeat=k):
-            axioms.append(AxiomSpec(combo, point))
+            slots = [slot for slot, _ in combo]
+            axioms.append(AxiomSpec(p2.vocab, slots, [opt for _, opt in combo], point))
     axioms.sort(key=AxiomSpec.sort_key)
     return axioms
 
 
 def axiom_compatible(p2: P2Spec, ax: AxiomSpec) -> bool:
     """Whether the axiom's point and links are all permitted."""
-    if not p2.is_member(ax.point):
-        return False
-    return all(p2.is_member(link) for link in ax.links)
+    return (ax.vocab == p2.vocab and ax.point in p2.codes
+            and all(option in p2.links(slot, ax.point)
+                    for slot, option in zip(ax.slots, ax.dirs)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +220,32 @@ def axiom_compatible(p2: P2Spec, ax: AxiomSpec) -> bool:
 
 
 def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
-    """Evaluate one extension axiom on a structure."""
+    """Evaluate one extension axiom on a structure.
+
+    The candidates for the new point are the points with its code.  Base
+    points are chosen slot by slot among the points with the slot's
+    code, and each choice narrows the candidates by one AND per binary
+    symbol, on that point's out-row, in-row or their complements.  The
+    last slot is settled by a witness cover: each candidate covers the
+    base points it realises the last link with, and the axiom holds for
+    the chosen prefix once unused candidates cover every unused one."""
     if s.vocab != ax.vocab:
         raise VocabularyError("axiom and structure use different vocabularies")
-    binaries = s.vocab.binary_symbols()
-    if len(binaries) == 1 and len(s.vocab.symbols) == 1:
-        return _axiom_holds_binary(s, ax, binaries[0])
-    return _axiom_holds_generic(s, ax)
-
-
-def _axiom_holds_binary(s: FinStructure, ax: AxiomSpec, sym: str) -> bool:
-    n = s.size
-    full = (1 << n) - 1
-    rows_out = s.out_bits(sym)
-    rows_in = s.in_bits(sym)
-    loop_mask = 0
-    for v, row in enumerate(rows_out):
-        loop_mask |= row & (1 << v)
-    cand0 = loop_mask if (0, 0) in ax.point.tables[sym] else full & ~loop_mask
-    slots = []
-    for link in ax.links:
-        t = link.tables[sym]
-        domain = loop_mask if (0, 0) in t else full & ~loop_mask
-        slots.append((domain, (0, 1) in t, (1, 0) in t))
+    cand0 = s.code_bits(ax.point)
     k = ax.k
     if k == 0:
         return cand0 != 0
+    n = s.size
+    rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
+    domains = [s.code_bits(slot) for slot in ax.slots]
+    narrow = [_link_rows(rows, option, n) for option in ax.dirs[:-1]]
     # cover[z]: the points y other than z with which z realises the last
-    # slot's link (y -> z iff out_b, z -> y iff in_b)
-    _domain, out_b, in_b = slots[-1]
-    cover = [(rows_in[z] if out_b else ~rows_in[z])
-             & (rows_out[z] if in_b else ~rows_out[z]) & ~(1 << z) for z in range(n)]
+    # slot's link, read from z's side with each pair of bits swapped
+    swapped = [(from_new, to_new) for to_new, from_new in ax.dirs[-1]]
+    cover = [row & ~(1 << z) for z, row in enumerate(_link_rows(rows, swapped, n))]
 
     def rec(i: int, used: int, cand: int) -> bool:
-        domain, out_b, in_b = slots[i]
-        todo = domain & ~used
+        todo = domains[i] & ~used
         if i == k - 1:
             # every unused base point needs an unused candidate covering it
             pool = cand & ~used
@@ -258,44 +256,26 @@ def _axiom_holds_binary(s: FinStructure, ax: AxiomSpec, sym: str) -> bool:
                 pool ^= z
                 todo &= ~cover[z.bit_length() - 1]
             return True
+        row = narrow[i]
         while todo:
             bit = todo & -todo
             todo ^= bit
-            x = bit.bit_length() - 1
-            cx = (cand & (rows_out[x] if out_b else ~rows_out[x])
-                  & (rows_in[x] if in_b else ~rows_in[x]))
-            if not rec(i + 1, used | bit, cx):
+            if not rec(i + 1, used | bit, cand & row[bit.bit_length() - 1]):
                 return False
         return True
 
     return rec(0, 0, cand0)
 
 
-def _axiom_holds_generic(s: FinStructure, ax: AxiomSpec) -> bool:
-    n = s.size
-    vocab, tables = s.vocab, s.tables
-    point_types = [tuple_payload(vocab, tables, (v,)) for v in range(n)]
-    candidates = [c for c in range(n) if point_types[c] == ax.point_payload]
-    slot_domains = [[x for x in range(n) if point_types[x] == bp]
-                    for bp in ax.base_payloads]
-
-    def rec(i: int, chosen: tuple[int, ...]) -> bool:
-        if i == ax.k:
-            for c in candidates:
-                if c in chosen:
-                    continue
-                if all(tuple_payload(vocab, tables, (x, c)) == ax.link_payloads[j]
-                       for j, x in enumerate(chosen)):
-                    return True
-            return False
-        for x in slot_domains[i]:
-            if x in chosen:
-                continue
-            if not rec(i + 1, chosen + (x,)):
-                return False
-        return True
-
-    return rec(0, ())
+def _link_rows(rows, option, n: int) -> list[int]:
+    """Per point x, the bitmask of the points c whose link with x is
+    `option`: per binary symbol, x -> c exactly when the pair's first
+    bit is set and c -> x exactly when its second is."""
+    masks = [-1] * n
+    for (out, inn), (to_new, from_new) in zip(rows, option):
+        masks = [m & (o if to_new else ~o) & (i if from_new else ~i)
+                 for m, o, i in zip(masks, out, inn)]
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +283,32 @@ def _axiom_holds_generic(s: FinStructure, ax: AxiomSpec) -> bool:
 
 
 def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
-    """One uniform labelled sample on n points: point types uniform over
-    the permitted one-point types, pair links uniform over the permitted
-    options for the endpoints, all independent."""
+    """One uniform labelled sample on n points: point codes uniform over
+    the permitted ones, pair links uniform over the permitted options
+    for the endpoints, all independent."""
     rng = random.Random(seed)
-    one_types = p2.one_types()
-    if not one_types:
-        raise AdequacyError("no permitted one-point types to sample from")
     vocab = p2.vocab
-    binaries = vocab.binary_symbols()
+    if vocab.rho > 2:
+        raise VocabularyError("sampling needs a binary vocabulary")
+    codes = p2.codes
+    if not codes:
+        raise AdequacyError("no permitted one-point types to sample from")
     tables: dict[str, set] = {name: set() for name, _ in vocab.symbols}
-    # per ordered pair of point types, each permitted option as the tables
+    m = len(vocab.symbols)
+    # per point code, the tables that gain (v,) or (v, v), with their arity
+    diagonal = [[(tables[name], arity) for i, (name, arity) in enumerate(vocab.symbols)
+                 if code >> (m - 1 - i) & 1] for code in codes]
+    binaries = vocab.binary_symbols()
+    # per ordered pair of point codes, each permitted option as the tables
     # that gain (u, v) and the tables that gain (v, u)
     links = [[tuple((tuple(tables[sym] for sym, (b01, _) in zip(binaries, dirs) if b01),
                      tuple(tables[sym] for sym, (_, b10) in zip(binaries, dirs) if b10))
-                    for dirs in p2.permitted_links(t0, t1))
-              for t1 in one_types] for t0 in one_types]
-    chosen = [rng.randrange(len(one_types)) for _ in range(n)]
-    for v, ti in enumerate(chosen):
-        t = one_types[ti]
-        for name, _arity in vocab.symbols:
-            for row in t.tables[name]:
-                tables[name].add(tuple(v for _ in row))
+                    for dirs in p2.links(c0, c1))
+              for c1 in codes] for c0 in codes]
+    chosen = [rng.randrange(len(codes)) for _ in range(n)]
+    for v, ci in enumerate(chosen):
+        for tab, arity in diagonal[ci]:
+            tab.add((v,) * arity)
     for u in range(n):
         row = links[chosen[u]]
         for v in range(u + 1, n):
@@ -365,9 +349,7 @@ class ProbEstimate:
 
 
 def _axiom_list(ax) -> list[AxiomSpec]:
-    if isinstance(ax, AxiomSpec):
-        return [ax]
-    return list(ax)
+    return [ax] if isinstance(ax, AxiomSpec) else list(ax)
 
 
 def estimate_probability(p2: P2Spec, ax, n: int, trials: int,
@@ -381,14 +363,9 @@ def estimate_probability(p2: P2Spec, ax, n: int, trials: int,
     joint = 0
     for t in range(trials):
         s = sample_uniform(p2, n, mix64(seed, 0x5A4B7E, n, t))
-        all_hold = True
-        for i, a in enumerate(axioms):
-            if axiom_holds(s, a):
-                per_axiom[i] += 1
-            else:
-                all_hold = False
-        if all_hold:
-            joint += 1
+        held = [axiom_holds(s, a) for a in axioms]
+        per_axiom = [count + h for count, h in zip(per_axiom, held)]
+        joint += all(held)
     return ProbEstimate(n, trials, seed, axioms, per_axiom, joint)
 
 

@@ -210,70 +210,34 @@ def naive_realizers(s: FinStructure, base, a: int) -> list[int]:
 # extension axioms
 
 
-def _pair_matches(s: FinStructure, u: int, w: int, link: FinStructure) -> bool:
-    """Does the ordered pair (u, w) of s induce exactly the 2-point
-    pattern `link` (base at index 0, new point at index 1)?"""
-    for name, arity in s.vocab.symbols:
-        ts, tl = s.tables[name], link.tables[name]
-        if arity == 1:
-            if ((u,) in ts) != ((0,) in tl):
-                return False
-            if ((w,) in ts) != ((1,) in tl):
-                return False
-        else:
-            for row_l, row_s in ((((0, 1)), (u, w)), ((1, 0), (w, u)),
-                                 ((0, 0), (u, u)), ((1, 1), (w, w))):
-                if (tuple(row_l) in tl) != (row_s in ts):
-                    return False
-    return True
-
-
-def _point_matches(s: FinStructure, w: int, point: FinStructure) -> bool:
-    for name, arity in s.vocab.symbols:
-        ts, tp = s.tables[name], point.tables[name]
-        if arity == 1:
-            if ((w,) in ts) != ((0,) in tp):
-                return False
-        else:
-            if ((w, w) in ts) != ((0, 0) in tp):
-                return False
-    return True
-
-
 def naive_axiom_holds(s: FinStructure, ax) -> bool:
     """Direct evaluation of an extension axiom: every ordered tuple of
-    distinct points matching the base one-types admits a fresh witness
-    inducing all the link patterns."""
-    k = len(ax.links)
-    bases = [link for link in ax.links]
-    base_points = [s_ for s_ in range(s.size)]
+    distinct points whose own facts match the base slots' codes admits a
+    fresh witness with the new point's code and every prescribed link.
 
-    def base_ok(tup) -> bool:
-        for i, u in enumerate(tup):
-            # index 0 of links[i] carries the i-th base point's own facts
-            for name, arity in s.vocab.symbols:
-                ts, tl = s.tables[name], bases[i].tables[name]
-                if arity == 1:
-                    if ((u,) in ts) != ((0,) in tl):
-                        return False
-                else:
-                    if ((u, u) in ts) != ((0, 0) in tl):
-                        return False
-        return True
+    Decoded here from the axiom's fields: of the vocabulary's m symbols,
+    the i-th holds on (v, ..., v) exactly when bit m-1-i of v's code is
+    set, and a link option holds one (base -> new, new -> base) pair per
+    binary symbol."""
+    syms = s.vocab.symbols
+    m = len(syms)
+    binaries = [name for name, arity in syms if arity == 2]
 
-    for tup in permutations(base_points, k):
-        if not base_ok(tup):
+    def has_code(v: int, code: int) -> bool:
+        return all((((v,) * arity) in s.tables[name]) == bool(code >> (m - 1 - i) & 1)
+                   for i, (name, arity) in enumerate(syms))
+
+    def linked(u: int, w: int, option) -> bool:
+        return all(((u, w) in s.tables[name]) == bool(to_new)
+                   and ((w, u) in s.tables[name]) == bool(from_new)
+                   for name, (to_new, from_new) in zip(binaries, option))
+
+    for tup in permutations(range(s.size), len(ax.slots)):
+        if not all(has_code(u, code) for u, code in zip(tup, ax.slots)):
             continue
-        found = False
-        for w in range(s.size):
-            if w in tup:
-                continue
-            if not _point_matches(s, w, ax.point):
-                continue
-            if all(_pair_matches(s, tup[i], w, ax.links[i]) for i in range(k)):
-                found = True
-                break
-        if not found:
+        if not any(w not in tup and has_code(w, ax.point)
+                   and all(linked(u, w, option) for u, option in zip(tup, ax.dirs))
+                   for w in range(s.size)):
             return False
     return True
 

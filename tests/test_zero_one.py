@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraisse.amalgamation import P2Spec, assemble_pair, graph_p2, in_rp2
-from fraisse.errors import AdequacyError, InputError, ParseError
+from fraisse.cli import main
+from fraisse.errors import AdequacyError, InputError, ParseError, VocabularyError
 from fraisse.structures import (FinStructure, Vocabulary, expand_with_marks,
                                 undirected_graph)
-from fraisse.zero_one import (AxiomSpec, _axiom_holds_binary, axiom_compatible,
-                              axiom_holds, convergence_report,
-                              estimate_probability, full_extension_axioms,
-                              parse_axiom, sample_uniform, wilson_interval)
+from fraisse.textio import p2_document
+from fraisse.zero_one import (AxiomSpec, axiom_compatible, axiom_holds,
+                              convergence_report, estimate_probability,
+                              full_extension_axioms, parse_axiom, sample_uniform,
+                              wilson_interval)
 
-from _naive import all_graphs, graph_of_bits, naive_axiom_holds, random_graph
+from _naive import MIXED, all_graphs, graph_of_bits, naive_axiom_holds, random_graph
+from test_realization_scan import BONDED, bonded, marked_arcs, marks_only
 from test_sampling_golden import MARKED, marked_p2
 
 P2 = graph_p2()
@@ -58,9 +61,6 @@ def test_full_axiom_counts():
     assert [len(full_extension_axioms(P2, k)) for k in (0, 1, 2)] == [1, 2, 4]
 
 
-BONDED = Vocabulary([("adj", 2), ("bond", 2)])
-
-
 def bonded_p2() -> P2Spec:
     """Symmetric loop-free adj/2 beside a directed bond/2 that may loop."""
     points = [FinStructure(BONDED, 1, {"bond": loop}) for loop in ((), {(0, 0)})]
@@ -95,12 +95,45 @@ def test_parse_axiom_rejects_malformed():
 
 
 def test_axiom_spec_validates():
-    edge = undirected_graph(2, [(0, 1)])
-    pt = undirected_graph(1, [])
+    adj = P2.vocab
+    AxiomSpec(adj, [0], [((1, 1),)], 0)
+    bad = [
+        ([0, 0], [((1, 1),)], 0),           # two slots, one link option
+        ([0], [((1, 1),), ((0, 0),)], 0),   # one slot, two link options
+        ([0], [()], 0),                     # no pair for adj
+        ([0], [((1, 1), (0, 0))], 0),       # a pair for a second symbol
+        ([0], [((2, 0),)], 0),              # a bit of 2
+        ([0], [((1, 1, 0),)], 0),           # a triple, not a pair
+        ([2], [((1, 1),)], 0),              # slot code above 2^1 - 1
+        ([0], [((1, 1),)], 2),              # point code above 2^1 - 1
+        ([-1], [((1, 1),)], 0),             # negative code
+    ]
+    for slots, dirs, point in bad:
+        with pytest.raises(InputError):
+            AxiomSpec(adj, slots, dirs, point)
+    AxiomSpec(MARKED, [3], [((0, 1),)], 3)
     with pytest.raises(InputError):
-        AxiomSpec((pt,), pt)            # links must have two points
-    with pytest.raises(InputError):
-        AxiomSpec((edge,), undirected_graph(2, []))   # point must be a point
+        AxiomSpec(MARKED, [4], [((0, 1),)], 3)
+
+
+def test_arity_three_is_rejected(tmp_path, capsys):
+    with pytest.raises(VocabularyError):
+        AxiomSpec(MIXED, [], [], 0)
+    with pytest.raises(VocabularyError):
+        parse_axiom(MIXED, "ext 1: arc @ mark")
+    points = [FinStructure(MIXED, 1, {"tri": t}) for t in ((), {(0, 0, 0)})]
+    pairs = [assemble_pair(a, b, ((0, 0),)) for a in points for b in points]
+    p2 = P2Spec([FinStructure(MIXED, 0)] + points + pairs)
+    for k in (0, 1):
+        with pytest.raises(VocabularyError):
+            full_extension_axioms(p2, k)
+    with pytest.raises(VocabularyError):
+        sample_uniform(p2, 4, 0)
+    path = tmp_path / "tri.p2"
+    path.write_text(p2_document(p2))
+    assert main(["zeroone", "--p2", str(path), "--full", "1", "--sizes", "4",
+                 "--trials", "2"]) == 2
+    assert "binary vocabulary" in capsys.readouterr().err
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -151,7 +184,6 @@ def test_generic_path_with_marks_matches_naive():
 
 
 ARC = Vocabulary([("arc", 2)])
-ARC_POINTS = [FinStructure(ARC, 1, {"arc": loop}) for loop in ((), {(0, 0)})]
 ARC_DIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 ARC_SEGMENTS = ("arc>", "arc<", "arc", "-")
 
@@ -165,7 +197,7 @@ def _directed(n, bits):
 
 def _directed_axioms(rng, count):
     """Parsed axioms with k = 0..3 over every segment kind, plus axioms
-    whose base slots carry loops, which the text format cannot state."""
+    built from random slot codes, link options and point codes."""
     out = []
     for _ in range(count):
         k = rng.randrange(4)
@@ -173,18 +205,15 @@ def _directed_axioms(rng, count):
         if rng.random() < 0.5:
             text += " @ loop:arc"
         out.append(parse_axiom(ARC, text))
-        point = rng.choice(ARC_POINTS)
-        out.append(AxiomSpec([assemble_pair(rng.choice(ARC_POINTS), point,
-                                            (rng.choice(ARC_DIRS),))
-                              for _ in range(k)], point))
+        out.append(AxiomSpec(ARC, [rng.randrange(2) for _ in range(k)],
+                             [(rng.choice(ARC_DIRS),) for _ in range(k)],
+                             rng.randrange(2)))
     return out
 
 
 def _check_directed(s, axioms):
     for ax in axioms:
-        want = naive_axiom_holds(s, ax)
-        assert _axiom_holds_binary(s, ax, "arc") == want, (s.tables, ax)
-        assert axiom_holds(s, ax) == want
+        assert axiom_holds(s, ax) == naive_axiom_holds(s, ax), (s.tables, ax)
 
 
 def test_directed_fast_path_matches_naive():
@@ -207,6 +236,53 @@ def test_directed_fast_path_matches_naive():
        st.randoms(use_true_random=False))
 def test_directed_fast_path_matches_naive_property(spec, rng):
     _check_directed(_directed(*spec), _directed_axioms(rng, 6))
+
+
+def _random_axioms(vocab: Vocabulary):
+    """Lists of axioms with k = 0..3 over random slot codes, link options
+    and point codes of the vocabulary."""
+    code = st.integers(0, (1 << len(vocab.symbols)) - 1)
+    option = st.tuples(*[st.sampled_from(ARC_DIRS)] * len(vocab.binary_symbols()))
+    slot = st.tuples(code, option)
+    axiom = st.builds(lambda slots, point: AxiomSpec(
+        vocab, [c for c, _ in slots], [o for _, o in slots], point),
+        st.lists(slot, max_size=3), code)
+    return st.lists(axiom, min_size=1, max_size=8)
+
+
+def _structures(build):
+    return st.integers(min_value=0, max_value=6).flatmap(lambda n: st.builds(
+        build, st.just(n), st.integers(0, (1 << (n * n)) - 1),
+        st.integers(0, (1 << (n * n)) - 1)))
+
+
+AXIOM_CASES = st.one_of(
+    st.tuples(_structures(bonded), _random_axioms(BONDED)),
+    st.tuples(_structures(marked_arcs), _random_axioms(MARKED)),
+    st.tuples(_structures(marks_only), _random_axioms(marks_only(0, 0, 0).vocab)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(AXIOM_CASES)
+def test_evaluator_matches_naive_on_every_binary_vocabulary(case):
+    s, axioms = case
+    for ax in axioms:
+        assert axiom_holds(s, ax) == naive_axiom_holds(s, ax), (s.tables, ax)
+
+
+def test_evaluator_sees_slot_codes_and_links():
+    # 0 -> 1 -> 2 over arc, point 1 red and looped: only point 1 has code 3
+    s = FinStructure(MARKED, 3, {"red": [(1,)], "arc": [(0, 1), (1, 2), (1, 1)]})
+    truth = {"ext 1: [red,loop:arc] arc>": True,      # witness 2
+             "ext 1: [red,loop:arc] arc<": True,      # witness 0
+             "ext 1: [red,loop:arc] arc": False,
+             "ext 1: [red,loop:arc] -": False,
+             "ext 1: arc> @ red,loop:arc": False,     # base 2 has no arc to 1
+             "ext 1: [red] arc>": True,               # no red unlooped point
+             "ext 0: @ red,loop:arc": True,
+             "ext 0: @ red": False}
+    for text, want in truth.items():
+        assert axiom_holds(s, parse_axiom(MARKED, text)) == want, text
 
 
 def test_loop_marked_axiom_is_incompatible():

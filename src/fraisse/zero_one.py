@@ -220,15 +220,10 @@ def axiom_compatible(p2: P2Spec, ax: AxiomSpec) -> bool:
 
 
 def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
-    """Evaluate one extension axiom on a structure.
-
-    The candidates for the new point are the points with its code.  Base
-    points are chosen slot by slot among the points with the slot's
-    code, and each choice narrows the candidates by one AND per binary
-    symbol, on that point's out-row, in-row or their complements.  The
-    last slot is settled by a witness cover: each candidate covers the
-    base points it realises the last link with, and the axiom holds for
-    the chosen prefix once unused candidates cover every unused one."""
+    """Evaluate one extension axiom on a structure's row bitmasks: base
+    points are chosen slot by slot among the points with the slot's code,
+    each choice narrows the new point's candidates by one AND per binary
+    symbol, and a witness cover settles the last slot."""
     if s.vocab != ax.vocab:
         raise VocabularyError("axiom and structure use different vocabularies")
     cand0 = s.code_bits(ax.point)
@@ -349,7 +344,9 @@ class ProbEstimate:
 
 
 def _axiom_list(ax) -> list[AxiomSpec]:
-    return [ax] if isinstance(ax, AxiomSpec) else list(ax)
+    if isinstance(ax, AxiomSpec):
+        return [ax]
+    return list(ax)
 
 
 def estimate_probability(p2: P2Spec, ax, n: int, trials: int,
@@ -363,9 +360,14 @@ def estimate_probability(p2: P2Spec, ax, n: int, trials: int,
     joint = 0
     for t in range(trials):
         s = sample_uniform(p2, n, mix64(seed, 0x5A4B7E, n, t))
-        held = [axiom_holds(s, a) for a in axioms]
-        per_axiom = [count + h for count, h in zip(per_axiom, held)]
-        joint += all(held)
+        all_hold = True
+        for i, a in enumerate(axioms):
+            if axiom_holds(s, a):
+                per_axiom[i] += 1
+            else:
+                all_hold = False
+        if all_hold:
+            joint += 1
     return ProbEstimate(n, trials, seed, axioms, per_axiom, joint)
 
 

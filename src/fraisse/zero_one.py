@@ -43,7 +43,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_ARROWS = {(1, 1): "", (1, 0): ">", (0, 1): "<"}
+_ARROWS = {(1, 1): "", (1, 0): ">", (0, 1): "<"}     # link pair -> token suffix
+_LINK_OF = {arrow: pair for pair, arrow in _ARROWS.items()}
 
 
 class AxiomSpec:
@@ -180,14 +181,10 @@ def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:
         option = dict.fromkeys(bsyms, (0, 0))
         if seg != "-":
             for tok in (t.strip() for t in seg.split(",") if t.strip()):
-                if tok.endswith(">"):
-                    sym, pair = tok[:-1], (1, 0)
-                elif tok.endswith("<"):
-                    sym, pair = tok[:-1], (0, 1)
-                else:
-                    sym, pair = tok, (1, 1)
-                if sym not in bsyms:
-                    raise ParseError(f"unknown binary symbol {sym!r} in axiom")
+                sym = tok.rstrip("<>")
+                pair = _LINK_OF.get(tok[len(sym):])
+                if sym not in bsyms or pair is None:
+                    raise ParseError(f"unknown link {tok!r} in axiom")
                 option[sym] = (option[sym][0] | pair[0], option[sym][1] | pair[1])
         slots.append(slot)
         dirs.append(tuple(option.values()))

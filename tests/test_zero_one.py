@@ -89,7 +89,8 @@ def test_axioms_are_sorted_and_distinct():
 
 def test_parse_axiom_rejects_malformed():
     for bad in ("ext 2: adj", "ext 1: nope", "nonsense", "ext -1:",
-                "ext 1: adj | adj", "ext 1: [loop:adj adj", "ext 1: [red] adj"):
+                "ext 1: adj | adj", "ext 1: [loop:adj adj", "ext 1: [red] adj",
+                "ext 1: adj<>", "ext 1: adj>>"):
         with pytest.raises(ParseError):
             parse_axiom(P2.vocab, bad)
 

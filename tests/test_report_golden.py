@@ -1,0 +1,97 @@
+"""CLI reports that carry type fingerprints: recorded stdout and files.
+
+`tests/golden/cli_reports.txt` holds, for every run of `RUNS` in a
+directory holding `graph_p2()` as `graph.p2`, the marked spec of
+`test_sampling_golden` as `marked.p2` and `broken_p2()` as `broken.p2`,
+the command line, its exit code and its stdout.  The `types` runs read
+structures that `gen` wrote in the same directory.  After the
+`example412` run, each file it emits gets one line with its sha256 and
+its size, since the three typed-universe files are about 190 kB each.
+
+`types` prints tuple-type fingerprints, and the `example412` files hold
+the quotient's pair-type fingerprints, so a change to how links or
+point codes are read or written that moves a fingerprint shows here.
+Rewrite the file only when a report changes on purpose:
+
+    PYTHONPATH=src python tests/test_report_golden.py reports > tests/golden/cli_reports.txt
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from fraisse.amalgamation import P2Spec, graph_p2
+from fraisse.cli import main
+from fraisse.textio import p2_document
+
+from test_sampling_golden import marked_p2
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_reports.txt"
+EMIT_DIR = "emitted"
+RUNS = (
+    ["gen", "--p2", "graph.p2", "--points", "10", "--saturate", "2", "--passes", "4",
+     "--seed", "7"],
+    ["types", "--in", "gen-graph.txt", "--n", "2", "--distinct"],
+    ["gen", "--p2", "marked.p2", "--points", "8", "--saturate", "1", "--passes", "2",
+     "--seed", "3"],
+    ["types", "--in", "gen-marked.txt", "--n", "2", "--distinct"],
+    ["check-hp", "--p2", "graph.p2"],
+    ["check-adequate", "--p2", "graph.p2"],
+    ["check-hp", "--p2", "broken.p2"],
+    ["check-adequate", "--p2", "broken.p2"],
+    ["example412", "--check", "all", "--base-size", "12", "--seed", "1",
+     "--emit-structures", EMIT_DIR],
+)
+EMITTED = ("f.txt", "m.txt", "mstar.txt", "quotient_types.txt", "pair_family.txt",
+           "marked_pair_family.txt")
+
+
+def broken_p2() -> P2Spec:
+    """The marked spec without its red looped point: the two-point
+    members that hold such a point are left, so the spec is neither
+    closed under substructures nor adequate."""
+    members = [m for m in marked_p2().members
+               if not (m.size == 1 and m.tables["red"] and m.tables["arc"])]
+    return P2Spec(members)
+
+
+def report_lines() -> list[str]:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, p2 in (("graph.p2", graph_p2()), ("marked.p2", marked_p2()),
+                         ("broken.p2", broken_p2())):
+            Path(tmp, name).write_text(p2_document(p2))
+        cwd = os.getcwd()
+        try:
+            os.chdir(tmp)
+            for argv in RUNS:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main(argv)
+                out.append(f"$ {' '.join(argv)} -> {code}")
+                out.extend(buf.getvalue().splitlines())
+                if argv[0] == "gen":
+                    Path(f"gen-{argv[2][:-3]}.txt").write_text(buf.getvalue())
+            for name in EMITTED:
+                data = Path(EMIT_DIR, name).read_bytes()
+                out.append(f"file {name} sha256 {hashlib.sha256(data).hexdigest()} "
+                           f"bytes {len(data)}")
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def test_reports_match_recorded():
+    assert report_lines() == GOLDEN.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["reports"]:
+        sys.stdout.write("".join(line + "\n" for line in report_lines()))
+    else:
+        sys.exit("usage: test_report_golden.py reports")

@@ -23,6 +23,8 @@ from .structures import (
     FinStructure,
     TypeId,
     Vocabulary,
+    add_links,
+    add_point,
     canonical_key,
     find_embeddings,
     graph_vocabulary,
@@ -64,9 +66,9 @@ class P2Spec:
 
     A point is named by its code (`point_codes`); `codes` lists the
     permitted ones in `one_types()` order.  The cross-link options of
-    each ordered pair of point codes are worked out on first use and
-    kept in one table, which `permitted_links` and the class operations
-    below all read.
+    each ordered pair of point codes are read off the two-point members,
+    in both orders, into one table, which `permitted_links` and the
+    class operations below all read.
     """
 
     def __init__(self, members: Iterable[FinStructure],
@@ -90,7 +92,15 @@ class P2Spec:
                 ones.setdefault(canonical_key(m), m)
         self._ones = [ones[k] for k in sorted(ones)]
         self.codes = tuple(point_codes(m)[0] for m in self._ones)
-        self._links: dict[tuple[int, int], tuple[tuple, ...]] = {}
+        self._links: dict[tuple[int, int], tuple[tuple, ...]] | None = None
+        if self.vocab.binary:
+            links: dict[tuple[int, int], set] = {}
+            for m in members:
+                if m.size == 2:
+                    c0, c1 = point_codes(m)
+                    links.setdefault((c0, c1), set()).add(m.link(0, 1))
+                    links.setdefault((c1, c0), set()).add(m.link(1, 0))
+            self._links = {pair: tuple(sorted(options)) for pair, options in links.items()}
 
     def is_member(self, s: FinStructure) -> bool:
         """Membership of a structure of size <= 2, up to isomorphism."""
@@ -122,22 +132,9 @@ class P2Spec:
 
     def links(self, cu: int, cv: int) -> tuple[tuple, ...]:
         """`permitted_links` for the one-point types with codes cu and cv."""
-        options = self._links.get((cu, cv))
-        if options is None:
-            t0, t1 = self._coded_point(cu), self._coded_point(cv)
-            nbin = len(self.vocab.binary_symbols())
-            # product yields the options in sorted order
-            options = self._links[cu, cv] = tuple(
-                dirs for dirs in product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=nbin)
-                if self.is_member(assemble_pair(t0, t1, dirs)))
-        return options
-
-    def _coded_point(self, code: int) -> FinStructure:
-        """The one-point structure whose point has the given code."""
-        syms = self.vocab.symbols
-        return FinStructure(self.vocab, 1, {
-            name: [(0,) * arity] for i, (name, arity) in enumerate(syms)
-            if code >> (len(syms) - 1 - i) & 1})
+        if self._links is None:
+            raise VocabularyError("link options need a binary vocabulary")
+        return self._links.get((cu, cv), ())
 
 
 ClassSpec = Union[ExplicitList, P2Spec]
@@ -150,26 +147,15 @@ def _check_halves(t0: FinStructure, t1: FinStructure) -> None:
         raise InvalidElementError("pair halves must be one-point structures")
 
 
-def _add_links(tables: dict[str, set], bsyms, u: int, v: int, dirs) -> None:
-    """Add the cross links `dirs`, (u->v, v->u) bits per binary symbol."""
-    for sym, (buv, bvu) in zip(bsyms, dirs):
-        if buv:
-            tables[sym].add((u, v))
-        if bvu:
-            tables[sym].add((v, u))
-
-
 def assemble_pair(t0: FinStructure, t1: FinStructure, dirs) -> FinStructure:
     """The two-point structure with point 0 like t0, point 1 like t1,
     and cross links given per binary symbol as (0->1, 1->0) bits."""
     _check_halves(t0, t1)
     vocab = t0.vocab
-    tables: dict[str, set] = {}
-    for name, _arity in vocab.symbols:
-        rows = set(t0.tables[name])
-        rows.update(tuple(1 for _ in t) for t in t1.tables[name])
-        tables[name] = rows
-    _add_links(tables, vocab.binary_symbols(), 0, 1, dirs)
+    tables: dict[str, set] = {name: set() for name in vocab.names()}
+    add_point(tables, vocab, 0, point_codes(t0)[0])
+    add_point(tables, vocab, 1, point_codes(t1)[0])
+    add_links(tables, vocab, 0, 1, dirs)
     return FinStructure(vocab, 2, tables)
 
 
@@ -202,10 +188,8 @@ def in_rp2(p2: P2Spec, s: FinStructure) -> bool:
     codes = point_codes(s)
     if not set(codes).issubset(p2.codes):
         return False
-    tabs = [s.tables[sym] for sym in p2.vocab.binary_symbols()]
     for u, v in combinations(range(s.size), 2):
-        dirs = tuple(((u, v) in t, (v, u) in t) for t in tabs)
-        if dirs not in p2.links(codes[u], codes[v]):
+        if s.link(u, v) not in p2.links(codes[u], codes[v]):
             return False
     return True
 
@@ -217,26 +201,23 @@ def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
         raise InvalidElementError(f"negative size {n}")
     if not p2.vocab.binary:
         raise VocabularyError("enumeration needs a binary vocabulary")
-    level = [FinStructure(p2.vocab, 0)]
-    ones = list(zip(p2.one_types(), p2.codes))
-    bsyms = p2.vocab.binary_symbols()
+    vocab = p2.vocab
+    level = [FinStructure(vocab, 0)]
     for size in range(1, n + 1):
         by_key: dict[TypeId, FinStructure] = {}
         w = size - 1
         for parent in level:
             codes = point_codes(parent)
-            for newt, cw in ones:
+            for cw in p2.codes:
                 option_lists = [p2.links(cv, cw) for cv in codes]
                 if not all(option_lists):
                     continue
                 for choice in product(*option_lists):
                     tables = {name: set(tab) for name, tab in parent.tables.items()}
-                    for name, _a in p2.vocab.symbols:
-                        for t in newt.tables[name]:
-                            tables[name].add(tuple(w for _ in t))
+                    add_point(tables, vocab, w, cw)
                     for v, dirs in enumerate(choice):
-                        _add_links(tables, bsyms, v, w, dirs)
-                    cand = FinStructure(p2.vocab, size, tables)
+                        add_links(tables, vocab, v, w, dirs)
+                    cand = FinStructure(vocab, size, tables)
                     by_key.setdefault(canonical_key(cand), cand)
         level = [by_key[k] for k in sorted(by_key)]
         if not level:
@@ -427,7 +408,6 @@ def _free_amalgam(p2: P2Spec, b: FinStructure, c: FinStructure,
     for name, _a in c.vocab.symbols:
         for t in c.tables[name]:
             tables[name].add(tuple(idx_c[x] for x in t))
-    bsyms = b.vocab.binary_symbols()
     codes_b, codes_c = point_codes(b), point_codes(c)
     image = set(f.map)
     for u in range(b.size):
@@ -437,7 +417,7 @@ def _free_amalgam(p2: P2Spec, b: FinStructure, c: FinStructure,
             options = p2.links(codes_b[u], codes_c[v])
             if not options:
                 return None
-            _add_links(tables, bsyms, u, idx_c[v], options[0])
+            add_links(tables, b.vocab, u, idx_c[v], options[0])
     d = FinStructure(b.vocab, size, tables)
     beta = Embedding(b, d, tuple(range(b.size)))
     gamma = Embedding(c, d, tuple(idx_c[v] for v in range(c.size)))

@@ -338,6 +338,8 @@ def cmd_example412(args) -> int:
     failed = False
     inconclusive = False
     q2 = quotient(d2)
+    mstar = build_expansion_star(d2)
+    qstar = quotient(d2, ambient=mstar)
     for check in checks:
         r.add("")
         if check == "claim1":
@@ -377,8 +379,6 @@ def cmd_example412(args) -> int:
                 r.add(f"claim2: refused ({e})")
                 inconclusive = True
         elif check == "reduct":
-            mstar = build_expansion_star(d2)
-            qstar = quotient(d2, ambient=mstar)
             g = from_quotient(q2, args.nmax, label="quotient-types")
             g0 = pair_family_universe(q2, args.nmax, label="pair-family")
             gstar0 = pair_family_universe(qstar, args.nmax,
@@ -395,8 +395,6 @@ def cmd_example412(args) -> int:
     if args.emit_structures:
         outdir = Path(args.emit_structures)
         outdir.mkdir(parents=True, exist_ok=True)
-        mstar = build_expansion_star(d2)
-        qstar = quotient(d2, ambient=mstar)
         files = {
             "f.txt": structure_document(d2.base, name="base"),
             "m.txt": structure_document(d2.m, name="cover"),

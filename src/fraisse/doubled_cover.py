@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -219,7 +219,7 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0,
             f"pair-extension trials at n={n} need base saturation level {n + 1} "
             f"(covered prefix is {prefix}, need at least {n + 1} points)")
     fbits = d.base.out_bits(d.symbol)
-    vocab, tables = d.m.vocab, d.m.tables
+    link = d.m.link
     report = Claim2Report(n, trials, 0, prefix)
 
     def fadj(a: int, b: int) -> int:
@@ -252,13 +252,14 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0,
             continue
         dom = tuple(x for g in gs for x in (2 * g, 2 * g + 1))
         img = tuple(x for h, s in zip(hs, s_bits) for x in (2 * h + s, 2 * h + 1 - s))
-        if tuple_payload(vocab, tables, dom) != tuple_payload(vocab, tables, img):
+        if any(link(dom[i], dom[j]) != link(img[i], img[j])
+               for i, j in combinations_with_replacement(range(len(dom)), 2)):
             report.failures.append((t, "sampled map is not a partial isomorphism"))
             continue
         # the map is a partial isomorphism, so a point extends it exactly
         # when it realises over img what the fresh point realises over dom
         tau = extension_at(d.m, dom, 2 * g_extra)
-        if find_realization(d.m, ExtensionType(vocab, img, tau.dirs, tau.point)) is None:
+        if find_realization(d.m, ExtensionType(d.m.vocab, img, tau.dirs, tau.point)) is None:
             if len(report.failures) < cap:
                 report.failures.append((t, "no extension point found"))
         else:
@@ -270,39 +271,26 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0,
 # the quotient geometry
 
 
-_canon_cache: dict[tuple[int, int], int] = {}
-
-
 def _xor_cut_canon(bits: int, m: int) -> int:
-    """Minimum over all per-class flips of a packed adjacency matrix;
-    flipping a class complements every bit whose pair touches it."""
-    if m < 2:
-        return 0
-    key = (bits, m)
-    hit = _canon_cache.get(key)
-    if hit is not None:
-        return hit
-    touch = [0] * m
+    """Minimum over all per-class flips of a packed adjacency matrix, whose
+    bit for the pair i < j sits above those of all earlier pairs; flipping
+    a class complements every bit whose pair touches it.  The minimum is
+    Seidel's switching normal form: flip each class whose pair with the
+    last class is set.  That clears each row's highest bit, and the flips
+    are then fixed, so b(i, j) becomes b(i, j) ^ b(i, m-1) ^ b(j, m-1)."""
+    last = []                      # b(i, m-1) for each class i < m-1
     pos = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            touch[i] |= 1 << pos
-            touch[j] |= 1 << pos
+    for i in range(m - 1):
+        pos += m - 1 - i
+        last.append(bits >> (pos - 1) & 1)
+    out = 0
+    pos = 0
+    for i in range(m - 1):
+        for j in range(i + 1, m - 1):
+            out |= (bits >> pos & 1 ^ last[i] ^ last[j]) << pos
             pos += 1
-    best = bits
-    for s in range(1, 1 << m):
-        mask = 0
-        ss, c = s, 0
-        while ss:
-            if ss & 1:
-                mask ^= touch[c]
-            ss >>= 1
-            c += 1
-        cand = bits ^ mask
-        if cand < best:
-            best = cand
-    _canon_cache[key] = best
-    return best
+        pos += 1                   # the pair (i, m-1), now clear
+    return out
 
 
 class QuotientGeometry:
@@ -363,11 +351,11 @@ class QuotientGeometry:
                 for j in range(i + 1, m):
                     bits |= ((row >> distinct[j]) & 1) << pos
                     pos += 1
-            if self._mode == "cover":
-                bits = _xor_cut_canon(bits, m)
             memo_key = (len(tup), eq, bits)
             hit = self._memo.get(memo_key)
             if hit is None:
+                if self._mode == "cover":
+                    bits = _xor_cut_canon(bits, m)
                 hit = TypeId("pair", self.ambient.vocab.symbols,
                              (len(tup), eq, (self._mode, m, bits)))
                 self._memo[memo_key] = hit

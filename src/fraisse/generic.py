@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
-from .amalgamation import P2Spec, _add_links, require_adequate
+from .amalgamation import P2Spec, require_adequate
 from .errors import (
     ExtensionError,
     InputError,
@@ -27,7 +27,14 @@ from .errors import (
     SaturationError,
     VocabularyError,
 )
-from .structures import FinStructure, Vocabulary, point_codes, tuple_payload
+from .structures import (
+    FinStructure,
+    Vocabulary,
+    add_links,
+    add_point,
+    point_codes,
+    tuple_payload,
+)
 
 M64 = (1 << 64) - 1
 
@@ -99,12 +106,7 @@ def extension_at(s: FinStructure, base: Sequence[int], a: int) -> ExtensionType:
     base = tuple(base)
     if a in base:
         raise InvalidElementError(f"point {a} is in the base {base}")
-    rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
-    # per binary symbol, the (b -> a, a -> b) bits for every base point b
-    links = [zip([out[b] >> a & 1 for b in base], [inn[b] >> a & 1 for b in base])
-             for out, inn in rows]
-    dirs = tuple(zip(*links)) if links else ((),) * len(base)
-    return ExtensionType(s.vocab, base, dirs, point_codes(s)[a])
+    return ExtensionType(s.vocab, base, [s.link(b, a) for b in base], point_codes(s)[a])
 
 
 @dataclass
@@ -124,7 +126,6 @@ class GenericOracle:
         self._tables: dict[str, set] = {name: set() for name in p2.vocab.names()}
         self._size = 0
         self._codes: list[int] = []
-        self._ones = dict(zip(p2.codes, p2.one_types()))
         self._log: list[LogEntry] = []
         self._sat: dict[int, int] = {}
         self._frozen: FinStructure | None = None
@@ -165,7 +166,7 @@ class GenericOracle:
 
     def point_struct(self, v: int) -> FinStructure:
         """The permitted one-point structure of point v."""
-        return self._ones[self._codes[v]]
+        return self.p2.one_types()[self.p2.codes.index(self._codes[v])]
 
     # -- growth -------------------------------------------------------------
 
@@ -190,20 +191,16 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
     for b in tau.base:
         if b < 0 or b >= w:
             raise ExtensionError(f"base point {b} is outside the universe")
-    point = o._ones.get(tau.point)
-    if point is None:
+    if tau.point not in o.p2.codes:
         raise ExtensionError("the new point's pattern is not permitted")
     for b, dirs in zip(tau.base, tau.dirs):
         if dirs not in o.p2.links(o._codes[b], tau.point):
             raise ExtensionError(f"the link pattern at base point {b} is not permitted")
 
     tables = o._tables
-    for name, _a in o.vocab.symbols:
-        for t in point.tables[name]:
-            tables[name].add((w,) * len(t))
-    bsyms = o.vocab.binary_symbols()
+    add_point(tables, o.vocab, w, tau.point)
     for b, dirs in zip(tau.base, tau.dirs):
-        _add_links(tables, bsyms, b, w, dirs)
+        add_links(tables, o.vocab, b, w, dirs)
     base_set = set(tau.base)
     drawn = []
     for v in range(w):
@@ -213,7 +210,7 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
         options = o.p2.links(o._codes[v], tau.point)
         dirs = options[o._rng.randrange(len(options))]
         drawn.append((v, dirs))
-        _add_links(tables, bsyms, v, w, dirs)
+        add_links(tables, o.vocab, v, w, dirs)
     o._size = w + 1
     o._codes.append(tau.point)
     o._frozen = None
@@ -229,7 +226,7 @@ def _extend_detail(o: GenericOracle, w: int, tau: ExtensionType, drawn) -> str:
             f"{v}[{','.join(f'{sym}:{a:d}{b:d}' for sym, (a, b) in zip(bsyms, dirs)) or '-'}]"
             for v, dirs in pairs) or "-"
 
-    marks = [sym for sym in o.vocab.unary_symbols() if (0,) in o.point_struct(w).tables[sym]]
+    marks = [sym for sym in o.vocab.unary_symbols() if (w,) in o._tables[sym]]
     return (f"new={w} marks={','.join(marks) or '-'} "
             f"base {links(zip(tau.base, tau.dirs))} drawn {links(drawn)}")
 
@@ -269,8 +266,7 @@ def one_point_extensions(p2: P2Spec, points: Sequence[FinStructure | int],
 def realizer_bits(s: FinStructure, tau: ExtensionType, exclude: Iterable[int] = ()) -> int:
     """Bitmask of the points of s outside the base and `exclude` that
     realise tau: those with the pattern's point code, narrowed by one
-    AND per base point and binary symbol with that point's out- or
-    in-row or its complement."""
+    AND per base point with its row of `FinStructure.link_rows`."""
     if tau.vocab is not s.vocab and tau.vocab != s.vocab:
         raise VocabularyError("the pattern and the structure use different vocabularies")
     if tau.base and (min(tau.base) < 0 or max(tau.base) >= s.size):
@@ -278,10 +274,8 @@ def realizer_bits(s: FinStructure, tau: ExtensionType, exclude: Iterable[int] = 
     mask = s.code_bits(tau.point)
     for x in chain(tau.base, exclude):
         mask &= ~(1 << x)
-    rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
     for b, dirs in zip(tau.base, tau.dirs):
-        for (out, inn), (to_new, from_new) in zip(rows, dirs):
-            mask &= (out[b] if to_new else ~out[b]) & (inn[b] if from_new else ~inn[b])
+        mask &= s.link_rows(dirs)[b]
         if not mask:
             break
     return mask

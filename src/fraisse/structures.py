@@ -93,7 +93,7 @@ class FinStructure:
     """A finite structure: a vocabulary, a size, and one table per symbol."""
 
     __slots__ = ("vocab", "size", "tables", "_hash", "_canon", "_bits", "_codes",
-                 "_code_bits")
+                 "_code_bits", "_binary_tables")
 
     def __init__(self, vocab: Vocabulary, size: int,
                  tables: dict[str, Iterable[tuple[int, ...]]] | None = None):
@@ -124,9 +124,11 @@ class FinStructure:
                 rows.add(t)
             clean[name] = frozenset(rows)
         self.tables = clean
+        self._binary_tables = tuple(clean[name] for name in vocab.binary_symbols())
         self._hash = hash((vocab, size, tuple(frozenset(clean[n]) for n in vocab.names())))
         self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
-        self._bits: dict[tuple[str, bool], tuple[int, ...]] | None = None
+        # out- and in-rows keyed (symbol, converse); link rows keyed by option
+        self._bits: dict[tuple, tuple[int, ...]] | None = None
         self._codes: tuple[int, ...] | None = None
         self._code_bits: dict[int, int] | None = None
 
@@ -145,6 +147,28 @@ class FinStructure:
         """Row bitmasks of the converse: bit u of row v set iff (u, v) holds.
         For a symmetric relation this is the out_bits tuple itself."""
         return self._rows(symbol, True)
+
+    def link(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
+        """The link option from u to v, in `P2Spec.links` format: per
+        binary symbol, the (u -> v, v -> u) bits as a pair."""
+        return tuple([(1 if (u, v) in tab else 0, 1 if (v, u) in tab else 0)
+                      for tab in self._binary_tables])
+
+    def link_rows(self, option) -> tuple[int, ...]:
+        """Per point x, the bitmask of the points c with link(x, c) == option
+        (c = x included)."""
+        if self._bits is None:
+            self._bits = {}
+        rows = self._bits.get(option)
+        if rows is None:
+            full = (1 << self.size) - 1
+            masks = [full] * self.size
+            for sym, (to_c, from_c) in zip(self.vocab.binary_symbols(), option):
+                out, inn = self.out_bits(sym), self.in_bits(sym)
+                masks = [m & (o if to_c else ~o) & (i if from_c else ~i)
+                         for m, o, i in zip(masks, out, inn)]
+            rows = self._bits[option] = tuple(masks)
+        return rows
 
     def code_bits(self, code: int) -> int:
         """Bitmask of the points whose code (`point_codes`) is `code`."""
@@ -368,6 +392,23 @@ def tuple_type(s: FinStructure, tup: Sequence[int]) -> TypeId:
     if any(x < 0 or x >= s.size for x in tup):
         raise InvalidElementError(f"tuple {tup} is not within universe 0..{s.size - 1}")
     return TypeId("tuple", s.vocab.symbols, tuple_payload(s.vocab, s.tables, tup))
+
+
+def add_point(tables: dict[str, set], vocab: Vocabulary, v: int, code: int) -> None:
+    """Add the facts on (v, ..., v) that the point code `code` names."""
+    m = len(vocab.symbols)
+    for i, (name, arity) in enumerate(vocab.symbols):
+        if code >> (m - 1 - i) & 1:
+            tables[name].add((v,) * arity)
+
+
+def add_links(tables: dict[str, set], vocab: Vocabulary, u: int, v: int, option) -> None:
+    """Add the facts that make `option` the link from u to v (`FinStructure.link`)."""
+    for sym, (to_v, from_v) in zip(vocab.binary_symbols(), option):
+        if to_v:
+            tables[sym].add((u, v))
+        if from_v:
+            tables[sym].add((v, u))
 
 
 def point_codes(s: FinStructure) -> tuple[int, ...]:

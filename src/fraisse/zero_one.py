@@ -22,7 +22,7 @@ from typing import Sequence
 from .amalgamation import P2Spec
 from .errors import AdequacyError, InputError, ParseError, VocabularyError
 from .generic import mix64
-from .structures import FinStructure, Vocabulary
+from .structures import FinStructure, Vocabulary, add_links, add_point
 
 Z95 = 1.959963984540054
 
@@ -219,22 +219,20 @@ def axiom_compatible(p2: P2Spec, ax: AxiomSpec) -> bool:
 def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
     """Evaluate one extension axiom on a structure's row bitmasks: base
     points are chosen slot by slot among the points with the slot's code,
-    each choice narrows the new point's candidates by one AND per binary
-    symbol, and a witness cover settles the last slot."""
+    each choice narrows the new point's candidates by one AND with its
+    row of `FinStructure.link_rows`, and a witness cover settles the last
+    slot."""
     if s.vocab != ax.vocab:
         raise VocabularyError("axiom and structure use different vocabularies")
     cand0 = s.code_bits(ax.point)
     k = ax.k
     if k == 0:
         return cand0 != 0
-    n = s.size
-    rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
     domains = [s.code_bits(slot) for slot in ax.slots]
-    narrow = [_link_rows(rows, option, n) for option in ax.dirs[:-1]]
-    # cover[z]: the points y other than z with which z realises the last
-    # slot's link, read from z's side with each pair of bits swapped
-    swapped = [(from_new, to_new) for to_new, from_new in ax.dirs[-1]]
-    cover = [row & ~(1 << z) for z, row in enumerate(_link_rows(rows, swapped, n))]
+    narrow = [s.link_rows(option) for option in ax.dirs[:-1]]
+    # cover[z]: the points y with which z realises the last slot's link,
+    # read from z's side with each pair of bits swapped; z never covers itself
+    cover = s.link_rows(tuple((from_new, to_new) for to_new, from_new in ax.dirs[-1]))
 
     def rec(i: int, used: int, cand: int) -> bool:
         todo = domains[i] & ~used
@@ -246,7 +244,7 @@ def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
                     return False
                 z = pool & -pool
                 pool ^= z
-                todo &= ~cover[z.bit_length() - 1]
+                todo &= ~cover[z.bit_length() - 1] | z
             return True
         row = narrow[i]
         while todo:
@@ -257,17 +255,6 @@ def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
         return True
 
     return rec(0, 0, cand0)
-
-
-def _link_rows(rows, option, n: int) -> list[int]:
-    """Per point x, the bitmask of the points c whose link with x is
-    `option`: per binary symbol, x -> c exactly when the pair's first
-    bit is set and c -> x exactly when its second is."""
-    masks = [-1] * n
-    for (out, inn), (to_new, from_new) in zip(rows, option):
-        masks = [m & (o if to_new else ~o) & (i if from_new else ~i)
-                 for m, o, i in zip(masks, out, inn)]
-    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +273,20 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
     if not codes:
         raise AdequacyError("no permitted one-point types to sample from")
     tables: dict[str, set] = {name: set() for name, _ in vocab.symbols}
-    m = len(vocab.symbols)
-    # per point code, the tables that gain (v,) or (v, v), with their arity
-    diagonal = [[(tables[name], arity) for i, (name, arity) in enumerate(vocab.symbols)
-                 if code >> (m - 1 - i) & 1] for code in codes]
-    binaries = vocab.binary_symbols()
-    # per ordered pair of point codes, each permitted option as the tables
-    # that gain (u, v) and the tables that gain (v, u)
-    links = [[tuple((tuple(tables[sym] for sym, (b01, _) in zip(binaries, dirs) if b01),
-                     tuple(tables[sym] for sym, (_, b10) in zip(binaries, dirs) if b10))
-                    for dirs in p2.links(c0, c1))
-              for c1 in codes] for c0 in codes]
+
+    def writer(option) -> tuple[tuple[set, ...], tuple[set, ...]]:
+        """The tables that gain (u, v) and those that gain (v, u) when
+        `add_links` writes `option` from u to v, read off a two-point probe."""
+        probe = {name: set() for name in vocab.names()}
+        add_links(probe, vocab, 0, 1, option)
+        return (tuple(tables[name] for name, rows in probe.items() if (0, 1) in rows),
+                tuple(tables[name] for name, rows in probe.items() if (1, 0) in rows))
+
+    # per ordered pair of point codes, the writers of its permitted options
+    links = [[tuple(map(writer, p2.links(c0, c1))) for c1 in codes] for c0 in codes]
     chosen = [rng.randrange(len(codes)) for _ in range(n)]
     for v, ci in enumerate(chosen):
-        for tab, arity in diagonal[ci]:
-            tab.add((v,) * arity)
+        add_point(tables, vocab, v, codes[ci])
     for u in range(n):
         row = links[chosen[u]]
         for v in range(u + 1, n):

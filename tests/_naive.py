@@ -260,3 +260,21 @@ def naive_in_rp2(members, s: FinStructure) -> bool:
     one of `members`?"""
     return all(any(naive_is_isomorphic(naive_induced(s, pts), m) for m in members)
                for k in (1, 2) for pts in combinations(range(s.size), k))
+
+
+# ---------------------------------------------------------------------------
+# links between two points
+
+
+def naive_link(s: FinStructure, u: int, v: int) -> tuple:
+    """Per binary symbol in vocabulary order, whether (u, v) and whether
+    (v, u) is a fact, as a pair of 0/1 ints."""
+    return tuple((int((u, v) in s.tables[name]), int((v, u) in s.tables[name]))
+                 for name, arity in s.vocab.symbols if arity == 2)
+
+
+def naive_link_rows(s: FinStructure, option) -> list[int]:
+    """Per point x, the bitmask of the points c (c = x included) whose
+    link from x is `option`."""
+    return [sum(1 << c for c in range(s.size) if naive_link(s, x, c) == tuple(option))
+            for x in range(s.size)]

@@ -215,9 +215,22 @@ def test_in_rp2_sees_both_inside_and_outside():
     assert not in_rp2(p2, outside) and not naive_in_rp2(p2.members, outside)
 
 
-def test_permitted_links_match_assembled_members():
-    p2 = marked_p2()
-    for t0 in p2.one_types():
-        for t1 in p2.one_types():
-            want = tuple((d,) for d in DIRS if p2.is_member(assemble_pair(t0, t1, (d,))))
+def _all_points(vocab: Vocabulary) -> list[FinStructure]:
+    """Every one-point structure over the vocabulary, permitted or not."""
+    return [FinStructure(vocab, 1, {name: [(0,) * arity]
+                                    for (name, arity), on in zip(vocab.symbols, held) if on})
+            for held in product((0, 1), repeat=len(vocab.symbols))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("marked", "two-arcs")), _drops)
+def test_permitted_links_match_assembled_members(which, drops):
+    vocab, full = (MARKED, marked_p2().members) if which == "marked" else \
+        (TWO_ARCS, two_arcs_members())
+    p2 = P2Spec([m for i, m in enumerate(full) if i not in drops], vocab=vocab)
+    nbin = len(vocab.binary_symbols())
+    for t0 in _all_points(vocab):
+        for t1 in _all_points(vocab):
+            want = tuple(d for d in product(DIRS, repeat=nbin)
+                         if p2.is_member(assemble_pair(t0, t1, d)))
             assert p2.permitted_links(t0, t1) == want

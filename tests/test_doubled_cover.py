@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fraisse.doubled_cover import (DoubledAclSource, build_double,
+from fraisse.doubled_cover import (DoubledAclSource, _xor_cut_canon, build_double,
                                    build_expansion_star,
                                    e_definability_check, quotient,
                                    three_type_separation, verify_claim1,
@@ -162,6 +162,26 @@ def test_quotient_fast_paths_agree_with_general(small_pipeline):
                     continue
                 assert ((fast.pair_type(t1) == fast.pair_type(t2))
                         == (slow.pair_type(t1) == slow.pair_type(t2)))
+
+
+def _flip_masks(m: int) -> list[int]:
+    """Per set of flipped classes, the bits of the packed matrix it
+    complements: those of the pairs with exactly one flipped class."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return [sum(1 << p for p, (i, j) in enumerate(pairs) if (s >> i ^ s >> j) & 1)
+            for s in range(1 << m)]
+
+
+def test_switching_normal_form_is_the_flip_minimum():
+    rng = random.Random(11)
+    for m in range(9):
+        masks = _flip_masks(m)
+        npairs = m * (m - 1) // 2
+        # every pattern up to 6 classes, samples beyond
+        patterns = (range(1 << npairs) if m <= 6
+                    else [rng.getrandbits(npairs) for _ in range(300)])
+        for bits in patterns:
+            assert _xor_cut_canon(bits, m) == min(bits ^ mask for mask in masks), (m, bits)
 
 
 def test_quotient_rejects_bad_classes(small_pipeline):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,15 @@ from hypothesis import strategies as st
 
 from fraisse.errors import InvalidElementError, VocabularyError
 from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
-                                canonical_key, expand_with_marks,
-                                find_embeddings, graph_vocabulary,
-                                induced_substructure, is_isomorphic,
-                                reduct_to, subsets_of_size, tuple_type,
-                                undirected_graph)
+                                add_links, add_point, canonical_key,
+                                expand_with_marks, find_embeddings,
+                                graph_vocabulary, induced_substructure,
+                                is_isomorphic, point_codes, reduct_to,
+                                subsets_of_size, tuple_type, undirected_graph)
 
 from _naive import (all_graphs, graph_of_bits, is_valid_embedding,
-                    naive_embeddings, naive_is_isomorphic, permuted_copy,
-                    random_graph, type_desc)
+                    naive_embeddings, naive_is_isomorphic, naive_link,
+                    naive_link_rows, permuted_copy, random_graph, type_desc)
 
 graphs = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.tuples(st.just(n),
@@ -134,6 +135,61 @@ def test_in_bits_transpose_out_bits():
     assert g.in_bits("adj") is g.out_bits("adj")
     with pytest.raises(VocabularyError):
         expand_with_marks(g, [("red", [0])]).in_bits("red")
+
+
+# -- links and point codes ------------------------------------------------------
+
+LINK_VOCABS = (Vocabulary([("red", 1), ("arc", 2)]),
+               Vocabulary([("adj", 2), ("bond", 2)]))
+PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _raw_structure(vocab: Vocabulary, n: int, bits: int) -> FinStructure:
+    """A structure with the facts that `bits` picks, loops included: n bits
+    per unary symbol, n * n per binary symbol."""
+    tables = {}
+    for name, arity in vocab.symbols:
+        cells = list(product(range(n), repeat=arity))
+        tables[name] = {t for i, t in enumerate(cells) if bits >> i & 1}
+        bits >>= len(cells)
+    return FinStructure(vocab, n, tables)
+
+
+_linked = st.tuples(st.sampled_from(LINK_VOCABS), st.integers(0, 5),
+                    st.integers(0, (1 << 60) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linked)
+def test_link_and_link_rows_match_naive(raw):
+    vocab, n, bits = raw
+    s = _raw_structure(vocab, n, bits)
+    for u in range(n):
+        for v in range(n):
+            assert s.link(u, v) == naive_link(s, u, v)
+    for option in product(PAIRS, repeat=len(vocab.binary_symbols())):
+        assert s.link_rows(option) == tuple(naive_link_rows(s, option))
+        assert s.link_rows(option) is s.link_rows(option)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LINK_VOCABS), st.data())
+def test_add_point_and_add_links_write_what_link_reads(vocab, data):
+    n = data.draw(st.integers(0, 5))
+    nsym, nbin = len(vocab.symbols), len(vocab.binary_symbols())
+    codes = data.draw(st.lists(st.integers(0, (1 << nsym) - 1), min_size=n, max_size=n))
+    options = {(u, v): data.draw(st.tuples(*[st.sampled_from(PAIRS)] * nbin))
+               for u in range(n) for v in range(u + 1, n)}
+    tables = {name: set() for name in vocab.names()}
+    for v, code in enumerate(codes):
+        add_point(tables, vocab, v, code)
+    for (u, v), option in options.items():
+        add_links(tables, vocab, u, v, option)
+    s = FinStructure(vocab, n, tables)
+    assert point_codes(s) == tuple(codes)
+    for (u, v), option in options.items():
+        assert s.link(u, v) == naive_link(s, u, v) == option
+        assert s.link(v, u) == tuple((b, a) for a, b in option)
 
 
 def test_undirected_graph_symmetrizes():

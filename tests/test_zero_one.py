@@ -130,6 +130,10 @@ def test_arity_three_is_rejected(tmp_path, capsys):
             full_extension_axioms(p2, k)
     with pytest.raises(VocabularyError):
         sample_uniform(p2, 4, 0)
+    with pytest.raises(VocabularyError):
+        p2.links(0, 0)
+    with pytest.raises(VocabularyError):
+        p2.permitted_links(points[0], points[1])
     path = tmp_path / "tri.p2"
     path.write_text(p2_document(p2))
     assert main(["zeroone", "--p2", str(path), "--full", "1", "--sizes", "4",

@@ -4,13 +4,16 @@
 directory holding `graph_p2()` as `graph.p2`, the marked spec of
 `test_sampling_golden` as `marked.p2` and `broken_p2()` as `broken.p2`,
 the command line, its exit code and its stdout.  The `types` runs read
-structures that `gen` wrote in the same directory.  After the
-`example412` run, each file it emits gets one line with its sha256 and
-its size, since the three typed-universe files are about 190 kB each.
+structures that `gen` wrote in the same directory, and the `reduct`
+runs read the pair-family and quotient-type files that `example412`
+emitted, in both directions.  After the last run, each file
+`example412` emitted gets one line with its sha256 and its size, since
+the three typed-universe files are about 190 kB each.
 
-`types` prints tuple-type fingerprints, and the `example412` files hold
-the quotient's pair-type fingerprints, so a change to how links or
-point codes are read or written that moves a fingerprint shows here.
+`types` prints tuple-type fingerprints, the `example412` files hold
+the quotient's pair-type fingerprints, and `reduct` prints a stored
+fingerprint in its counterexample, so a change to how links or point
+codes are read or written that moves a fingerprint shows here.
 Rewrite the file only when a report changes on purpose:
 
     PYTHONPATH=src python tests/test_report_golden.py reports > tests/golden/cli_reports.txt
@@ -46,6 +49,10 @@ RUNS = (
     ["check-adequate", "--p2", "broken.p2"],
     ["example412", "--check", "all", "--base-size", "12", "--seed", "1",
      "--emit-structures", EMIT_DIR],
+    ["reduct", "--source", f"{EMIT_DIR}/pair_family.txt",
+     "--target", f"{EMIT_DIR}/quotient_types.txt", "--nmax", "3"],
+    ["reduct", "--source", f"{EMIT_DIR}/quotient_types.txt",
+     "--target", f"{EMIT_DIR}/pair_family.txt", "--nmax", "3"],
 )
 EMITTED = ("f.txt", "m.txt", "mstar.txt", "quotient_types.txt", "pair_family.txt",
            "marked_pair_family.txt")

@@ -331,7 +331,12 @@ class QuotientGeometry:
         return (2 * g, 2 * g + 1)
 
     def pair_type(self, classes: Sequence[int]) -> TypeId:
-        """Swap-invariant type of an ordered tuple of classes."""
+        """Swap-invariant type of an ordered tuple of classes.
+
+        The `cover` and `marked` modes read the type off the base
+        adjacencies in closed form, for any number of classes.  The
+        `general` mode searches all 2^m swap choices of the m distinct
+        classes and refuses m > 8 with InputError."""
         tup = tuple(int(g) for g in classes)
         if any(g < 0 or g >= self.size for g in tup):
             raise InvalidElementError(f"classes {tup} leave the quotient")
@@ -339,9 +344,6 @@ class QuotientGeometry:
         eq = tuple(first.setdefault(g, i) for i, g in enumerate(tup))
         distinct = [g for i, g in enumerate(tup) if eq[i] == i]
         m = len(distinct)
-        if m > 8:
-            raise InputError("class tuples with more than 8 distinct classes "
-                             "are beyond the swap search this carries")
         if self._mode != "general":
             bits = 0
             pos = 0
@@ -360,6 +362,9 @@ class QuotientGeometry:
                              (len(tup), eq, (self._mode, m, bits)))
                 self._memo[memo_key] = hit
             return hit
+        if m > 8:
+            raise InputError("class tuples with more than 8 distinct classes "
+                             "are beyond the swap search this carries")
         flat0 = tuple(x for g in distinct for x in (2 * g, 2 * g + 1))
         p0 = tuple_payload(self.ambient.vocab, self.ambient.tables, flat0)
         memo_key = (eq, p0)

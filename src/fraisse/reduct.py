@@ -18,9 +18,13 @@ from .structures import FinStructure, TypeId, tuple_type
 
 
 class TypedUniverse:
-    """A carrier plus a type function on tuples of arity up to n_max."""
+    """A carrier plus a type function on tuples of arity up to n_max.
 
-    __slots__ = ("size", "n_max", "label", "_fn", "_cache")
+    Types are interned: each tuple caches a dense int id, numbered in the
+    order its type is first met, and equal types share one id and one
+    TypeId."""
+
+    __slots__ = ("size", "n_max", "label", "_fn", "_cache", "_ids", "_types")
 
     def __init__(self, size: int, n_max: int, type_fn: Callable, label: str = "typed"):
         if size < 0:
@@ -31,7 +35,9 @@ class TypedUniverse:
         self.n_max = n_max
         self.label = label
         self._fn = type_fn
-        self._cache: dict = {}
+        self._cache: dict[tuple, int] = {}
+        self._ids: dict[TypeId, int] = {}
+        self._types: list[TypeId] = []
 
     def type_of(self, tup: Sequence[int]) -> TypeId:
         tup = tuple(int(x) for x in tup)
@@ -40,9 +46,16 @@ class TypedUniverse:
                 f"arity {len(tup)} outside this universe's range 1..{self.n_max}")
         if any(x < 0 or x >= self.size for x in tup):
             raise InvalidElementError(f"tuple {tup} leaves the carrier")
+        return self._types[self._id(tup)]
+
+    def _id(self, tup: tuple[int, ...]) -> int:
+        """The interned type id of a tuple of ints known to be valid."""
         hit = self._cache.get(tup)
         if hit is None:
-            hit = self._fn(tup)
+            t = self._fn(tup)
+            hit = self._ids.setdefault(t, len(self._types))
+            if hit == len(self._types):
+                self._types.append(t)
             self._cache[tup] = hit
         return hit
 
@@ -71,13 +84,25 @@ def pair_family_universe(q, n_max: int, label: str = "pair-family"
     The type of a tuple is the grid, over all ordered index pairs
     (diagonal included), of the quotient's swap-invariant 2-types of the
     corresponding class pairs — no joint information beyond pairs."""
+    grid_of = pair_grids(q.size, lambda pair: q.pair_type(pair).fingerprint)
 
     def fam(tup):
-        grid = tuple(q.pair_type((tup[i], tup[j])).fingerprint
-                     for i in range(len(tup)) for j in range(len(tup)))
-        return TypeId("pairfam", ("grid", len(tup)), grid)
+        return TypeId("pairfam", ("grid", len(tup)), grid_of(tup))
 
     return TypedUniverse(q.size, n_max, fam, label)
+
+
+def pair_grids(size: int, pair_fn: Callable) -> Callable:
+    """The map from a tuple over range(size) to the row-major grid of
+    pair_fn over its ordered index pairs, diagonal included.  The
+    size x size matrix of pair_fn values is computed here, once."""
+    matrix = [[pair_fn((g, h)) for h in range(size)] for g in range(size)]
+
+    def grid(tup):
+        rows = [matrix[g] for g in tup]
+        return tuple(row[h] for row in rows for h in tup)
+
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +129,19 @@ def partition_refines(source: TypedUniverse, target: TypedUniverse, n: int
         raise InputError("refinement needs a shared carrier")
     if n < 1 or n > source.n_max or n > target.n_max:
         raise InputError(f"arity {n} outside both universes' declared range")
-    seen: dict = {}
+    source_id, target_id = source._id, target._id
+    seen: dict[int, tuple[int, tuple]] = {}
     checked = 0
     for tup in product(range(source.size), repeat=n):
         checked += 1
-        sk = source.type_of(tup)
-        tk = target.type_of(tup)
+        sk = source_id(tup)
+        tk = target_id(tup)
         prior = seen.get(sk)
         if prior is None:
             seen[sk] = (tk, tup)
         elif prior[0] != tk:
             return RefinementReport("fails", n, checked, len(seen),
-                                    (prior[1], tup, sk.fingerprint))
+                                    (prior[1], tup, source._types[sk].fingerprint))
     return RefinementReport("refines", n, checked, len(seen))
 
 
@@ -183,9 +209,10 @@ def definable_as_union(source: TypedUniverse, relation, n: int
             raise InputError(f"relation row {t} does not have arity {n}")
         if any(x < 0 or x >= source.size for x in t):
             raise InvalidElementError(f"relation row {t} leaves the carrier")
-    status: dict = {}
+    source_id, types = source._id, source._types
+    status: dict[int, tuple[bool, tuple]] = {}
     for tup in product(range(source.size), repeat=n):
-        sk = source.type_of(tup)
+        sk = source_id(tup)
         inside = tup in rel
         prior = status.get(sk)
         if prior is None:
@@ -193,8 +220,8 @@ def definable_as_union(source: TypedUniverse, relation, n: int
         elif prior[0] != inside:
             tup_in, tup_out = (prior[1], tup) if prior[0] else (tup, prior[1])
             return DefinabilityReport("undefinable", n, [],
-                                      (tup_in, tup_out, sk.fingerprint))
-    inside_keys = sorted(k.fingerprint for k, (flag, _) in status.items() if flag)
+                                      (tup_in, tup_out, types[sk].fingerprint))
+    inside_keys = sorted(types[k].fingerprint for k, (flag, _) in status.items() if flag)
     return DefinabilityReport("definable", n, inside_keys)
 
 

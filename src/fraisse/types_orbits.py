@@ -26,6 +26,7 @@ from .generic import (
     extension_at,
     realizer_bits,
 )
+from .reduct import pair_grids
 from .structures import FinStructure, TypeId, Vocabulary, tuple_payload, tuple_type
 
 
@@ -110,14 +111,14 @@ def types_determined_by_pairs(s, n: int,
     if n < 3:
         raise InputError("pairwise determination is asked for arity >= 3")
     size, type_of = _typed_view(s)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
+    family_of = pair_grids(size, type_of)
     seen: dict[tuple, tuple[TypeId, tuple[int, ...]]] = {}
     checked = 0
     for tup in product(range(size), repeat=n):
         if independent_only is not None and not independent_only(tup):
             continue
         checked += 1
-        family = tuple(type_of((tup[i], tup[j])) for i, j in pairs)
+        family = family_of(tup)
         full = type_of(tup)
         prior = seen.get(family)
         if prior is None:

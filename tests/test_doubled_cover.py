@@ -18,7 +18,7 @@ from fraisse.amalgamation import graph_p2
 from fraisse.structures import expand_with_marks, tuple_type, undirected_graph
 from fraisse.types_orbits import acl_approx, enumerate_types
 
-from _naive import all_graphs, graph_of_bits
+from _naive import all_graphs, graph_of_bits, random_graph
 
 
 # -- construction ---------------------------------------------------------------
@@ -188,8 +188,41 @@ def test_quotient_rejects_bad_classes(small_pipeline):
     q = small_pipeline.q2
     with pytest.raises(Exception):
         q.pair_type((q.size,))
+    # only the general mode's swap search is capped at 8 classes
+    odd = expand_with_marks(small_pipeline.d2.m, [("x", [0])])
     with pytest.raises(InputError):
-        q.pair_type(tuple(range(9)))
+        quotient(small_pipeline.d2, ambient=odd).pair_type(tuple(range(9)))
+
+
+def test_closed_form_modes_take_more_than_8_classes():
+    d = build_double(random_graph(random.Random(3), 10))
+    for q in (quotient(d), quotient(d, ambient=build_expansion_star(d))):
+        assert q._mode in ("cover", "marked")
+        assert q.pair_type(tuple(range(9))).kind == "pair"
+
+
+def test_nine_class_cover_types_are_switching_classes():
+    """Blocks 0-8, 9-17 and 18-26 of the base carry a graph H, H switched
+    at a set S, and H with one edge flipped; cross-block edges are random.
+    Switching keeps the bare cover's type, the flipped edge changes the
+    switching class and so the type."""
+    rng = random.Random(8)
+    h = {(i, j) for i in range(9) for j in range(i + 1, 9) if rng.random() < 0.5}
+    s = {0, 2, 3, 7}
+    switched = {(i, j) for i in range(9) for j in range(i + 1, 9)
+                if ((i, j) in h) != ((i in s) != (j in s))}
+    flipped = h ^ {(1, 4)}
+    edges = {(i + 9 * b, j + 9 * b) for b, block in enumerate((h, switched, flipped))
+             for (i, j) in block}
+    edges |= {(i, j) for i in range(27) for j in range(9 * (i // 9 + 1), 27)
+              if rng.random() < 0.5}
+    d = build_double(undirected_graph(27, sorted(edges)))
+    q, qm = quotient(d), quotient(d, ambient=build_expansion_star(d))
+    blocks = [tuple(range(9 * b, 9 * b + 9)) for b in range(3)]
+    assert q.pair_type(blocks[0]) == q.pair_type(blocks[1])
+    assert q.pair_type(blocks[0]) != q.pair_type(blocks[2])
+    # the level mark freezes swaps, so the marked cover tells H from its switch
+    assert qm.pair_type(blocks[0]) != qm.pair_type(blocks[1])
 
 
 def test_class_members(small_pipeline):

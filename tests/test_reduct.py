@@ -1,14 +1,22 @@
 """Typed universes, partition refinement, and reduct checks."""
 from __future__ import annotations
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraisse.doubled_cover import build_double, build_expansion_star, quotient
 from fraisse.errors import InputError, InvalidElementError, ParseError
 from fraisse.reduct import (definable_as_union, from_quotient,
                             from_structure, is_reduct,
                             pair_family_universe, parse_typed_universe,
                             partition_refines, save_typed_universe)
-from fraisse.structures import expand_with_marks, undirected_graph
+from fraisse.structures import TypeId, expand_with_marks, undirected_graph
+from fraisse.types_orbits import types_determined_by_pairs
+
+from _naive import graph_of_bits
 
 P3 = undirected_graph(3, [(0, 1), (1, 2)])
 
@@ -149,3 +157,75 @@ def test_emitted_files_interoperate(small_pipeline, tmp_path):
     a = parse_typed_universe(src.read_text())
     b = parse_typed_universe(tgt.read_text())
     assert is_reduct(a, b, 2).holds
+
+
+# -- pair matrix and interned refinement against the per-tuple loops ---------------
+
+
+def _per_pair_grid(q, tup):
+    """The pair-family type asked of the quotient pair by pair."""
+    grid = tuple(q.pair_type((tup[i], tup[j])).fingerprint
+                 for i in range(len(tup)) for j in range(len(tup)))
+    return TypeId("pairfam", ("grid", len(tup)), grid)
+
+
+def _typeid_refines(source_type, target_type, size, n):
+    """Partition refinement comparing TypeIds tuple by tuple."""
+    seen: dict = {}
+    checked = 0
+    for tup in product(range(size), repeat=n):
+        checked += 1
+        sk, tk = source_type(tup), target_type(tup)
+        prior = seen.get(sk)
+        if prior is None:
+            seen[sk] = (tk, tup)
+        elif prior[0] != tk:
+            return "fails", checked, len(seen), (prior[1], tup, sk.fingerprint)
+    return "refines", checked, len(seen), None
+
+
+covers = st.integers(3, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+
+
+def _quotients(n, bits, marked):
+    d = build_double(graph_of_bits(n, bits))
+    return quotient(d), quotient(d, ambient=build_expansion_star(d) if marked else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(covers, st.booleans())
+def test_pair_matrix_and_interning_match_per_tuple_loops(cover, marked):
+    n, bits = cover
+    q2, q = _quotients(n, bits, marked)
+    ref2, ref = _quotients(n, bits, marked)
+    family = pair_family_universe(q, 3)
+    types = from_quotient(q2, 3)
+    for k in (1, 2, 3):
+        for tup in product(range(n), repeat=k):
+            t = family.type_of(tup)
+            assert t == _per_pair_grid(ref, tup)
+            assert t.fingerprint == _per_pair_grid(ref, tup).fingerprint
+        for source, target, s_ref, t_ref in (
+                (family, types, lambda t: _per_pair_grid(ref, t), ref2.pair_type),
+                (types, family, ref2.pair_type, lambda t: _per_pair_grid(ref, t))):
+            rep = partition_refines(source, target, k)
+            assert ((rep.verdict, rep.tuples_checked, rep.classes, rep.counterexample)
+                    == _typeid_refines(s_ref, t_ref, n, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(covers)
+def test_determination_by_pairs_matches_per_tuple_loop(cover):
+    n, bits = cover
+    q2, ref = _quotients(n, bits, False)
+    seen: dict = {}
+    want = ("determined", None)
+    for tup in product(range(n), repeat=3):
+        family = tuple(ref.pair_type((tup[i], tup[j])) for i in range(3) for j in range(3))
+        prior = seen.setdefault(family, (ref.pair_type(tup), tup))
+        if prior[0] != ref.pair_type(tup):
+            want = ("counterexample", (prior[1], tup))
+            break
+    rep = types_determined_by_pairs(q2, 3)
+    assert (rep.verdict, rep.counterexample) == want

@@ -1,7 +1,7 @@
 """Oracle layer: recorded realisation scans, post-scans, closure entries
 and CLI reports.
 
-`tests/golden/oracle_layer.txt` holds five sections:
+`tests/golden/oracle_layer.txt` holds six sections:
 
 * `scan`: for every pattern of `one_point_extensions` over a few bases of
   three unsaturated oracles (`graph_p2()` and the marked spec of
@@ -12,6 +12,12 @@ and CLI reports.
   oracle, a marked oracle and a doubled cover, with a growth budget that
   runs out on the first;
 * `probe`: the outcome of `homogeneity_probe` on two stable oracles;
+* `game`: the verdict and losing line of `back_and_forth` at k = 1 and
+  k = 2, for each ordered pair of distinct graph approximations built
+  here (with two prefixes of the first, so that the spoiler also moves
+  on the right) and of distinct marked ones, for an edge against a
+  non-edge, and for two structures over the arity-3 vocabulary
+  `_naive.MIXED`, so that payloads of arity 3 are read too;
 * `cli`: the stdout and exit codes of `gen`, `acl`, `triviality`,
   `degenerate` and `example412`, run in a directory holding `graph_p2()`
   as `graph.p2` and the marked spec as `marked.p2`.
@@ -29,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -36,12 +43,14 @@ from pathlib import Path
 from fraisse.amalgamation import graph_p2
 from fraisse.cli import main
 from fraisse.doubled_cover import doubled_acl_source
-from fraisse.generic import (find_realization, grow_random, homogeneity_probe,
-                             new_generic, one_point_extensions, saturate,
-                             saturate_until_stable, verify_saturation)
+from fraisse.generic import (back_and_forth, find_realization, grow_random,
+                             homogeneity_probe, new_generic, one_point_extensions,
+                             saturate, saturate_until_stable, verify_saturation)
+from fraisse.structures import induced_substructure, undirected_graph
 from fraisse.textio import p2_document
 from fraisse.types_orbits import acl_approx
 
+from _naive import random_mixed
 from test_sampling_golden import marked_p2
 
 GOLDEN = Path(__file__).parent / "golden" / "oracle_layer.txt"
@@ -121,6 +130,31 @@ def probe_lines() -> list[str]:
     return out
 
 
+def game_lines() -> list[str]:
+    graph = grown(graph_p2(), 5, 7).current
+    graphs = (("graph", graph),
+              ("graph-4", induced_substructure(graph, range(4))[0]),
+              ("graph-6", induced_substructure(graph, range(6))[0]),
+              ("graph-l3", grown(graph_p2(), 3, 6, level=3).current),
+              ("graph-l3b", grown(graph_p2(), 6, 3, level=3).current))
+    marked = (("marked", grown(marked_p2(), 3, 7).current),
+              ("marked-l1", grown(marked_p2(), 4, 5, level=1).current))
+    edge = (("edge", undirected_graph(2, [(0, 1)])), ("non-edge", undirected_graph(2, [])))
+    rng = random.Random(1)
+    mixed = (("mixed-a", random_mixed(rng, 3)), ("mixed-b", random_mixed(rng, 3)))
+    out = []
+    for group in (graphs, marked, edge, mixed):
+        for la, a in group:
+            for lb, b in group:
+                if la == lb:
+                    continue
+                for k in (1, 2):
+                    rep = back_and_forth(a, b, k)
+                    moves = [(m.side, m.point, m.reply) for m in rep.moves]
+                    out.append(f"{la} {lb} k={k} equivalent={rep.equivalent} moves={moves}")
+    return out
+
+
 def cli_lines() -> list[str]:
     out = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -141,7 +175,7 @@ def cli_lines() -> list[str]:
 
 
 SECTIONS = {"scan": scan_lines, "verify": verify_lines, "acl": acl_lines,
-            "probe": probe_lines, "cli": cli_lines}
+            "probe": probe_lines, "game": game_lines, "cli": cli_lines}
 
 
 def render() -> str:
@@ -169,6 +203,10 @@ def test_acl_entries_match_recorded():
 
 def test_homogeneity_probes_match_recorded():
     assert probe_lines() == recorded("probe")
+
+
+def test_extension_games_match_recorded():
+    assert game_lines() == recorded("game")
 
 
 def test_cli_reports_match_recorded():

@@ -36,8 +36,7 @@ from .structures import (
 class ExplicitList:
     """A class given by an explicit list of members, up to isomorphism."""
 
-    def __init__(self, structures: Iterable[FinStructure],
-                 size_bound: int | None = None):
+    def __init__(self, structures: Iterable[FinStructure]):
         members = tuple(structures)
         if not members:
             raise InputError("an explicit class needs at least one member")
@@ -47,7 +46,7 @@ class ExplicitList:
                 raise VocabularyError("explicit class mixes vocabularies")
         self.members = members
         self.vocab = vocab
-        self.size_bound = max(m.size for m in members) if size_bound is None else int(size_bound)
+        self.size_bound = max(m.size for m in members)
         self._keys = frozenset(canonical_key(m) for m in members)
 
     def contains_iso(self, s: FinStructure) -> bool:
@@ -109,13 +108,6 @@ class P2Spec:
     def one_types(self) -> list[FinStructure]:
         """One representative per permitted one-point type, sorted."""
         return list(self._ones)
-
-    def two_members(self) -> list[FinStructure]:
-        by_key = {}
-        for m in self.members:
-            if m.size == 2:
-                by_key.setdefault(canonical_key(m), m)
-        return [by_key[k] for k in sorted(by_key)]
 
     def permitted_links(self, t0: FinStructure, t1: FinStructure) -> tuple[tuple, ...]:
         """Cross-link options for an ordered pair of one-point types.
@@ -303,8 +295,7 @@ def check_1_adequate(p2: P2Spec) -> AdequacyReport:
     hp_ce = check_hp(p2).counterexample
     if hp_ce:
         notes.append("permitted structures are not substructure-closed")
-    twos = p2.two_members()
-    has_two = bool(twos)
+    has_two = any(m.size == 2 for m in p2.members)
     if not has_two:
         notes.append("no two-point structure is permitted")
     witnesses: dict[tuple[TypeId, TypeId], int] = {}
@@ -531,12 +522,12 @@ def check_ap(spec: ClassSpec, amalgam_bound: int,
 # ready-made permission sets
 
 
-def graph_p2(symbol: str = "adj", size_bound: int = 4) -> P2Spec:
-    """Loop-free symmetric single-relation structures: permitted pieces are
-    the empty structure, the point, and the edge/non-edge pairs."""
-    vocab = graph_vocabulary(symbol)
+def graph_p2() -> P2Spec:
+    """Loop-free symmetric structures over one symbol `adj`: permitted
+    pieces are the empty structure, the point, and the edge/non-edge pairs."""
+    vocab = graph_vocabulary()
     empty = FinStructure(vocab, 0)
     point = FinStructure(vocab, 1)
     nonedge = FinStructure(vocab, 2)
-    edge = FinStructure(vocab, 2, {symbol: [(0, 1), (1, 0)]})
-    return P2Spec([empty, point, nonedge, edge], size_bound=size_bound)
+    edge = FinStructure(vocab, 2, {"adj": [(0, 1), (1, 0)]})
+    return P2Spec([empty, point, nonedge, edge])

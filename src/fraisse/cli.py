@@ -91,9 +91,7 @@ def _digest(path) -> str:
 class Report:
     """Line accumulator with the standard header."""
 
-    def __init__(self, subcommand: str, inputs=(), seed: int | None = None,
-                 out=None):
-        self.out = sys.stdout if out is None else out
+    def __init__(self, subcommand: str, inputs=(), seed: int | None = None):
         self.lines: list[str] = [f"# fraisse {__version__}",
                                  f"# subcommand: {subcommand}"]
         if seed is not None:
@@ -124,7 +122,7 @@ class Report:
             self.lines.append(line(row))
 
     def emit(self) -> None:
-        print("\n".join(self.lines), file=self.out)
+        print("\n".join(self.lines))
 
 
 def _structure_lines(s: FinStructure, name: str) -> list[str]:

@@ -47,14 +47,13 @@ from .structures import (
 class DoubledStructure:
     """The cover, its base, and the bookkeeping between them."""
 
-    __slots__ = ("base", "m", "symbol", "pairing", "f_saturation")
+    __slots__ = ("base", "m", "symbol", "f_saturation")
 
     def __init__(self, base: FinStructure, m: FinStructure, symbol: str,
                  f_saturation: dict[int, int] | None):
         self.base = base
         self.m = m
         self.symbol = symbol
-        self.pairing = tuple(u ^ 1 for u in range(m.size))
         self.f_saturation = dict(f_saturation) if f_saturation else None
 
     @property
@@ -116,14 +115,16 @@ def build_double(f: FinStructure, f_saturation: dict[int, int] | None = None
     return DoubledStructure(f, m, symbol, f_saturation)
 
 
-def build_expansion_star(d: DoubledStructure, mark_symbol: str = "level0"
-                         ) -> FinStructure:
-    """The cover expanded with a unary mark on the level-0 half."""
-    return expand_with_marks(d.m, [(mark_symbol, d.level_points(0))])
+def build_expansion_star(d: DoubledStructure) -> FinStructure:
+    """The cover expanded with a unary mark `level0` on the level-0 half."""
+    return expand_with_marks(d.m, [("level0", d.level_points(0))])
 
 
 # ---------------------------------------------------------------------------
 # bond definability and the pairing equivalences
+
+_RECORD_CAP = 16            # mismatches or failures a report lists
+_CLAIM2_RECORD_CAP = 8      # claim-2 trials recorded as "no extension point found"
 
 
 @dataclass
@@ -137,7 +138,7 @@ class EDefReport:
         return self.verdict == "match"
 
 
-def e_definability_check(d: DoubledStructure, cap: int = 16) -> EDefReport:
+def e_definability_check(d: DoubledStructure) -> EDefReport:
     """Compare 'equal, or distinct with no common neighbour' against the
     true same-pair relation, over every ordered pair of cover points."""
     rows = d.m.out_bits(d.symbol)
@@ -146,8 +147,8 @@ def e_definability_check(d: DoubledStructure, cap: int = 16) -> EDefReport:
     for u in range(n):
         for v in range(n):
             formula = u == v or (rows[u] & rows[v]) == 0
-            actual = u == v or d.pairing[u] == v
-            if formula != actual and len(mism) < cap:
+            actual = u == v or u ^ 1 == v
+            if formula != actual and len(mism) < _RECORD_CAP:
                 mism.append((u, v, formula, actual))
     verdict = "match" if not mism else "mismatch"
     return EDefReport(verdict, n * n, mism)
@@ -164,7 +165,7 @@ class Claim1Report:
         return self.verdict == "holds"
 
 
-def verify_claim1(d: DoubledStructure, cap: int = 16) -> Claim1Report:
+def verify_claim1(d: DoubledStructure) -> Claim1Report:
     """For all distinct u, v: adjacency to v, adjacency of the partners,
     and the negations of the two mixed adjacencies all agree."""
     rows = d.m.out_bits(d.symbol)
@@ -181,7 +182,7 @@ def verify_claim1(d: DoubledStructure, cap: int = 16) -> Claim1Report:
             ok = (((rp >> (v ^ 1)) & 1) == e1
                   and ((ru >> (v ^ 1)) & 1) == 1 - e1
                   and ((rp >> v) & 1) == 1 - e1)
-            if not ok and len(failures) < cap:
+            if not ok and len(failures) < _RECORD_CAP:
                 failures.append((u, v))
     verdict = "holds" if not failures else "fails"
     return Claim1Report(verdict, checked, failures)
@@ -196,16 +197,12 @@ class Claim2Report:
     failures: list[tuple[int, str]] = field(default_factory=list)
 
     @property
-    def rate(self) -> float:
-        return self.successes / self.trials if self.trials else 1.0
-
-    @property
     def holds(self) -> bool:
         return self.successes == self.trials
 
 
-def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0,
-                  cap: int = 8) -> Claim2Report:
+def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0
+                  ) -> Claim2Report:
     """Sample pair-closed partial isomorphisms on n bonded pairs and try
     to extend each by one fresh level-0 point inside the cover.
 
@@ -260,7 +257,7 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0,
         # when it realises over img what the fresh point realises over dom
         tau = extension_at(d.m, dom, 2 * g_extra)
         if find_realization(d.m, ExtensionType(d.m.vocab, img, tau.dirs, tau.point)) is None:
-            if len(report.failures) < cap:
+            if len(report.failures) < _CLAIM2_RECORD_CAP:
                 report.failures.append((t, "no extension point found"))
         else:
             report.successes += 1
@@ -410,7 +407,7 @@ class Claim3Report:
         return self.verdict == "holds"
 
 
-def verify_claim3(q: QuotientGeometry, cap: int = 16) -> Claim3Report:
+def verify_claim3(q: QuotientGeometry) -> Claim3Report:
     """Every ordered pair of distinct classes has the same swap-invariant
     type, whether or not the base vertices are adjacent."""
     fbits = q.double.base.out_bits(q.double.symbol)
@@ -427,7 +424,7 @@ def verify_claim3(q: QuotientGeometry, cap: int = 16) -> Claim3Report:
             cases["adjacent" if (fbits[g] >> h) & 1 else "non-adjacent"] += 1
             if shared is None:
                 shared = t
-            elif t != shared and len(failures) < cap:
+            elif t != shared and len(failures) < _RECORD_CAP:
                 failures.append((g, h))
     verdict = "holds" if shared is not None and not failures else "fails"
     if checked == 0:
@@ -499,7 +496,7 @@ def three_type_separation(q: QuotientGeometry) -> SeparationReport:
 
 class DoubledAclSource:
     """Acl source over the cover of a growing oracle, with the bond as an
-    explicit binary symbol.
+    explicit binary symbol `bond`.
 
     A realization of a point's type over a base can be added whenever the
     type carries no bond to the base: grow the base structure by one
@@ -507,11 +504,10 @@ class DoubledAclSource:
     bonding the reference to a base point can never gain realizations —
     bonds are a perfect matching — so the source certifies that verdict."""
 
-    def __init__(self, f_oracle: GenericOracle, bond_symbol: str = "bond"):
+    def __init__(self, f_oracle: GenericOracle):
         if len(f_oracle.vocab.symbols) != 1 or f_oracle.vocab.rho != 2:
             raise InputError("the doubled source expects a single binary symbol")
         self.oracle = f_oracle
-        self.bond_symbol = bond_symbol
         self._built_at = -1
         self._double: DoubledStructure | None = None
         self._snap: FinStructure | None = None
@@ -523,9 +519,9 @@ class DoubledAclSource:
         bonds = set()
         for u in range(d.m.size):
             bonds.add((u, u ^ 1))
-        vocab = d.m.vocab.extended([(self.bond_symbol, 2)])
+        vocab = d.m.vocab.extended([("bond", 2)])
         tables = dict(d.m.tables)
-        tables[self.bond_symbol] = bonds
+        tables["bond"] = bonds
         self._double = d
         self._snap = FinStructure(vocab, d.m.size, tables)
         self._built_at = self.oracle.size
@@ -565,6 +561,5 @@ class DoubledAclSource:
         return True
 
 
-def doubled_acl_source(f_oracle: GenericOracle, bond_symbol: str = "bond"
-                       ) -> DoubledAclSource:
-    return DoubledAclSource(f_oracle, bond_symbol)
+def doubled_acl_source(f_oracle: GenericOracle) -> DoubledAclSource:
+    return DoubledAclSource(f_oracle)

@@ -87,17 +87,13 @@ class ExtensionType:
 
 
 def graph_extension(vocab: Vocabulary, base: Sequence[int],
-                    adjacent: Iterable[int], symbol: str | None = None) -> ExtensionType:
-    """Extension pattern over a single binary symbol: symmetric links to
-    the base points listed in `adjacent`, nothing else."""
-    bsyms = vocab.binary_symbols()
-    if symbol is None:
-        if len(bsyms) != 1:
-            raise InputError("pass symbol= when the vocabulary has several binary symbols")
-        symbol = bsyms[0]
+                    adjacent: Iterable[int]) -> ExtensionType:
+    """Extension pattern over a vocabulary with one binary symbol:
+    symmetric links to the base points listed in `adjacent`, nothing else."""
+    if len(vocab.binary_symbols()) != 1:
+        raise InputError("graph extensions need exactly one binary symbol")
     adj = set(adjacent)
-    dirs = [tuple((1, 1) if sym == symbol and b in adj else (0, 0) for sym in bsyms)
-            for b in base]
+    dirs = [((1, 1),) if b in adj else ((0, 0),) for b in base]
     return ExtensionType(vocab, base, dirs, 0)
 
 
@@ -156,17 +152,9 @@ class GenericOracle:
         """Verified levels: level -> size of the prefix it covers."""
         return dict(self._sat)
 
-    @property
-    def saturation_level(self) -> int:
-        return max(self._sat, default=0)
-
     def saturated_prefix(self, level: int) -> int:
         """How many initial points the given saturation level covers."""
         return max((p for k, p in self._sat.items() if k >= level), default=0)
-
-    def point_struct(self, v: int) -> FinStructure:
-        """The permitted one-point structure of point v."""
-        return self.p2.one_types()[self.p2.codes.index(self._codes[v])]
 
     # -- growth -------------------------------------------------------------
 
@@ -248,12 +236,10 @@ def grow_random(o: GenericOracle, n: int) -> list[int]:
 # saturation
 
 
-def one_point_extensions(p2: P2Spec, points: Sequence[FinStructure | int],
+def one_point_extensions(p2: P2Spec, codes: Sequence[int],
                          base: Sequence[int]) -> list[ExtensionType]:
     """All compatible extension patterns over `base`, in a deterministic
-    order.  `points[i]` is the one-point structure at base point i, or
-    its code."""
-    codes = [p if isinstance(p, int) else point_codes(p)[0] for p in points]
+    order.  `codes[i]` is the point code (`point_codes`) of base point i."""
     out = []
     for cw in p2.codes:
         option_lists = [p2.links(cb, cw) for cb in codes]
@@ -335,14 +321,17 @@ class StableSaturationReport:
     reports: list[SaturationReport] = field(default_factory=list)
 
 
+_STABLE_MAX_PASSES = 12
+
+
 def saturate_until_stable(o: GenericOracle, k: int,
-                          new_point_budget: int | None = None,
-                          max_passes: int = 12) -> StableSaturationReport:
-    """Repeat single passes until one adds no point; the whole universe is
-    then covered by level k."""
+                          new_point_budget: int | None = None
+                          ) -> StableSaturationReport:
+    """Repeat single passes, at most _STABLE_MAX_PASSES, until one adds no
+    point; the whole universe is then covered by level k."""
     total = 0
     reports = []
-    for p in range(1, max_passes + 1):
+    for p in range(1, _STABLE_MAX_PASSES + 1):
         left = None if new_point_budget is None else new_point_budget - total
         rep = saturate(o, k, left)
         reports.append(rep)
@@ -351,7 +340,7 @@ def saturate_until_stable(o: GenericOracle, k: int,
             return StableSaturationReport(k, p, total, False, 0, reports)
         if rep.added == 0:
             return StableSaturationReport(k, p, total, True, o._size, reports)
-    return StableSaturationReport(k, max_passes, total, False,
+    return StableSaturationReport(k, _STABLE_MAX_PASSES, total, False,
                                   o.saturated_prefix(k), reports)
 
 
@@ -504,10 +493,6 @@ class ProbeReport:
     successes: int
     prefix: int
     failures: list = field(default_factory=list)
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.trials if self.trials else 1.0
 
 
 def homogeneity_probe(o: GenericOracle, m: int, trials: int) -> ProbeReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import chain, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidElementError, VocabularyError
 
@@ -132,13 +132,6 @@ class FinStructure:
         self._codes: tuple[int, ...] | None = None
         self._code_bits: dict[int, int] | None = None
 
-    def table(self, name: str) -> frozenset[tuple[int, ...]]:
-        self.vocab.arity(name)
-        return self.tables[name]
-
-    def points(self) -> range:
-        return range(self.size)
-
     def out_bits(self, symbol: str) -> tuple[int, ...]:
         """Row bitmasks for a binary symbol: bit u of row v set iff (v, u) holds."""
         return self._rows(symbol, False)
@@ -253,13 +246,6 @@ class Embedding:
 
     def __call__(self, x: int) -> int:
         return self.map[x]
-
-    def compose(self, outer: "Embedding") -> "Embedding":
-        """Return outer after self (source of self into target of outer)."""
-        if outer.source is not self.target and outer.source != self.target:
-            raise InvalidElementError("embeddings do not compose")
-        return Embedding(self.source, outer.target,
-                         tuple(outer.map[x] for x in self.map), check=False)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Embedding) and self.map == other.map
@@ -762,9 +748,3 @@ def undirected_graph(size: int, edges: Iterable[tuple[int, int]],
         tab.add((u, v))
         tab.add((v, u))
     return FinStructure(graph_vocabulary(symbol), size, {symbol: tab})
-
-
-def subsets_of_size(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of range(n), ascending lexicographic."""
-    from itertools import combinations
-    return combinations(range(n), k)

@@ -205,7 +205,7 @@ def structure_block(name: str, s: FinStructure, vocab_name: str) -> str:
     return "\n".join(lines)
 
 
-def document_text(doc: Document, vocab_names: dict[int, str] | None = None) -> str:
+def document_text(doc: Document) -> str:
     """Serialise a document; vocabularies are emitted first, in order."""
     blocks = []
     for vn, vocab in doc.vocabs.items():
@@ -233,43 +233,39 @@ def document_text(doc: Document, vocab_names: dict[int, str] | None = None) -> s
     return "\n\n".join(blocks) + "\n"
 
 
-def p2_document(p2: P2Spec, name: str = "p2", vocab_name: str = "v") -> str:
-    """A self-contained document for one permission set."""
+def p2_document(p2: P2Spec) -> str:
+    """A self-contained document for one permission set: the p2 block `p2`
+    over the vocabulary `v`, with members `m0`, `m1`, ..."""
     doc = Document()
-    doc.vocabs[vocab_name] = p2.vocab
+    doc.vocabs["v"] = p2.vocab
     for i, m in enumerate(p2.members):
         doc.structures[f"m{i}"] = m
         doc.order.append(f"m{i}")
-    doc.p2specs[name] = p2
+    doc.p2specs["p2"] = p2
     return document_text(doc)
 
 
-def structure_document(s: FinStructure, name: str = "s", vocab_name: str = "v") -> str:
+def structure_document(s: FinStructure, name: str = "s") -> str:
+    """A self-contained document for one structure over the vocabulary `v`."""
     doc = Document()
-    doc.vocabs[vocab_name] = s.vocab
+    doc.vocabs["v"] = s.vocab
     doc.structures[name] = s
     doc.order.append(name)
     return document_text(doc)
 
 
 def load_document(path) -> Document:
+    """Every block of a file; its named structures and p2 blocks are the
+    `structures` and `p2specs` of the result."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_document(fh.read())
 
 
-def load_structure(path, name: str | None = None) -> FinStructure:
-    doc = load_document(path)
-    if name is None:
-        return doc.sole_structure()
-    if name not in doc.structures:
-        raise ParseError(f"no structure named {name!r} in {path}")
-    return doc.structures[name]
+def load_structure(path) -> FinStructure:
+    """The one structure a file holds."""
+    return load_document(path).sole_structure()
 
 
-def load_p2(path, name: str | None = None) -> P2Spec:
-    doc = load_document(path)
-    if name is None:
-        return doc.sole_p2()
-    if name not in doc.p2specs:
-        raise ParseError(f"no p2 block named {name!r} in {path}")
-    return doc.p2specs[name]
+def load_p2(path) -> P2Spec:
+    """The one p2 block a file holds."""
+    return load_document(path).sole_p2()

@@ -42,10 +42,6 @@ class TypeCensus:
     entries: list[tuple[TypeId, int]]
     total: int
 
-    @property
-    def support(self) -> list[TypeId]:
-        return [t for t, _ in self.entries]
-
     def count(self, t: TypeId) -> int:
         for u, c in self.entries:
             if u == t:
@@ -99,14 +95,11 @@ class DeterminationReport:
         return self.verdict == "determined"
 
 
-def types_determined_by_pairs(s, n: int,
-                              independent_only: Callable[[tuple[int, ...]], bool] | None = None
-                              ) -> DeterminationReport:
+def types_determined_by_pairs(s, n: int) -> DeterminationReport:
     """Do the pairwise 2-types of an n-tuple pin down its full n-type?
 
     Searches for two n-tuples whose families of (i, j)-component 2-types
-    agree while the n-types differ.  The optional filter restricts the
-    search to tuples the caller flags (e.g. independent ones).
+    agree while the n-types differ.
     """
     if n < 3:
         raise InputError("pairwise determination is asked for arity >= 3")
@@ -115,8 +108,6 @@ def types_determined_by_pairs(s, n: int,
     seen: dict[tuple, tuple[TypeId, tuple[int, ...]]] = {}
     checked = 0
     for tup in product(range(size), repeat=n):
-        if independent_only is not None and not independent_only(tup):
-            continue
         checked += 1
         family = family_of(tup)
         full = type_of(tup)
@@ -266,7 +257,7 @@ def _check_base(source, base: Sequence[int]) -> tuple[int, ...]:
         raise InvalidElementError(f"base {base} leaves the universe")
     prefix = source.saturated_prefix(len(base) + 1)
     need = max(base) + 1 if base else 0
-    if prefix < need or (not base and prefix < 0):
+    if prefix < need:
         raise SaturationError(
             f"acl over a base of size {len(base)} needs saturation level "
             f"{len(base) + 1} covering the base (prefix {prefix}, need {need})")
@@ -395,9 +386,12 @@ class DegeneracyReport:
         return self.verdict == "degenerate"
 
 
+_WITNESS_CAP = 32           # dependence witnesses a degeneracy report lists
+
+
 def check_degenerate_dependence(source, rho: int, max_b: int = 3, max_c: int = 3,
-                                d: int = 5, growth_budget: int | None = None,
-                                witness_cap: int = 32) -> DegeneracyReport:
+                                d: int = 5, growth_budget: int | None = None
+                                ) -> DegeneracyReport:
     """Is every dependence (rho - 1)-degenerate?
 
     A tuple depends on B over C exactly when some coordinate lands in
@@ -456,7 +450,7 @@ def check_degenerate_dependence(source, rho: int, max_b: int = 3, max_c: int = 3
                     report.counterexample = (a, bb, cb)
                     report.added = engine.added
                     return report
-                if len(report.witnesses) < witness_cap:
+                if len(report.witnesses) < _WITNESS_CAP:
                     report.witnesses.append(DependenceWitness(a, bb, cb, found))
     report.added = engine.added
     if report.inconclusive and report.verdict == "degenerate":

@@ -317,8 +317,6 @@ class ProbEstimate:
     def point_estimate(self) -> float:
         return self.successes / self.trials if self.trials else 0.0
 
-    joint_frequency = point_estimate
-
     def frequency(self, i: int) -> float:
         return self.per_axiom[i] / self.trials if self.trials else 0.0
 

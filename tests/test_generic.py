@@ -10,7 +10,7 @@ from fraisse.generic import (ExtensionType, back_and_forth, extend_one_point,
                              grow_random, homogeneity_probe, mix64,
                              new_generic, one_point_extensions, saturate,
                              saturate_until_stable, verify_saturation)
-from fraisse.structures import Vocabulary, undirected_graph
+from fraisse.structures import Vocabulary, point_codes, undirected_graph
 
 from _naive import MIXED, naive_is_isomorphic
 from test_sampling_golden import MARKED
@@ -50,7 +50,7 @@ def test_one_point_extensions_count():
     # base point and direction pair
     p2 = graph_p2()
     o = fresh(3, 4)
-    pts = [o.point_struct(v) for v in range(3)]
+    pts = point_codes(o.current)[:3]
     assert len(one_point_extensions(p2, [], [])) == 1
     assert len(one_point_extensions(p2, pts[:1], (0,))) == 2
     assert len(one_point_extensions(p2, pts[:2], (0, 1))) == 4
@@ -100,6 +100,8 @@ def test_extension_from_another_vocabulary_is_rejected():
 def test_patterns_need_a_binary_vocabulary():
     with pytest.raises(VocabularyError):
         ExtensionType(MIXED, (), (), 0)
+    with pytest.raises(InputError):         # graph patterns: one binary symbol only
+        graph_extension(Vocabulary([("a", 2), ("b", 2)]), (), ())
 
 
 def test_extensions_over_marked_points_write_marks_and_one_way_arcs():
@@ -107,8 +109,9 @@ def test_extensions_over_marked_points_write_marks_and_one_way_arcs():
     o = new_generic(marked_p2(), 2)
     grow_random(o, 4)
     red = 0b10                              # code of a red, unlooped point
-    b = next(v for v in range(o.size) if not o.point_struct(v).tables["red"])
-    tau = next(t for t in one_point_extensions(o.p2, [o.point_struct(b)], (b,))
+    codes = point_codes(o.current)
+    b = next(v for v in range(o.size) if not codes[v] & red)
+    tau = next(t for t in one_point_extensions(o.p2, [codes[b]], (b,))
                if t.point == red and sum(t.dirs[0][0]) == 1)
     (to_new, from_new), = tau.dirs[0]
     w = extend_one_point(o, tau)
@@ -117,7 +120,7 @@ def test_extensions_over_marked_points_write_marks_and_one_way_arcs():
     assert ((b, w) in s.tables["arc"], (w, b) in s.tables["arc"]) == (to_new, from_new)
     assert "marks=red" in o.log[-1].detail
     assert find_realization(s, tau) == w
-    assert o.point_struct(w).tables["red"] == {(0,)}
+    assert point_codes(s)[w] == red
 
 
 def test_find_realization():

@@ -46,7 +46,7 @@ from fraisse.doubled_cover import doubled_acl_source
 from fraisse.generic import (back_and_forth, find_realization, grow_random,
                              homogeneity_probe, new_generic, one_point_extensions,
                              saturate, saturate_until_stable, verify_saturation)
-from fraisse.structures import induced_substructure, undirected_graph
+from fraisse.structures import induced_substructure, point_codes, undirected_graph
 from fraisse.textio import p2_document
 from fraisse.types_orbits import acl_approx
 
@@ -84,9 +84,10 @@ def scan_lines() -> list[str]:
     out = []
     for label, o in unsaturated():
         s = o.current
+        codes = point_codes(s)
         for base in BASES:
-            pts = [o.point_struct(b) for b in base]
-            for i, tau in enumerate(one_point_extensions(o.p2, pts, base)):
+            taus = one_point_extensions(o.p2, [codes[b] for b in base], base)
+            for i, tau in enumerate(taus):
                 first = find_realization(s, tau)
                 second = None if first is None else find_realization(s, tau, exclude=(first,))
                 out.append(f"{label} {list(base)} {i} {first} {second}")

@@ -14,7 +14,7 @@ from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
                                 expand_with_marks, find_embeddings,
                                 graph_vocabulary, induced_substructure,
                                 is_isomorphic, point_codes, reduct_to,
-                                subsets_of_size, tuple_type, undirected_graph)
+                                tuple_type, undirected_graph)
 
 from _naive import (all_graphs, graph_of_bits, is_valid_embedding,
                     naive_embeddings, naive_is_isomorphic, naive_link,
@@ -205,11 +205,6 @@ def test_induced_substructure_relabels():
     assert sub.tables["adj"] == frozenset()
     sub2, _ = induced_substructure(g, [1, 2])
     assert sub2.tables["adj"] == frozenset({(0, 1), (1, 0)})
-
-
-def test_subsets_of_size():
-    assert list(subsets_of_size(4, 2)) == [(0, 1), (0, 2), (0, 3),
-                                           (1, 2), (1, 3), (2, 3)]
 
 
 # -- embeddings and isomorphism ----------------------------------------------

@@ -55,7 +55,7 @@ def test_p2_document_round_trip():
 
 def test_document_text_round_trip():
     g = undirected_graph(3, [(0, 2)])
-    doc = parse_document(structure_document(g, name="g", vocab_name="v"))
+    doc = parse_document(structure_document(g, name="g"))
     text = document_text(doc)
     again = parse_document(text)
     assert again.sole_structure() == g

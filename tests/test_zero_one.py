@@ -360,7 +360,6 @@ def test_estimate_fields_and_determinism():
     assert (est.n, est.trials, est.seed) == (20, 40, 2)
     assert 0 <= est.successes <= 40
     assert est.point_estimate == est.successes / 40
-    assert est.joint_frequency == est.point_estimate
     for i in range(len(axs)):
         assert 0.0 <= est.frequency(i) <= 1.0
         lo, hi = est.interval(i)

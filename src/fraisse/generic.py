@@ -390,7 +390,7 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
     Positions must stay partial isomorphisms whose one-point extension
     witnesses agree: at every stage, the set of patterns realised over
     the chosen points must be the same on both sides.  Equivalence is
-    decided by ranking positions level by level, so the verdict is exact
+    decided by classing positions level by level, so the verdict is exact
     for the given k."""
     if a.vocab != b.vocab:
         raise InputError("game endpoints use different vocabularies")
@@ -403,80 +403,61 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
             f"a {k}-round game on sizes {a.size}/{b.size} exceeds the work cap")
 
     sides = (a, b)
-    # atoms[(side, tup)] -> rank of (tuple payload, extension witness set)
-    atom_raw: dict[tuple[int, tuple], tuple] = {}
-    tuples_by_arity: list[list[tuple[int, tuple]]] = []
+    keys: list[tuple[int, tuple]] = []      # (side, tuple) of every arity <= k, by arity
+    ends = []                               # ends[j]: how many keys have arity <= j
     for arity in range(k + 1):
-        bucket = []
-        for si, s in enumerate(sides):
-            for tup in product(range(s.size), repeat=arity):
-                ext = frozenset(
-                    tuple_payload(s.vocab, s.tables, tup + (c,))
-                    for c in range(s.size) if c not in tup)
-                atom_raw[(si, tup)] = (tuple_payload(s.vocab, s.tables, tup), ext)
-                bucket.append((si, tup))
-        tuples_by_arity.append(bucket)
-    ranks = {v: i for i, v in enumerate(sorted(set(atom_raw.values()), key=repr))}
-    cls: dict[tuple[int, tuple], int] = {key: ranks[v] for key, v in atom_raw.items()}
+        keys += [(si, tup) for si, s in enumerate(sides)
+                 for tup in product(range(s.size), repeat=arity)]
+        ends.append(len(keys))
 
-    levels = [dict(cls)]
-    for r in range(1, k + 1):
-        prev = levels[-1]
-        raw = {}
-        for arity in range(k + 1 - r):
-            for si, tup in tuples_by_arity[arity]:
-                s = sides[si]
-                children = frozenset(prev[(si, tup + (c,))] for c in range(s.size))
-                raw[(si, tup)] = (prev[(si, tup)], children)
-        ranks = {v: i for i, v in enumerate(sorted(set(raw.values()), key=repr))}
-        levels.append({key: ranks[v] for key, v in raw.items()})
+    def atom(si: int, tup: tuple) -> tuple:
+        """The facts of tup and the set of facts of its one-point extensions."""
+        s = sides[si]
+        ext = frozenset(tuple_payload(s.vocab, s.tables, tup + (c,))
+                        for c in range(s.size) if c not in tup)
+        return tuple_payload(s.vocab, s.tables, tup), ext
 
-    if levels[k][(0, ())] == levels[k][(1, ())]:
+    # levels[r][(side, tup)]: the class of tup with r rounds left, for arity
+    # <= k - r; ids go in first-seen order, since only their equality is read
+    levels: list[dict[tuple[int, tuple], int]] = []
+    for r in range(k + 1):
+        ids: dict[tuple, int] = {}
+        level = {}
+        for si, tup in keys[:ends[k - r]]:
+            raw = atom(si, tup) if r == 0 else (
+                levels[-1][si, tup],
+                frozenset(levels[-1][si, tup + (c,)] for c in range(sides[si].size)))
+            level[si, tup] = ids.setdefault(raw, len(ids))
+        levels.append(level)
+
+    if levels[k][0, ()] == levels[k][1, ()]:
         return BackAndForthReport(k, True)
 
     # walk a losing line for the duplicator
     moves: list[GameMove] = []
-    ta: tuple = ()
-    tb: tuple = ()
+    pos: list[tuple] = [(), ()]             # the points chosen on each side
     for r in range(k, 0, -1):
         level, prev = levels[r], levels[r - 1]
-        if level[(0, ta)] == level[(1, tb)]:
+        if level[0, pos[0]] == level[1, pos[1]] or prev[0, pos[0]] != prev[1, pos[1]]:
             break
-        if prev[(0, ta)] != prev[(1, tb)]:
-            break
-        move = None
-        for si, tup, other, other_tup in ((0, ta, 1, tb), (1, tb, 0, ta)):
-            opp = sides[other]
-            reachable = {prev[(other, other_tup + (c,))] for c in range(opp.size)}
-            for c in range(sides[si].size):
-                if prev[(si, tup + (c,))] not in reachable:
-                    move = (si, c)
-                    break
-            if move:
-                break
-        if move is None:
-            break
-        si, c = move
-        if si == 0:
-            ta = ta + (c,)
-            best = min(range(b.size),
-                       key=lambda y: (levels[0][(1, tb + (y,))] != levels[0][(0, ta)], y),
-                       default=None) if b.size else None
-            moves.append(GameMove("left", c, best))
-            if best is not None:
-                tb = tb + (best,)
-            else:
+        # the spoiler plays a point whose class the other side cannot match
+        for si in (0, 1):
+            other = 1 - si
+            reachable = {prev[other, pos[other] + (c,)] for c in range(sides[other].size)}
+            c = next((c for c in range(sides[si].size)
+                      if prev[si, pos[si] + (c,)] not in reachable), None)
+            if c is not None:
                 break
         else:
-            tb = tb + (c,)
-            best = min(range(a.size),
-                       key=lambda y: (levels[0][(0, ta + (y,))] != levels[0][(1, tb)], y),
-                       default=None) if a.size else None
-            moves.append(GameMove("right", c, best))
-            if best is not None:
-                ta = ta + (best,)
-            else:
-                break
+            break
+        pos[si] += (c,)
+        best = min(range(sides[other].size),
+                   key=lambda y: (levels[0][other, pos[other] + (y,)] != levels[0][si, pos[si]], y),
+                   default=None)
+        moves.append(GameMove(("left", "right")[si], c, best))
+        if best is None:
+            break
+        pos[other] += (best,)
     reason = ("no reply preserves the quantifier-free facts and the "
               "one-point extension witnesses of the position")
     return BackAndForthReport(k, False, moves, reason)

@@ -173,7 +173,7 @@ def test_exhaustive_small_agreement():
                 assert axiom_holds(g, ax) == naive_axiom_holds(g, ax)
 
 
-def test_generic_path_with_marks_matches_naive():
+def test_marked_graph_axioms_match_naive():
     base_vocab = expand_with_marks(undirected_graph(1, []), [("red", [])]).vocab
     marked_axioms = [parse_axiom(base_vocab, t) for t in
                      ("ext 1: adj @ red", "ext 1: adj", "ext 1: - @ red",

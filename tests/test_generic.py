@@ -160,6 +160,21 @@ def test_budget_exhaustion_is_flagged_and_unrecorded():
     assert o.saturated_prefix(2) == 0
 
 
+def test_budgeted_marked_stabilisation_matches_recorded():
+    # recorded before saturation became semi-naive: four passes over the
+    # marked spec, the last one exhausting the budget, with the points
+    # added per pass, the final size and the tables pinned
+    from test_sampling_golden import digest, marked_p2
+    o = new_generic(marked_p2(), 1)
+    grow_random(o, 3)
+    rep = saturate_until_stable(o, 2, new_point_budget=330)
+    assert [r.added for r in rep.reports] == [10, 110, 199, 11]
+    assert [r.exhausted for r in rep.reports] == [False, False, False, True]
+    assert not rep.stable and rep.added == 330
+    assert o.size == 333
+    assert sorted(o.saturation.items()) == [(0, 123), (1, 123), (2, 123)]
+    assert digest(o.current) == "d869b4cb0151af9dadcbdfd4"
+
 def test_saturation_level_zero_needs_a_point_of_each_type():
     o = new_generic(graph_p2(), 1)
     assert o.size == 0

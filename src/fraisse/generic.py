@@ -391,7 +391,8 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
     witnesses agree: at every stage, the set of patterns realised over
     the chosen points must be the same on both sides.  Equivalence is
     decided by classing positions level by level, so the verdict is exact
-    for the given k."""
+    for the given k.  A losing line starts at the least round count that
+    tells the two structures apart, and its replies are distinct points."""
     if a.vocab != b.vocab:
         raise InputError("game endpoints use different vocabularies")
     if k < 0:
@@ -433,14 +434,21 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
     if levels[k][0, ()] == levels[k][1, ()]:
         return BackAndForthReport(k, True)
 
-    # walk a losing line for the duplicator
+    def split(p0: tuple, p1: tuple) -> int:
+        """The least round count at which the two positions' classes
+        differ; classes only refine as rounds are added."""
+        return next(r for r in range(k - len(p0) + 1) if levels[r][0, p0] != levels[r][1, p1])
+
+    # walk a losing line: the spoiler always plays where the position is
+    # told apart with the fewest rounds, and the duplicator replies with an
+    # unchosen point whose position survives the most rounds
     moves: list[GameMove] = []
     pos: list[tuple] = [(), ()]             # the points chosen on each side
-    for r in range(k, 0, -1):
-        level, prev = levels[r], levels[r - 1]
-        if level[0, pos[0]] == level[1, pos[1]] or prev[0, pos[0]] != prev[1, pos[1]]:
-            break
-        # the spoiler plays a point whose class the other side cannot match
+    r = split((), ())
+    while r > 0:
+        prev = levels[r - 1]
+        # the classes agree with r - 1 rounds left, so one side has a point
+        # whose class the other side cannot reach
         for si in (0, 1):
             other = 1 - si
             reachable = {prev[other, pos[other] + (c,)] for c in range(sides[other].size)}
@@ -448,16 +456,19 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
                       if prev[si, pos[si] + (c,)] not in reachable), None)
             if c is not None:
                 break
-        else:
-            break
         pos[si] += (c,)
-        best = min(range(sides[other].size),
-                   key=lambda y: (levels[0][other, pos[other] + (y,)] != levels[0][si, pos[si]], y),
-                   default=None)
+        survive = {}                        # unchosen reply -> rounds its position lasts
+        for y in range(sides[other].size):
+            if y not in pos[other]:
+                trial = list(pos)
+                trial[other] += (y,)
+                survive[y] = split(*trial)
+        best = min(survive, key=lambda y: (-survive[y], y), default=None)
         moves.append(GameMove(("left", "right")[si], c, best))
         if best is None:
             break
         pos[other] += (best,)
+        r = survive[best]
     reason = ("no reply preserves the quantifier-free facts and the "
               "one-point extension witnesses of the position")
     return BackAndForthReport(k, False, moves, reason)

@@ -216,6 +216,25 @@ def test_back_and_forth_replies_need_extension_witnesses():
     assert back_and_forth(pt, pt, 3).equivalent
 
 
+def test_losing_lines_start_early_and_never_repeat_a_point():
+    # two rounds separate an edge from a non-edge the way one round does
+    edge = undirected_graph(2, [(0, 1)])
+    nonedge = undirected_graph(2, [])
+    one = [(m.side, m.point, m.reply) for m in back_and_forth(edge, nonedge, 1).moves]
+    two = [(m.side, m.point, m.reply) for m in back_and_forth(edge, nonedge, 2).moves]
+    assert one == two == [("left", 0, 0)]
+    # the points chosen on each side form a partial map
+    a, b = fresh(3, 6), fresh(6, 3)
+    saturate(a, 3)
+    saturate(b, 3)
+    rep = back_and_forth(a.current, b.current, 2)
+    assert not rep.equivalent and len(rep.moves) == 2
+    chosen = {"left": [], "right": []}
+    for m in rep.moves:
+        chosen[m.side].append(m.point)
+        chosen["right" if m.side == "left" else "left"].append(m.reply)
+    assert all(len(set(pts)) == len(pts) for pts in chosen.values())
+
 def test_homogeneity_probe_on_stable_oracle():
     o = fresh(13, 8)
     saturate_until_stable(o, 2)

@@ -10,6 +10,16 @@ universe and plugs every unrealised compatible pattern, which is what
 makes the approximation useful: extension properties verified over the
 recorded prefix stay true forever because realisations are never
 destroyed by later growth.
+
+The oracle is incremental.  Beside its fact tables it keeps live bit
+rows, per binary symbol the out- and in-row of every point and per point
+code the points that have it, and `extend_one_point` updates them; a
+snapshot (`current`) copies them instead of re-validating the tables and
+rebuilding the rows.  Saturation passes are semi-naive: a pass skips the
+bases that lie inside the prefix already saturated at its level, which
+the same argument makes exact.  Each remaining base is scanned once, on
+one snapshot, by splitting the candidate mask over the link options
+(`_missing`); `verify_saturation` stays a full, independent rescan.
 """
 
 from __future__ import annotations
@@ -122,6 +132,17 @@ class GenericOracle:
         self._tables: dict[str, set] = {name: set() for name in p2.vocab.names()}
         self._size = 0
         self._codes: list[int] = []
+        # live bitmask rows, kept in step with the tables: per binary
+        # symbol its out- and in-rows (`FinStructure.out_bits`/`in_bits`),
+        # one shared list when every permitted link is symmetric in it,
+        # and per point code the points that have it
+        options = {opt for a in p2.codes for b in p2.codes for opt in p2.links(a, b)}
+        self._rows: list[tuple[list[int], list[int]]] = []
+        for j, _sym in enumerate(p2.vocab.binary_symbols()):
+            out: list[int] = []
+            symmetric = all(to_b == from_b for to_b, from_b in (opt[j] for opt in options))
+            self._rows.append((out, out if symmetric else []))
+        self._code_bits: dict[int, int] = {}
         self._log: list[LogEntry] = []
         self._sat: dict[int, int] = {}
         self._frozen: FinStructure | None = None
@@ -140,7 +161,8 @@ class GenericOracle:
     def current(self) -> FinStructure:
         """The approximation so far, as an immutable structure."""
         if self._frozen is None:
-            self._frozen = FinStructure(self.vocab, self._size, self._tables)
+            self._frozen = FinStructure._trusted(self.vocab, self._size, self._tables,
+                                                 self._rows, self._codes, self._code_bits)
         return self._frozen
 
     @property
@@ -185,10 +207,6 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
         if dirs not in o.p2.links(o._codes[b], tau.point):
             raise ExtensionError(f"the link pattern at base point {b} is not permitted")
 
-    tables = o._tables
-    add_point(tables, o.vocab, w, tau.point)
-    for b, dirs in zip(tau.base, tau.dirs):
-        add_links(tables, o.vocab, b, w, dirs)
     base_set = set(tau.base)
     drawn = []
     for v in range(w):
@@ -196,9 +214,27 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
             continue
         # adequacy gives every pair of permitted codes at least one option
         options = o.p2.links(o._codes[v], tau.point)
-        dirs = options[o._rng.randrange(len(options))]
-        drawn.append((v, dirs))
+        drawn.append((v, options[o._rng.randrange(len(options))]))
+    links = list(zip(tau.base, tau.dirs)) + drawn
+    tables = o._tables
+    add_point(tables, o.vocab, w, tau.point)
+    for v, dirs in links:
         add_links(tables, o.vocab, v, w, dirs)
+    bit = 1 << w
+    for j, (sym, (out, inn)) in enumerate(zip(o.vocab.binary_symbols(), o._rows)):
+        row_out = row_in = bit if (w, w) in tables[sym] else 0
+        for v, dirs in links:
+            to_w, from_w = dirs[j]
+            if to_w:
+                out[v] |= bit
+                row_in |= 1 << v
+            if from_w:
+                inn[v] |= bit
+                row_out |= 1 << v
+        out.append(row_out)
+        if inn is not out:
+            inn.append(row_in)
+    o._code_bits[tau.point] = o._code_bits.get(tau.point, 0) | bit
     o._size = w + 1
     o._codes.append(tau.point)
     o._frozen = None
@@ -284,22 +320,61 @@ class SaturationReport:
     budget: int | None = None
 
 
+def _missing(p2: P2Spec, s: FinStructure, base: tuple[int, ...]) -> list[ExtensionType]:
+    """The patterns of `one_point_extensions` over `base` that no point of
+    s realises, in that order.  Per new-point code, the candidate mask is
+    split base point by base point over the link options, so the AND for
+    a prefix of choices is shared by every pattern that starts with it;
+    the leaves left empty are the missing patterns."""
+    codes = point_codes(s)
+    clear = ~sum(1 << b for b in base)
+    out = []
+    for cw in p2.codes:
+        option_lists = [p2.links(codes[b], cw) for b in base]
+        if not all(option_lists):
+            continue
+        leaves = [(s.code_bits(cw) & clear, ())]
+        for b, options in zip(base, option_lists):
+            split = [(option, s.link_rows(option)[b]) for option in options]
+            leaves = [(mask & row, dirs + (option,))
+                      for mask, dirs in leaves for option, row in split]
+        out.extend(ExtensionType(p2.vocab, base, dirs, cw) for mask, dirs in leaves if not mask)
+    return out
+
+
+def _new_bases(pre: int, size: int, done: int):
+    """The subsets of range(pre) of the given size, in `combinations`
+    order, that are not inside the saturated prefix range(done): those
+    holding a point >= done, and the empty base while done is 0."""
+    if size == 0:
+        if done == 0:
+            yield ()
+        return
+    for head in combinations(range(pre), size - 1):
+        for last in range(max(head[-1] + 1 if head else 0, done), pre):
+            yield head + (last,)
+
+
 def saturate(o: GenericOracle, k: int, new_point_budget: int | None = None
              ) -> SaturationReport:
     """One pass: every subset of the pre-pass universe of size <= k gets a
     realisation of every compatible extension pattern, adding points as
     needed.  On success the level is recorded for the pre-pass prefix.
 
+    The pass is semi-naive: bases inside the prefix already saturated at
+    level >= k are skipped, since realisations are never destroyed.  The
+    missing patterns of a base are listed once, before any is added: the
+    point added for a pattern realises no other pattern over that base.
+
     A pass that exhausts its budget records nothing and is flagged."""
     if k < 0:
         raise InputError(f"negative saturation level {k}")
     pre = o._size
+    done = o.saturated_prefix(k)
     added = 0
     for size in range(0, k + 1):
-        for subset in combinations(range(pre), size):
-            for tau in one_point_extensions(o.p2, [o._codes[b] for b in subset], subset):
-                if find_realization(o.current, tau) is not None:
-                    continue
+        for subset in _new_bases(pre, size, done):
+            for tau in _missing(o.p2, o.current, subset):
                 if new_point_budget is not None and added >= new_point_budget:
                     o._log.append(LogEntry(
                         "saturate", f"level={k} pre={pre} added={added} exhausted"))

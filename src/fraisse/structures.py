@@ -125,12 +125,38 @@ class FinStructure:
             clean[name] = frozenset(rows)
         self.tables = clean
         self._binary_tables = tuple(clean[name] for name in vocab.binary_symbols())
-        self._hash = hash((vocab, size, tuple(frozenset(clean[n]) for n in vocab.names())))
+        self._hash: int | None = None
         self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
         # out- and in-rows keyed (symbol, converse); link rows keyed by option
         self._bits: dict[tuple, tuple[int, ...]] | None = None
         self._codes: tuple[int, ...] | None = None
         self._code_bits: dict[int, int] | None = None
+
+    @classmethod
+    def _trusted(cls, vocab: Vocabulary, size: int, tables: dict[str, set],
+                 rows: Iterable[tuple[Sequence[int], Sequence[int]]],
+                 codes: Sequence[int], code_bits: dict[int, int]) -> "FinStructure":
+        """A snapshot of a structure that library code grows from valid
+        indices, built without `__init__`'s checks.  `tables` holds a set
+        per symbol; `rows` the out- and in-rows of each binary symbol, in
+        vocabulary order; `codes` and `code_bits` what `point_codes` and
+        `code_bits` read.  Everything is copied, so the caller may go on
+        growing its own state."""
+        s = cls.__new__(cls)
+        s.vocab = vocab
+        s.size = size
+        s.tables = {name: frozenset(tables[name]) for name in vocab.names()}
+        s._binary_tables = tuple(s.tables[name] for name in vocab.binary_symbols())
+        s._hash = None
+        s._canon = None
+        s._bits = {}
+        for sym, (out, inn) in zip(vocab.binary_symbols(), rows):
+            out, inn = tuple(out), tuple(inn)
+            s._bits[sym, False] = out
+            s._bits[sym, True] = out if inn == out else inn   # symmetric: one shared tuple
+        s._codes = tuple(codes)
+        s._code_bits = dict(code_bits)
+        return s
 
     def out_bits(self, symbol: str) -> tuple[int, ...]:
         """Row bitmasks for a binary symbol: bit u of row v set iff (v, u) holds."""
@@ -194,6 +220,9 @@ class FinStructure:
                 and self.size == other.size and self.tables == other.tables)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.vocab, self.size,
+                               tuple(self.tables[n] for n in self.vocab.names())))
         return self._hash
 
     def __repr__(self) -> str:

@@ -138,9 +138,9 @@ class GenericOracle:
         # and per point code the points that have it
         options = {opt for a in p2.codes for b in p2.codes for opt in p2.links(a, b)}
         self._rows: list[tuple[list[int], list[int]]] = []
-        for j, _sym in enumerate(p2.vocab.binary_symbols()):
+        for j in range(len(p2.vocab.binary_symbols())):
             out: list[int] = []
-            symmetric = all(to_b == from_b for to_b, from_b in (opt[j] for opt in options))
+            symmetric = all(opt[j][0] == opt[j][1] for opt in options)
             self._rows.append((out, out if symmetric else []))
         self._code_bits: dict[int, int] = {}
         self._log: list[LogEntry] = []

@@ -8,7 +8,10 @@ structures that `gen` wrote in the same directory, and the `reduct`
 runs read the pair-family and quotient-type files that `example412`
 emitted, in both directions.  After the last run, each file
 `example412` emitted gets one line with its sha256 and its size, since
-the three typed-universe files are about 190 kB each.
+the three typed-universe files are about 190 kB each.  A last section,
+headed `# gen transcripts`, holds the runs of `GEN_RUNS`: `gen` on both
+specs with the transcript that `GenericOracle.log` prints, one at
+saturation level 3 and one whose level-2 pass exhausts its budget.
 
 `types` prints tuple-type fingerprints, the `example412` files hold
 the quotient's pair-type fingerprints, and `reduct` prints a stored
@@ -54,6 +57,12 @@ RUNS = (
     ["reduct", "--source", f"{EMIT_DIR}/quotient_types.txt",
      "--target", f"{EMIT_DIR}/pair_family.txt", "--nmax", "3"],
 )
+GEN_RUNS = (
+    ["gen", "--p2", "graph.p2", "--points", "5", "--saturate", "3", "--passes", "1",
+     "--seed", "2"],
+    ["gen", "--p2", "marked.p2", "--points", "6", "--saturate", "2", "--passes", "2",
+     "--budget", "40", "--seed", "11"],
+)
 EMITTED = ("f.txt", "m.txt", "mstar.txt", "quotient_types.txt", "pair_family.txt",
            "marked_pair_family.txt")
 
@@ -67,6 +76,17 @@ def broken_p2() -> P2Spec:
     return P2Spec(members)
 
 
+def _run(argv: list[str], out: list[str]) -> str:
+    """Run `fraisse <argv>`, append its command line, exit code and stdout
+    lines to `out`, and return the stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append(f"$ {' '.join(argv)} -> {code}")
+    out.extend(buf.getvalue().splitlines())
+    return buf.getvalue()
+
+
 def report_lines() -> list[str]:
     out = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,17 +97,16 @@ def report_lines() -> list[str]:
         try:
             os.chdir(tmp)
             for argv in RUNS:
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    code = main(argv)
-                out.append(f"$ {' '.join(argv)} -> {code}")
-                out.extend(buf.getvalue().splitlines())
+                text = _run(argv, out)
                 if argv[0] == "gen":
-                    Path(f"gen-{argv[2][:-3]}.txt").write_text(buf.getvalue())
+                    Path(f"gen-{argv[2][:-3]}.txt").write_text(text)
             for name in EMITTED:
                 data = Path(EMIT_DIR, name).read_bytes()
                 out.append(f"file {name} sha256 {hashlib.sha256(data).hexdigest()} "
                            f"bytes {len(data)}")
+            out.append("# gen transcripts")
+            for argv in GEN_RUNS:
+                _run(argv, out)
         finally:
             os.chdir(cwd)
     return out

@@ -128,6 +128,15 @@ class P2Spec:
             raise VocabularyError("link options need a binary vocabulary")
         return self._links.get((cu, cv), ())
 
+    def symmetric(self) -> tuple[bool, ...]:
+        """Per binary symbol, whether every permitted link between
+        permitted point codes holds it both ways or neither way, so that
+        its out- and in-rows are one list."""
+        options = {option for cu in self.codes for cv in self.codes
+                   for option in self.links(cu, cv)}
+        return tuple(all(option[j][0] == option[j][1] for option in options)
+                     for j in range(len(self.vocab.binary_symbols())))
+
 
 ClassSpec = Union[ExplicitList, P2Spec]
 

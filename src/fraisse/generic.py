@@ -11,13 +11,14 @@ makes the approximation useful: extension properties verified over the
 recorded prefix stay true forever because realisations are never
 destroyed by later growth.
 
-The oracle is incremental.  Beside its fact tables it keeps live bit
-rows, per binary symbol the out- and in-row of every point and per point
-code the points that have it, and `extend_one_point` updates them; a
-snapshot (`current`) copies them instead of re-validating the tables and
-rebuilding the rows.  Saturation passes are semi-naive: a pass skips the
-bases that lie inside the prefix already saturated at its level, which
-the same argument makes exact.  Each remaining base is scanned once, on
+The oracle is incremental.  Its state is live bit rows, per binary
+symbol the out- and in-row of every point, the point codes and per
+point code the points that have it, and `extend_one_point` updates
+them; a snapshot (`current`) copies them through the constructor the
+sampler uses, and decodes its tables only when they are read.
+Saturation passes are semi-naive: a pass skips the bases that lie
+inside the prefix already saturated at its level, which the same
+argument makes exact.  Each remaining base is scanned once, on
 one snapshot, by splitting the candidate mask over the link options
 (`_missing`); `verify_saturation` stays a full, independent rescan.
 """
@@ -37,14 +38,7 @@ from .errors import (
     SaturationError,
     VocabularyError,
 )
-from .structures import (
-    FinStructure,
-    Vocabulary,
-    add_links,
-    add_point,
-    point_codes,
-    tuple_payload,
-)
+from .structures import FinStructure, Vocabulary, point_codes, tuple_payload
 
 M64 = (1 << 64) - 1
 
@@ -129,21 +123,20 @@ class GenericOracle:
         self.p2 = p2
         self.seed = int(seed) & M64
         self._rng = random.Random(self.seed)
-        self._tables: dict[str, set] = {name: set() for name in p2.vocab.names()}
         self._size = 0
         self._codes: list[int] = []
-        # live bitmask rows, kept in step with the tables: per binary
-        # symbol its out- and in-rows (`FinStructure.out_bits`/`in_bits`),
-        # one shared list when every permitted link is symmetric in it,
-        # and per point code the points that have it
-        options = {opt for a in p2.codes for b in p2.codes for opt in p2.links(a, b)}
+        # live bitmask rows: per binary symbol its out- and in-rows
+        # (`FinStructure.out_bits`/`in_bits`), one shared list when every
+        # permitted link is symmetric in it, and per point code the points
+        # that have it
         self._rows: list[tuple[list[int], list[int]]] = []
-        for j in range(len(p2.vocab.binary_symbols())):
+        for symmetric in p2.symmetric():
             out: list[int] = []
-            symmetric = all(opt[j][0] == opt[j][1] for opt in options)
             self._rows.append((out, out if symmetric else []))
         self._code_bits: dict[int, int] = {}
-        self._log: list[LogEntry] = []
+        # a LogEntry, or an added point's (index, pattern, drawn links),
+        # formatted when `log` is first read
+        self._log: list = []
         self._sat: dict[int, int] = {}
         self._frozen: FinStructure | None = None
 
@@ -161,12 +154,15 @@ class GenericOracle:
     def current(self) -> FinStructure:
         """The approximation so far, as an immutable structure."""
         if self._frozen is None:
-            self._frozen = FinStructure._trusted(self.vocab, self._size, self._tables,
-                                                 self._rows, self._codes, self._code_bits)
+            self._frozen = FinStructure._trusted(self.vocab, self._size, self._rows,
+                                                 self._codes, self._code_bits)
         return self._frozen
 
     @property
     def log(self) -> tuple[LogEntry, ...]:
+        for i, entry in enumerate(self._log):
+            if not isinstance(entry, LogEntry):
+                self._log[i] = LogEntry("extend", _extend_detail(self.vocab, *entry))
         return tuple(self._log)
 
     @property
@@ -216,13 +212,10 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
         options = o.p2.links(o._codes[v], tau.point)
         drawn.append((v, options[o._rng.randrange(len(options))]))
     links = list(zip(tau.base, tau.dirs)) + drawn
-    tables = o._tables
-    add_point(tables, o.vocab, w, tau.point)
-    for v, dirs in links:
-        add_links(tables, o.vocab, v, w, dirs)
     bit = 1 << w
+    names = o.vocab.names()
     for j, (sym, (out, inn)) in enumerate(zip(o.vocab.binary_symbols(), o._rows)):
-        row_out = row_in = bit if (w, w) in tables[sym] else 0
+        row_out = row_in = bit if tau.point >> (len(names) - 1 - names.index(sym)) & 1 else 0
         for v, dirs in links:
             to_w, from_w = dirs[j]
             if to_w:
@@ -238,19 +231,21 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
     o._size = w + 1
     o._codes.append(tau.point)
     o._frozen = None
-    o._log.append(LogEntry("extend", _extend_detail(o, w, tau, drawn)))
+    o._log.append((w, tau, drawn))
     return w
 
 
-def _extend_detail(o: GenericOracle, w: int, tau: ExtensionType, drawn) -> str:
-    bsyms = o.vocab.binary_symbols()
+def _extend_detail(vocab: Vocabulary, w: int, tau: ExtensionType, drawn) -> str:
+    bsyms = vocab.binary_symbols()
 
     def links(pairs) -> str:
         return " ".join(
             f"{v}[{','.join(f'{sym}:{a:d}{b:d}' for sym, (a, b) in zip(bsyms, dirs)) or '-'}]"
             for v, dirs in pairs) or "-"
 
-    marks = [sym for sym in o.vocab.unary_symbols() if (w,) in o._tables[sym]]
+    m = len(vocab.symbols)
+    marks = [name for i, (name, arity) in enumerate(vocab.symbols)
+             if arity == 1 and tau.point >> (m - 1 - i) & 1]
     return (f"new={w} marks={','.join(marks) or '-'} "
             f"base {links(zip(tau.base, tau.dirs))} drawn {links(drawn)}")
 

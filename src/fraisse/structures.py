@@ -90,10 +90,16 @@ class Vocabulary:
 
 
 class FinStructure:
-    """A finite structure: a vocabulary, a size, and one table per symbol."""
+    """A finite structure: a vocabulary, a size, and one table per symbol.
 
-    __slots__ = ("vocab", "size", "tables", "_hash", "_canon", "_bits", "_codes",
-                 "_code_bits", "_binary_tables")
+    `FinStructure(vocab, size, tables)` checks and freezes the tables.
+    Library code that builds a binary structure from valid indices (the
+    sampler, oracle snapshots) goes through `_trusted` instead and hands
+    over bit rows and point codes; such a structure decodes `tables` from
+    them on first read."""
+
+    __slots__ = ("vocab", "size", "_tables", "_hash", "_canon", "_bits", "_codes",
+                 "_code_bits", "_binary_tables", "_binary_rows")
 
     def __init__(self, vocab: Vocabulary, size: int,
                  tables: dict[str, Iterable[tuple[int, ...]]] | None = None):
@@ -123,8 +129,9 @@ class FinStructure:
                         f"tuple {t} for {name!r} is outside universe 0..{size - 1}")
                 rows.add(t)
             clean[name] = frozenset(rows)
-        self.tables = clean
+        self._tables = clean
         self._binary_tables = tuple(clean[name] for name in vocab.binary_symbols())
+        self._binary_rows = None
         self._hash: int | None = None
         self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
         # out- and in-rows keyed (symbol, converse); link rows keyed by option
@@ -133,30 +140,53 @@ class FinStructure:
         self._code_bits: dict[int, int] | None = None
 
     @classmethod
-    def _trusted(cls, vocab: Vocabulary, size: int, tables: dict[str, set],
+    def _trusted(cls, vocab: Vocabulary, size: int,
                  rows: Iterable[tuple[Sequence[int], Sequence[int]]],
                  codes: Sequence[int], code_bits: dict[int, int]) -> "FinStructure":
-        """A snapshot of a structure that library code grows from valid
-        indices, built without `__init__`'s checks.  `tables` holds a set
-        per symbol; `rows` the out- and in-rows of each binary symbol, in
-        vocabulary order; `codes` and `code_bits` what `point_codes` and
-        `code_bits` read.  Everything is copied, so the caller may go on
-        growing its own state."""
+        """A binary structure that library code builds from valid indices,
+        made without `__init__`'s checks: `rows` holds the out- and in-rows
+        of each binary symbol, in vocabulary order, loops included; `codes`
+        and `code_bits` what `point_codes` and `code_bits` read.  The tables
+        are decoded from these on first read.  Everything is copied, so the
+        caller may go on growing its own state."""
         s = cls.__new__(cls)
         s.vocab = vocab
         s.size = size
-        s.tables = {name: frozenset(tables[name]) for name in vocab.names()}
-        s._binary_tables = tuple(s.tables[name] for name in vocab.binary_symbols())
+        s._tables = None
+        s._binary_tables = None
         s._hash = None
         s._canon = None
         s._bits = {}
         for sym, (out, inn) in zip(vocab.binary_symbols(), rows):
-            out, inn = tuple(out), tuple(inn)
-            s._bits[sym, False] = out
-            s._bits[sym, True] = out if inn == out else inn   # symmetric: one shared tuple
+            out_t = tuple(out)
+            inn_t = out_t if inn is out else tuple(inn)
+            s._bits[sym, False] = out_t
+            s._bits[sym, True] = out_t if inn_t == out_t else inn_t   # symmetric: one shared tuple
+        s._binary_rows = tuple(s._bits[sym, False] for sym in vocab.binary_symbols())
         s._codes = tuple(codes)
         s._code_bits = dict(code_bits)
         return s
+
+    @property
+    def tables(self) -> dict[str, frozenset[tuple[int, ...]]]:
+        """One frozenset of index tuples per symbol."""
+        if self._tables is None:
+            self._tables = self._decode()
+        return self._tables
+
+    def _decode(self) -> dict[str, frozenset[tuple[int, ...]]]:
+        """The tables of a `_trusted` structure, from its codes and out-rows."""
+        m = len(self.vocab.symbols)
+        tables = {}
+        for i, (name, arity) in enumerate(self.vocab.symbols):
+            if arity == 1:
+                shift = m - 1 - i
+                tables[name] = frozenset((v,) for v, c in enumerate(self._codes)
+                                         if c >> shift & 1)
+            else:
+                tables[name] = frozenset((v, u) for v, row in enumerate(self._bits[name, False])
+                                         for u in _bit_indices(row))
+        return tables
 
     def out_bits(self, symbol: str) -> tuple[int, ...]:
         """Row bitmasks for a binary symbol: bit u of row v set iff (v, u) holds."""
@@ -170,6 +200,8 @@ class FinStructure:
     def link(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """The link option from u to v, in `P2Spec.links` format: per
         binary symbol, the (u -> v, v -> u) bits as a pair."""
+        if self._binary_rows is not None:
+            return tuple([(out[u] >> v & 1, out[v] >> u & 1) for out in self._binary_rows])
         return tuple([(1 if (u, v) in tab else 0, 1 if (v, u) in tab else 0)
                       for tab in self._binary_tables])
 
@@ -228,6 +260,14 @@ class FinStructure:
     def __repr__(self) -> str:
         facts = sum(len(t) for t in self.tables.values())
         return f"FinStructure(size={self.size}, facts={facts}, vocab={self.vocab!r})"
+
+
+def _bit_indices(row: int):
+    """The indices of the set bits of a row, ascending."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 def _clean_rows(rows, arity: int, size: int) -> bool:

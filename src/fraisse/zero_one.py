@@ -14,15 +14,18 @@ permitted options for the chosen endpoint codes, all independently."""
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, chain, product, repeat
 from math import sqrt
+from operator import add, rshift
 from typing import Sequence
 
 from .amalgamation import P2Spec
 from .errors import AdequacyError, InputError, ParseError, VocabularyError
 from .generic import mix64
-from .structures import FinStructure, Vocabulary, add_links, add_point
+from .structures import FinStructure, Vocabulary
 
 Z95 = 1.959963984540054
 
@@ -261,10 +264,62 @@ def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
 # sampling
 
 
+def _randrange_batch(rng: random.Random, bounds: Sequence[int]) -> list[int]:
+    """`[rng.randrange(b) for b in bounds]`, leaving rng in the same state.
+
+    `randrange(b)` takes the top `b.bit_length()` bits of one 32-bit word
+    of the generator per try and tries again while they read b or more;
+    `getrandbits(32 * m)` returns the next m words, least significant
+    first.  So each batch takes as many words as draws remain, never more,
+    and hands them out in order.  Bounds outside 1..2**32 - 1 go through
+    `randrange` itself."""
+    distinct = set(bounds)
+    if distinct and (min(distinct) < 1 or max(distinct) >> 32):
+        return [rng.randrange(b) for b in bounds]
+    if all(b < 256 and not b & (b - 1) for b in distinct):
+        # a power of two 2**j reads j + 1 bits and keeps them when the first
+        # is 0, so the word's top bit decides whatever the bound: the kept
+        # words are those whose top byte is below 128, and draw i is the j
+        # bits below the top bit of the i-th of them
+        kept = bytearray()
+        while len(kept) < len(bounds):
+            m = len(bounds) - len(kept)
+            kept += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(None, _HIGH)
+        shift = {b: 8 - b.bit_length() for b in distinct}
+        if len(shift) == 1:
+            return list(kept.translate(bytes(x >> shift[bounds[0]] for x in range(256))))
+        return list(map(rshift, kept, map(shift.__getitem__, bounds)))
+    out: list[int] = []
+    shifts = [32 - b.bit_length() for b in bounds]
+    while len(out) < len(bounds):
+        m = len(bounds) - len(out)
+        words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        i = len(out)
+        for w in words:
+            r = w >> shifts[i]
+            if r < bounds[i]:
+                out.append(r)
+                i += 1
+    return out
+
+
+_HIGH = bytes(range(128, 256))
+
+
+# a pair's bits in one binary symbol, 2 * (u -> v) + (v -> u), to one
+# direction's digit: the first bit, or the second
+_FIRST = bytes.maketrans(b"\0\1\2\3", b"0011")
+_SECOND = bytes.maketrans(b"\0\1\2\3", b"0101")
+
+
 def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
     """One uniform labelled sample on n points: point codes uniform over
     the permitted ones, pair links uniform over the permitted options
-    for the endpoints, all independent."""
+    for the endpoints, all independent.  The draws are those of one
+    `randrange` per point and then per pair u < v, in order; the links
+    go straight into out- and in-rows."""
     rng = random.Random(seed)
     vocab = p2.vocab
     if vocab.rho > 2:
@@ -272,34 +327,46 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
     codes = p2.codes
     if not codes:
         raise AdequacyError("no permitted one-point types to sample from")
-    tables: dict[str, set] = {name: set() for name, _ in vocab.symbols}
-
-    def writer(option) -> tuple[tuple[set, ...], tuple[set, ...]]:
-        """The tables that gain (u, v) and those that gain (v, u) when
-        `add_links` writes `option` from u to v, read off a two-point probe."""
-        probe = {name: set() for name in vocab.names()}
-        add_links(probe, vocab, 0, 1, option)
-        return (tuple(tables[name] for name, rows in probe.items() if (0, 1) in rows),
-                tuple(tables[name] for name, rows in probe.items() if (1, 0) in rows))
-
-    # per ordered pair of point codes, the writers of its permitted options
-    links = [[tuple(map(writer, p2.links(c0, c1))) for c1 in codes] for c0 in codes]
-    chosen = [rng.randrange(len(codes)) for _ in range(n)]
-    for v, ci in enumerate(chosen):
-        add_point(tables, vocab, v, codes[ci])
+    k = len(codes)
+    chosen = _randrange_batch(rng, [k] * n)        # each point's code, by index
+    # the options of code-index pair (a, b) sit at a * k + b, numbered in
+    # one run, so a pair of points drawing r from them takes first[a * k + b] + r
+    links = [p2.links(c0, c1) for c0 in codes for c1 in codes]
+    count = [len(options) for options in links]
+    first = list(accumulate(count, initial=0))
+    options = list(chain.from_iterable(links))
+    pairs: list[int] = []                          # per pair u < v, in draw order
     for u in range(n):
-        row = links[chosen[u]]
-        for v in range(u + 1, n):
-            options = row[chosen[v]]
-            if not options:
-                raise AdequacyError(
-                    "a pair of permitted point types admits no permitted link")
-            fwd, back = options[rng.randrange(len(options))]
-            for tab in fwd:
-                tab.add((u, v))
-            for tab in back:
-                tab.add((v, u))
-    return FinStructure(vocab, n, tables)
+        pairs += map(add, repeat(k * chosen[u]), chosen[u + 1:])
+    bounds = list(map(count.__getitem__, pairs))
+    if 0 in bounds:
+        raise AdequacyError("a pair of permitted point types admits no permitted link")
+    picked = list(map(add, map(first.__getitem__, pairs), _randrange_batch(rng, bounds)))
+    point = [codes[a] for a in chosen]
+    m = len(vocab.symbols)
+    rows = []
+    for j, (sym, symmetric) in enumerate(zip(vocab.binary_symbols(), p2.symmetric())):
+        # grid[u * n + v] for u < v: the pair's bits in sym
+        bits = [2 * option[j][0] + option[j][1] for option in options]
+        drawn = bytes(map(bits.__getitem__, picked))
+        grid = bytearray(n * n)
+        start = 0
+        for u in range(n):
+            grid[u * n + u + 1:(u + 1) * n] = drawn[start:start + n - 1 - u]
+            start += n - 1 - u
+        shift = m - 1 - vocab.names().index(sym)
+        out, inn = [], []
+        for u in range(n):
+            after, before = grid[u * n + u + 1:(u + 1) * n], grid[u:u * n:n]
+            loop = b"1" if point[u] >> shift & 1 else b"0"
+            out.append(int((before.translate(_SECOND) + loop + after.translate(_FIRST))[::-1], 2))
+            if not symmetric:
+                inn.append(int((before.translate(_FIRST) + loop + after.translate(_SECOND))[::-1], 2))
+        rows.append((out, out if symmetric else inn))
+    code_bits: dict[int, int] = {}
+    for v, c in enumerate(point):
+        code_bits[c] = code_bits.get(c, 0) | 1 << v
+    return FinStructure._trusted(vocab, n, rows, point, code_bits)
 
 
 @dataclass

@@ -218,26 +218,31 @@ def naive_axiom_holds(s: FinStructure, ax) -> bool:
     Decoded here from the axiom's fields: of the vocabulary's m symbols,
     the i-th holds on (v, ..., v) exactly when bit m-1-i of v's code is
     set, and a link option holds one (base -> new, new -> base) pair per
-    binary symbol."""
-    syms = s.vocab.symbols
-    m = len(syms)
-    binaries = [name for name, arity in syms if arity == 2]
+    binary symbol.  Each point's code and each ordered pair's option are
+    read off the tables once per call."""
+    points = range(s.size)
+    code = {}
+    for v in points:
+        c = 0
+        for name, arity in s.vocab.symbols:
+            c = c << 1 | (((v,) * arity) in s.tables[name])
+        code[v] = c
+    # a pair of bools compares equal to the option's pair of 0/1 ints
+    tabs = [s.tables[name] for name, arity in s.vocab.symbols if arity == 2]
+    link = {}
+    for u in points:
+        for w in points:
+            if u != w:
+                link[u, w] = tuple([((u, w) in tab, (w, u) in tab) for tab in tabs])
 
-    def has_code(v: int, code: int) -> bool:
-        return all((((v,) * arity) in s.tables[name]) == bool(code >> (m - 1 - i) & 1)
-                   for i, (name, arity) in enumerate(syms))
-
-    def linked(u: int, w: int, option) -> bool:
-        return all(((u, w) in s.tables[name]) == bool(to_new)
-                   and ((w, u) in s.tables[name]) == bool(from_new)
-                   for name, (to_new, from_new) in zip(binaries, option))
-
-    for tup in permutations(range(s.size), len(ax.slots)):
-        if not all(has_code(u, code) for u, code in zip(tup, ax.slots)):
+    slots, dirs = list(ax.slots), list(ax.dirs)
+    for tup in permutations(points, len(slots)):
+        if [code[u] for u in tup] != slots:
             continue
-        if not any(w not in tup and has_code(w, ax.point)
-                   and all(linked(u, w, option) for u, option in zip(tup, ax.dirs))
-                   for w in range(s.size)):
+        for w in points:
+            if w not in tup and code[w] == ax.point and [link[u, w] for u in tup] == dirs:
+                break
+        else:
             return False
     return True
 

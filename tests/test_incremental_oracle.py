@@ -1,9 +1,10 @@
 """The incremental oracle against the full rebuild and the full rescan.
 
-`GenericOracle` keeps live bit rows beside its tables, and `current`
-freezes them through a constructor that skips validation; every snapshot
-here is compared with `FinStructure(vocab, size, tables)` built from the
-same tables.  `saturate` is semi-naive and lists the missing patterns of
+`GenericOracle` keeps live bit rows and point codes, and `current`
+freezes them through a constructor that skips validation and decodes
+the tables only when they are read; every snapshot here is compared
+with `FinStructure(vocab, size, tables)` built from those decoded
+tables.  `saturate` is semi-naive and lists the missing patterns of
 a base once; `rescan_saturate` below is the pass it replaced (every base,
 every pattern, one `find_realization` on a freshly validated structure
 each), kept here as the reference.
@@ -31,8 +32,9 @@ SPECS = {"graph": graph_p2(), "marked": marked_p2()}
 
 
 def rebuilt(o) -> FinStructure:
-    """The oracle's tables through the validating constructor."""
-    return FinStructure(o.vocab, o.size, o._tables)
+    """The current snapshot's decoded tables through the validating
+    constructor."""
+    return FinStructure(o.vocab, o.size, o.current.tables)
 
 
 def permitted_options(p2) -> list:
@@ -40,7 +42,12 @@ def permitted_options(p2) -> list:
 
 
 def assert_same_snapshot(p2, snap: FinStructure, ref: FinStructure) -> None:
+    """A row-built structure against the checked constructor's, through
+    every reader; links are compared before the tables are decoded."""
+    pairs = [(u, v) for u in range(snap.size) for v in range(snap.size)]
+    assert [snap.link(u, v) for u, v in pairs] == [ref.link(u, v) for u, v in pairs]
     assert snap == ref and hash(snap) == hash(ref)
+    assert snap.tables == ref.tables and repr(snap) == repr(ref)
     for sym in snap.vocab.binary_symbols():
         assert snap.out_bits(sym) == ref.out_bits(sym)
         assert snap.in_bits(sym) == ref.in_bits(sym)

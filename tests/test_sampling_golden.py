@@ -19,6 +19,14 @@ when sampling changes on purpose:
     PYTHONPATH=src python tests/test_sampling_golden.py samples > tests/golden/sample_uniform.txt
     PYTHONPATH=src python tests/test_sampling_golden.py zeroone > tests/golden/zeroone_full2.txt
     PYTHONPATH=src python tests/test_sampling_golden.py zeroone-marked > tests/golden/zeroone_marked_full2.txt
+
+The sampler draws its choices in batches (`zero_one._randrange_batch`)
+that rely on how `random.Random.randrange` consumes the generator's
+words.  `stream_mismatches` compares the batches with one `randrange`
+call per bound on the running interpreter, values and final state; it
+needs only the standard library, so it also runs without pytest:
+
+    PYTHONPATH=src python tests/test_sampling_golden.py stream
 """
 from __future__ import annotations
 
@@ -26,6 +34,8 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -34,7 +44,7 @@ from fraisse.amalgamation import P2Spec, assemble_pair, graph_p2
 from fraisse.cli import main
 from fraisse.structures import FinStructure, Vocabulary
 from fraisse.textio import p2_document
-from fraisse.zero_one import sample_uniform
+from fraisse.zero_one import _randrange_batch, sample_uniform
 
 GOLDEN = Path(__file__).parent / "golden"
 ZEROONE_ARGS = ["zeroone", "--p2", "graph.p2", "--full", "2",
@@ -101,6 +111,44 @@ def marked_zeroone_stdout() -> str:
     return zeroone_stdout(marked_p2(), MARKED_ARGS)
 
 
+STREAM_BOUNDS = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 1000)
+
+
+def stream_cases():
+    """(seed, bounds): for each of 40 seeds, every bound of STREAM_BOUNDS
+    repeated, all of them mixed, and the powers of two mixed, with up to
+    3 000 draws per list; then the empty list and single draws."""
+    for seed in range(40):
+        length = seed * 75
+        pick = random.Random(seed)
+        for b in STREAM_BOUNDS:
+            yield seed, [b] * length
+        yield seed, [pick.choice(STREAM_BOUNDS) for _ in range(length)]
+        yield seed, [pick.choice((1, 2, 4, 8, 16)) for _ in range(length)]
+    for seed in range(3):
+        yield seed, []
+        for b in STREAM_BOUNDS + (1 << 32, 1 << 40):
+            yield seed, [b]
+
+
+def stream_mismatches() -> list[str]:
+    """The cases of `stream_cases` where `_randrange_batch` and per-call
+    `randrange` differ in values or in the generator's final state."""
+    bad = []
+    for seed, bounds in stream_cases():
+        batch, single = random.Random(seed), random.Random(seed)
+        values = _randrange_batch(batch, bounds)
+        if values != [single.randrange(b) for b in bounds]:
+            bad.append(f"seed {seed}, {len(bounds)} bounds {sorted(set(bounds))}: values differ")
+        elif batch.getstate() != single.getstate():
+            bad.append(f"seed {seed}, {len(bounds)} bounds {sorted(set(bounds))}: final state differs")
+    return bad
+
+
+def test_batched_draws_match_randrange():
+    assert stream_mismatches() == []
+
+
 def test_samples_match_recorded_digests():
     recorded = dict(line.split() for line in
                     (GOLDEN / "sample_uniform.txt").read_text().splitlines())
@@ -133,5 +181,11 @@ if __name__ == "__main__":
         sys.stdout.write(zeroone_stdout())
     elif sys.argv[1:] == ["zeroone-marked"]:
         sys.stdout.write(marked_zeroone_stdout())
+    elif sys.argv[1:] == ["stream"]:
+        bad = stream_mismatches()
+        for line in bad:
+            print(line)
+        print(f"stream: {len(bad)} mismatches on Python {platform.python_version()}")
+        sys.exit(1 if bad else 0)
     else:
-        sys.exit("usage: test_sampling_golden.py samples|zeroone|zeroone-marked")
+        sys.exit("usage: test_sampling_golden.py samples|zeroone|zeroone-marked|stream")

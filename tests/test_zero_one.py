@@ -19,6 +19,7 @@ from fraisse.zero_one import (AxiomSpec, axiom_compatible, axiom_holds,
                               wilson_interval)
 
 from _naive import MIXED, all_graphs, graph_of_bits, naive_axiom_holds, random_graph
+from test_incremental_oracle import assert_same_snapshot
 from test_realization_scan import BONDED, bonded, marked_arcs, marks_only
 from test_sampling_golden import MARKED, marked_p2
 
@@ -343,6 +344,28 @@ def test_sample_raises_only_when_a_drawn_pair_has_no_link():
             kept += 1
         assert len(sample_uniform(p2, 1, seed).tables["adj"]) == 0
     assert raised and kept
+
+
+def oriented_p2() -> P2Spec:
+    """Loop-free arc/2 with at most one arc per pair: three link options,
+    so a pair's draw is not read off one bit of its word."""
+    point = FinStructure(ARC, 1)
+    return P2Spec([FinStructure(ARC, 0), point]
+                  + [assemble_pair(point, point, (d,)) for d in ((0, 0), (0, 1), (1, 0))])
+
+
+SAMPLED = {"graph": P2, "marked": marked_p2(), "bonded": bonded_p2(), "oriented": oriented_p2()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(SAMPLED)),
+       n=st.sampled_from([0, 1]) | st.integers(min_value=2, max_value=40),
+       seed=st.integers(min_value=0, max_value=1 << 32))
+def test_row_built_samples_match_the_checked_constructor(spec, n, seed):
+    p2 = SAMPLED[spec]
+    s = sample_uniform(p2, n, seed)
+    assert_same_snapshot(p2, s, FinStructure(p2.vocab, n, sample_uniform(p2, n, seed).tables))
+    assert in_rp2(p2, s)
 
 
 def test_sample_density_at_size_50():

@@ -14,8 +14,6 @@ permitted options for the chosen endpoint codes, all independently."""
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product, repeat
 from math import sqrt
@@ -267,45 +265,29 @@ def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
 def _randrange_batch(rng: random.Random, bounds: Sequence[int]) -> list[int]:
     """`[rng.randrange(b) for b in bounds]`, leaving rng in the same state.
 
-    `randrange(b)` takes the top `b.bit_length()` bits of one 32-bit word
-    of the generator per try and tries again while they read b or more;
-    `getrandbits(32 * m)` returns the next m words, least significant
-    first.  So each batch takes as many words as draws remain, never more,
-    and hands them out in order.  Bounds outside 1..2**32 - 1 go through
-    `randrange` itself."""
+    `randrange(b)` reads the top `b.bit_length()` bits of one 32-bit word
+    per try and tries again while they read b or more.  For b below 256
+    that keeps exactly the words whose top byte is below the limit
+    `b << (8 - b.bit_length())`, which is 128 for every power of two.
+    When every bound has one limit, the words kept do not depend on the
+    bounds: a batch takes m words, m the draws still to make, so never
+    one too many (`getrandbits(32 * m)` returns them least significant
+    first), and drops the top bytes at or above the limit in one
+    `translate`; draw i is the i-th byte kept, shifted down to its
+    bound's bits.  Other bounds go through `randrange` itself."""
     distinct = set(bounds)
-    if distinct and (min(distinct) < 1 or max(distinct) >> 32):
+    limits = {b << (8 - b.bit_length()) if 0 < b < 256 else None for b in distinct}
+    if len(limits) != 1 or None in limits:
         return [rng.randrange(b) for b in bounds]
-    if all(b < 256 and not b & (b - 1) for b in distinct):
-        # a power of two 2**j reads j + 1 bits and keeps them when the first
-        # is 0, so the word's top bit decides whatever the bound: the kept
-        # words are those whose top byte is below 128, and draw i is the j
-        # bits below the top bit of the i-th of them
-        kept = bytearray()
-        while len(kept) < len(bounds):
-            m = len(bounds) - len(kept)
-            kept += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(None, _HIGH)
-        shift = {b: 8 - b.bit_length() for b in distinct}
-        if len(shift) == 1:
-            return list(kept.translate(bytes(x >> shift[bounds[0]] for x in range(256))))
-        return list(map(rshift, kept, map(shift.__getitem__, bounds)))
-    out: list[int] = []
-    shifts = [32 - b.bit_length() for b in bounds]
-    while len(out) < len(bounds):
-        m = len(bounds) - len(out)
-        words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        i = len(out)
-        for w in words:
-            r = w >> shifts[i]
-            if r < bounds[i]:
-                out.append(r)
-                i += 1
-    return out
-
-
-_HIGH = bytes(range(128, 256))
+    rejected = bytes(range(limits.pop(), 256))
+    kept = bytearray()
+    while len(kept) < len(bounds):
+        m = len(bounds) - len(kept)
+        kept += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(None, rejected)
+    shift = {b: 8 - b.bit_length() for b in distinct}
+    if len(shift) == 1:
+        return list(kept.translate(bytes(x >> shift[bounds[0]] for x in range(256))))
+    return list(map(rshift, kept, map(shift.__getitem__, bounds)))
 
 
 # a pair's bits in one binary symbol, 2 * (u -> v) + (v -> u), to one
@@ -356,6 +338,10 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
             start += n - 1 - u
         shift = m - 1 - vocab.names().index(sym)
         out, inn = [], []
+        # point u's out-row, one digit per point v: for v < u the second bit
+        # of pair (v, u), column u of the grid; its loop; for v > u the first
+        # bit of pair (u, v).  Reversed, so that digit v is bit v.  The in-row
+        # swaps the bits.
         for u in range(n):
             after, before = grid[u * n + u + 1:(u + 1) * n], grid[u:u * n:n]
             loop = b"1" if point[u] >> shift & 1 else b"0"

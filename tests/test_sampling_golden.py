@@ -116,15 +116,16 @@ STREAM_BOUNDS = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 1000)
 
 def stream_cases():
     """(seed, bounds): for each of 40 seeds, every bound of STREAM_BOUNDS
-    repeated, all of them mixed, and the powers of two mixed, with up to
-    3 000 draws per list; then the empty list and single draws."""
+    repeated, all of them mixed, the powers of two mixed and bounds with
+    one limit (`_randrange_batch`) mixed, with up to 3 000 draws per list;
+    then the empty list and single draws."""
     for seed in range(40):
         length = seed * 75
         pick = random.Random(seed)
         for b in STREAM_BOUNDS:
             yield seed, [b] * length
-        yield seed, [pick.choice(STREAM_BOUNDS) for _ in range(length)]
-        yield seed, [pick.choice((1, 2, 4, 8, 16)) for _ in range(length)]
+        for mix in (STREAM_BOUNDS, (1, 2, 4, 8, 16), (3, 6, 12, 24, 48, 96, 192)):
+            yield seed, [pick.choice(mix) for _ in range(length)]
     for seed in range(3):
         yield seed, []
         for b in STREAM_BOUNDS + (1 << 32, 1 << 40):

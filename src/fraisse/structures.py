@@ -14,7 +14,7 @@ its two arguments.
 from __future__ import annotations
 
 import hashlib
-from itertools import chain, product
+from itertools import chain, compress, count, product, repeat
 from typing import Iterable, Sequence
 
 from .errors import InvalidElementError, VocabularyError
@@ -184,8 +184,10 @@ class FinStructure:
                 tables[name] = frozenset((v,) for v, c in enumerate(self._codes)
                                          if c >> shift & 1)
             else:
-                tables[name] = frozenset((v, u) for v, row in enumerate(self._bits[name, False])
-                                         for u in _bit_indices(row))
+                # row v's binary digits, lowest first, select the points u of (v, u)
+                tables[name] = frozenset(chain.from_iterable(
+                    zip(repeat(v), compress(count(), bin(row)[:1:-1].encode().translate(_DIGIT)))
+                    for v, row in enumerate(self._bits[name, False])))
         return tables
 
     def out_bits(self, symbol: str) -> tuple[int, ...]:
@@ -262,12 +264,7 @@ class FinStructure:
         return f"FinStructure(size={self.size}, facts={facts}, vocab={self.vocab!r})"
 
 
-def _bit_indices(row: int):
-    """The indices of the set bits of a row, ascending."""
-    while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
+_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def _clean_rows(rows, arity: int, size: int) -> bool:

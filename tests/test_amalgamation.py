@@ -1,6 +1,7 @@
 """Permission sets, hereditary/amalgamation checks, and enumeration."""
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 import pytest
@@ -145,6 +146,30 @@ def test_ap_witnesses_embed_both_sides():
     for w in rep.sample_witnesses:
         assert w.into_left.source == w.base
         assert w.into_right.source == w.base
+
+
+AP_RUNS = {  # (spec, amalgam bound, triple bound): verdict, triples, witnesses, inconclusive
+    ("graph", 7, 4): ("holds", 2787, 2787, 0),
+    ("graph", 5, 3): ("holds", 199, 199, 0),
+    ("graph", 4, 3): ("inconclusive", 199, 189, 10),
+    ("graph", 2, 2): ("inconclusive", 27, 23, 4),
+    ("marked", 3, 2): ("inconclusive", 1133, 973, 160),
+    ("marked", 2, 2): ("inconclusive", 1133, 289, 844),
+}
+
+
+@functools.cache
+def ap_report(label: str, amalgam_bound: int, triple_bound: int):
+    spec = graph_p2() if label == "graph" else marked_p2()
+    return check_ap(spec, amalgam_bound, triple_bound)
+
+
+@pytest.mark.parametrize("run", sorted(AP_RUNS), ids=lambda run: "-".join(map(str, run)))
+def test_ap_counts_are_pinned(run):
+    # runs whose free amalgams exceed the amalgam bound for some triples
+    rep = ap_report(*run)
+    got = (rep.verdict, rep.triples_checked, rep.witness_count, rep.inconclusive_count)
+    assert got == AP_RUNS[run]
 
 
 def test_p2_rejects_oversized_members():

@@ -1,13 +1,11 @@
-"""Amalgamation classes: explicit lists and two-point permission sets.
+"""Amalgamation classes given by two-point permission sets.
 
-A class of finite structures is described either by an explicit list of
-members (closed under isomorphism, nothing else assumed) or by a set of
-permitted structures of size at most two; the latter generates the class
-of all finite structures whose one- and two-point induced substructures
-are permitted.  This module checks the hereditary property, the
-amalgamation property over explicit base triples, and the adequacy
-condition that makes the two-point description well behaved: closure
-under substructures including the empty structure, and a joint two-point
+A set of permitted structures of size at most two generates the class of
+all finite structures whose one- and two-point induced substructures are
+permitted.  This module checks the hereditary property, the amalgamation
+property over explicit base triples, and the adequacy condition that
+makes the two-point description well behaved: closure under
+substructures including the empty structure, and a joint two-point
 realisation on distinct points for every pair of one-point types.
 """
 
@@ -15,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import AdequacyError, InputError, InvalidElementError, VocabularyError
 from .structures import (
@@ -31,33 +29,6 @@ from .structures import (
     induced_substructure,
     point_codes,
 )
-
-
-class ExplicitList:
-    """A class given by an explicit list of members, up to isomorphism."""
-
-    def __init__(self, structures: Iterable[FinStructure]):
-        members = tuple(structures)
-        if not members:
-            raise InputError("an explicit class needs at least one member")
-        vocab = members[0].vocab
-        for m in members:
-            if m.vocab != vocab:
-                raise VocabularyError("explicit class mixes vocabularies")
-        self.members = members
-        self.vocab = vocab
-        self.size_bound = max(m.size for m in members)
-        self._keys = frozenset(canonical_key(m) for m in members)
-
-    def contains_iso(self, s: FinStructure) -> bool:
-        return s.vocab == self.vocab and canonical_key(s) in self._keys
-
-    def representatives(self, max_size: int) -> list[FinStructure]:
-        by_key: dict[TypeId, FinStructure] = {}
-        for m in self.members:
-            if m.size <= max_size:
-                by_key.setdefault(canonical_key(m), m)
-        return [by_key[k] for k in sorted(by_key)]
 
 
 class P2Spec:
@@ -136,9 +107,6 @@ class P2Spec:
                    for option in self.links(cu, cv)}
         return tuple(all(option[j][0] == option[j][1] for option in options)
                      for j in range(len(self.vocab.binary_symbols())))
-
-
-ClassSpec = Union[ExplicitList, P2Spec]
 
 
 def _check_halves(t0: FinStructure, t1: FinStructure) -> None:
@@ -242,31 +210,17 @@ class HPReport:
         return self.verdict == "holds"
 
 
-def check_hp(spec: ClassSpec, bound: int | None = None) -> HPReport:
-    """Is the class closed under nonempty induced substructures?
-
-    For an explicit list, every member of size <= bound is decomposed and
-    each piece looked up in the list; the first violating (member,
-    subset) pair is reported.  For a permission set, closure of the
-    permitted structures themselves is checked.
-    """
-    if isinstance(spec, P2Spec):
-        members = spec.members
-        contains = spec.is_member
-        bound = 2 if bound is None else min(bound, 2)
-    else:
-        members = spec.members
-        contains = spec.contains_iso
-        bound = spec.size_bound if bound is None else bound
+def check_hp(p2: P2Spec) -> HPReport:
+    """Are the permitted structures closed under nonempty induced
+    substructures?  The first (member, subset) pair whose piece is not
+    permitted is reported."""
     checked = 0
-    for m in members:
-        if m.size > bound:
-            continue
+    for m in p2.members:
         for size in range(1, m.size + 1):
             for subset in combinations(range(m.size), size):
                 sub, _ = induced_substructure(m, subset)
                 checked += 1
-                if not contains(sub):
+                if not p2.is_member(sub):
                     return HPReport("fails", checked, (m, subset, sub))
     return HPReport("holds", checked)
 
@@ -394,88 +348,91 @@ def _orbit_reps(a: FinStructure, b: FinStructure, auts: list[Embedding]) -> list
             reps.append(f)
     return reps
 
-def _free_amalgam(p2: P2Spec, b: FinStructure, c: FinStructure,
-                  f: Embedding, g: Embedding) -> tuple[FinStructure, Embedding, Embedding] | None:
-    """Glue b and c over the common base, completing cross pairs with the
-    first permitted link option.  None when some cross pair has no option."""
-    base_image = {g.map[i]: f.map[i] for i in range(len(f.map))}
-    extra = [v for v in range(c.size) if v not in base_image]
-    idx_c = dict(base_image)
-    for j, v in enumerate(extra):
-        idx_c[v] = b.size + j
-    size = b.size + len(extra)
-    tables = {name: set(tab) for name, tab in b.tables.items()}
-    for name, _a in c.vocab.symbols:
-        for t in c.tables[name]:
-            tables[name].add(tuple(idx_c[x] for x in t))
+
+def _amalgam(p2: P2Spec, b: FinStructure, c: FinStructure, f: Embedding,
+             g: Embedding, bound: int) -> tuple[FinStructure, Embedding, Embedding] | None:
+    """An amalgam of b and c over the common base with at most `bound`
+    points, or None when there is none.
+
+    Membership is local, so an amalgam may be cut down to the images of
+    b and c: b and c glued over the base, with some points of c outside
+    the base identified with points of b outside it.  Each point of c
+    outside the base is made fresh (tried first) or identified with an
+    unused point of b outside the base that has the same point code and
+    the same link to every point of c already placed.  A fresh point and
+    an unidentified point of b take their first permitted link option, so
+    the amalgam is in the class by construction; with no identification
+    this is the free amalgam."""
+    idx = {g.map[i]: f.map[i] for i in range(len(f.map))}
+    extra = [v for v in range(c.size) if v not in idx]
+    outside = [u for u in range(b.size) if u not in f.map]
     codes_b, codes_c = point_codes(b), point_codes(c)
-    image = set(f.map)
-    for u in range(b.size):
-        if u in image:
-            continue
-        for v in extra:
-            options = p2.links(codes_b[u], codes_c[v])
-            if not options:
-                return None
-            add_links(tables, b.vocab, u, idx_c[v], options[0])
-    d = FinStructure(b.vocab, size, tables)
-    beta = Embedding(b, d, tuple(range(b.size)))
-    gamma = Embedding(c, d, tuple(idx_c[v] for v in range(c.size)))
-    return d, beta, gamma
+    used: set[int] = set()
+
+    def glue(size: int) -> tuple[FinStructure, Embedding, Embedding] | None:
+        cross = [(u, idx[v], p2.links(codes_b[u], codes_c[v]))
+                 for u in outside if u not in used for v in extra if idx[v] >= b.size]
+        if not all(options for _u, _w, options in cross):
+            return None
+        tables = {name: set(tab) for name, tab in b.tables.items()}
+        for name, _a in c.vocab.symbols:
+            for t in c.tables[name]:
+                tables[name].add(tuple(idx[x] for x in t))
+        for u, w, options in cross:
+            add_links(tables, b.vocab, u, w, options[0])
+        d = FinStructure(b.vocab, size, tables)
+        beta = Embedding(b, d, tuple(range(b.size)))
+        gamma = Embedding(c, d, tuple(idx[v] for v in range(c.size)))
+        return d, beta, gamma
+
+    def place(k: int, size: int) -> tuple[FinStructure, Embedding, Embedding] | None:
+        if size > bound:
+            return None
+        if k == len(extra):
+            return glue(size)
+        v = extra[k]
+        idx[v] = size
+        found = place(k + 1, size + 1)
+        del idx[v]
+        if found is not None:
+            return found
+        for u in outside:
+            if u in used or codes_b[u] != codes_c[v]:
+                continue
+            if any(w < b.size and b.link(u, w) != c.link(v, x) for x, w in idx.items()):
+                continue
+            idx[v] = u
+            used.add(u)
+            found = place(k + 1, size)
+            used.discard(u)
+            del idx[v]
+            if found is not None:
+                return found
+        return None
+
+    return place(0, b.size)
 
 
-def _seek_amalgam(pool: list[FinStructure], b, c, f, g
-                  ) -> tuple[FinStructure, Embedding, Embedding] | None:
-    """Exhaustive amalgam search over candidate structures."""
-    lower = max(b.size, c.size)
-    for d in pool:
-        if d.size < lower:
-            continue
-        for beta in find_embeddings(b, d):
-            partial = {g.map[i]: beta.map[f.map[i]] for i in range(len(f.map))}
-            gammas = find_embeddings(c, d, limit=1, partial=partial)
-            if gammas:
-                return d, beta, gammas[0]
-    return None
-
-
-def check_ap(spec: ClassSpec, amalgam_bound: int,
+def check_ap(p2: P2Spec, amalgam_bound: int,
              triple_bound: int | None = None) -> APReport:
     """Check the amalgamation property over all base triples in the class.
 
     Triples (base, left, right) range over representatives of size at
-    most triple_bound (default: the class's declared size bound), with every orbit
-    of embedding pairs of the base into the two sides.  A triple with no
-    amalgam of size <= amalgam_bound counts as a failure when the bound
-    admits the free size |left| + |right| - |base|, and as inconclusive
-    otherwise.
+    most triple_bound (default: the permission set's declared size bound),
+    with every orbit of embedding pairs of the base into the two sides.
+    A triple with no amalgam of size <= amalgam_bound counts as a failure
+    when the bound admits the free size |left| + |right| - |base|, and as
+    inconclusive otherwise.
     """
     if triple_bound is None:
-        triple_bound = spec.size_bound
-    if isinstance(spec, P2Spec):
-        reps = []
-        for size in range(0, triple_bound + 1):
-            reps.extend(enumerate_rp2(spec, size))
-        max_in_spec = max((m.size for m in spec.members), default=0)
-    else:
-        reps = [FinStructure(spec.vocab, 0)] + spec.representatives(triple_bound)
-        max_in_spec = max(m.size for m in spec.members)
+        triple_bound = p2.size_bound
+    reps = []
+    for size in range(0, triple_bound + 1):
+        reps.extend(enumerate_rp2(p2, size))
+    max_in_spec = max((m.size for m in p2.members), default=0)
     if amalgam_bound < max_in_spec:
         raise InputError(
             f"amalgam bound {amalgam_bound} is below the largest size {max_in_spec} in the class")
-
-    fallback_pool: list[FinStructure] | None = None
-
-    def pool() -> list[FinStructure]:
-        nonlocal fallback_pool
-        if fallback_pool is None:
-            if isinstance(spec, P2Spec):
-                fallback_pool = []
-                for size in range(0, amalgam_bound + 1):
-                    fallback_pool.extend(enumerate_rp2(spec, size))
-            else:
-                fallback_pool = [m for m in spec.representatives(amalgam_bound)]
-        return fallback_pool
 
     report = APReport("holds", amalgam_bound, triple_bound)
     auts = [find_embeddings(r, r) for r in reps]
@@ -500,14 +457,7 @@ def check_ap(spec: ClassSpec, amalgam_bound: int,
                 for f in fs:
                     for g in gs:
                         report.triples_checked += 1
-                        found = None
-                        if isinstance(spec, P2Spec):
-                            free = _free_amalgam(spec, b, c, f, g)
-                            if free is not None and free[0].size <= amalgam_bound \
-                                    and in_rp2(spec, free[0]):
-                                found = free
-                        if found is None:
-                            found = _seek_amalgam(pool(), b, c, f, g)
+                        found = _amalgam(p2, b, c, f, g, amalgam_bound)
                         if found is not None:
                             report.witness_count += 1
                             if len(report.sample_witnesses) < _SAMPLE_WITNESSES:

@@ -249,14 +249,21 @@ class FinStructure:
             self._bits[key] = rows
         return self._bits[key]
 
+    def _content(self) -> tuple:
+        """What `==` and `hash` read: for a binary vocabulary the point
+        codes and each binary symbol's out-rows, which a `_trusted`
+        structure holds without decoding its tables; else the tables."""
+        if self.vocab.binary:
+            return point_codes(self), tuple(self.out_bits(sym) for sym in self.vocab.binary_symbols())
+        return tuple(self.tables[n] for n in self.vocab.names())
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, FinStructure) and self.vocab == other.vocab
-                and self.size == other.size and self.tables == other.tables)
+                and self.size == other.size and self._content() == other._content())
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vocab, self.size,
-                               tuple(self.tables[n] for n in self.vocab.names())))
+            self._hash = hash((self.vocab, self.size, self._content()))
         return self._hash
 
     def __repr__(self) -> str:

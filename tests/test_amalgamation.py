@@ -3,17 +3,20 @@ from __future__ import annotations
 
 import functools
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse.amalgamation import (ExplicitList, P2Spec, age, assemble_pair,
+from fraisse import amalgamation
+from fraisse.amalgamation import (P2Spec, age, assemble_pair,
                                   check_1_adequate, check_ap, check_hp,
                                   enumerate_rp2, graph_p2, in_rp2,
                                   point_structure, require_adequate)
 from fraisse.errors import AdequacyError
-from fraisse.structures import FinStructure, Vocabulary, canonical_key, undirected_graph
+from fraisse.structures import (Embedding, FinStructure, Vocabulary, add_links, canonical_key,
+                                find_embeddings, point_codes, undirected_graph)
 
 from _naive import all_graphs, graph_of_bits, naive_in_rp2, naive_is_isomorphic
 from test_sampling_golden import MARKED, marked_p2
@@ -118,26 +121,26 @@ def test_missing_pair_breaks_adequacy():
                                  undirected_graph(1, [])]))
 
 
-def test_non_hereditary_list_fails_hp():
-    bad = ExplicitList([undirected_graph(0, []),
-                        undirected_graph(2, [(0, 1)])])
-    rep = check_hp(bad)
+def test_non_hereditary_p2_fails_hp():
+    empty = undirected_graph(0, [])
+    rep = check_hp(P2Spec([empty, undirected_graph(2, [(0, 1)])]))
     assert not rep.holds
-    assert rep.counterexample is not None
+    member, subset, piece = rep.counterexample
+    assert member.size == 2 and len(subset) == 1 and piece.size == 1
 
 
-def test_bounded_class_fails_ap():
-    # all graphs on at most 2 points: an edge and a non-edge over the
-    # empty base admit no amalgam of size <= 2, and nothing larger exists
-    small = ExplicitList([undirected_graph(0, []), undirected_graph(1, []),
-                          undirected_graph(2, [(0, 1)]),
-                          undirected_graph(2, [])])
-    assert check_hp(small).holds
-    rep = check_ap(small, amalgam_bound=4, triple_bound=2)
-    assert not rep.holds
+def test_lonely_points_fail_ap_then_go_inconclusive():
+    # a plain and a red point are permitted, but no two-point structure:
+    # two points over the empty base have no amalgam at all
+    lonely = P2Spec([FinStructure(MARKED, 0), FinStructure(MARKED, 1),
+                     FinStructure(MARKED, 1, {"red": [(0,)]})])
+    rep = check_ap(lonely, amalgam_bound=2, triple_bound=1)
+    assert rep.verdict == "fails"
     cx = rep.counterexample
-    assert cx.base.size == 0
-    assert {len(cx.left.tables["adj"]), len(cx.right.tables["adj"])} == {0, 2}
+    assert (cx.base.size, cx.left.size, cx.right.size) == (0, 1, 1)
+    # with room for one point only, the two-point amalgams are out of reach
+    rep = check_ap(lonely, amalgam_bound=1, triple_bound=1)
+    assert rep.verdict == "inconclusive" and rep.inconclusive_count == 2
 
 
 def test_ap_witnesses_embed_both_sides():
@@ -172,12 +175,77 @@ def test_ap_counts_are_pinned(run):
     assert got == AP_RUNS[run]
 
 
+@pytest.mark.parametrize("run", sorted(AP_RUNS), ids=lambda run: "-".join(map(str, run)))
+def test_ap_witnesses_are_amalgams(run):
+    rep = ap_report(*run)
+    spec = graph_p2() if run[0] == "graph" else marked_p2()
+    assert rep.sample_witnesses
+    for w in rep.sample_witnesses:
+        beta = Embedding(w.left, w.amalgam, w.left_into.map, check=True)
+        gamma = Embedding(w.right, w.amalgam, w.right_into.map, check=True)
+        assert [beta(w.into_left(x)) for x in range(w.base.size)] == \
+            [gamma(w.into_right(x)) for x in range(w.base.size)]
+        assert in_rp2(spec, w.amalgam)
+        assert w.amalgam.size <= run[1]
+
+
+def pool_amalgam(p2: P2Spec, bound: int):
+    """The reference amalgam search: the free amalgam, else a scan of
+    every class member up to the bound for a pair of embeddings that
+    agree on the base."""
+    pool = [d for n in range(bound + 1) for d in enumerate_rp2(p2, n)]
+
+    def search(_p2, b, c, f, g, _bound):
+        base = {g.map[i]: f.map[i] for i in range(len(f.map))}
+        extra = [v for v in range(c.size) if v not in base]
+        idx = {**base, **{v: b.size + j for j, v in enumerate(extra)}}
+        tables = {name: set(tab) for name, tab in b.tables.items()}
+        for name, tab in c.tables.items():
+            tables[name] |= {tuple(idx[x] for x in t) for t in tab}
+        codes_b, codes_c = point_codes(b), point_codes(c)
+        cross = [(u, v) for u in range(b.size) if u not in f.map for v in extra]
+        if b.size + len(extra) <= bound and all(p2.links(codes_b[u], codes_c[v])
+                                                for u, v in cross):
+            for u, v in cross:
+                add_links(tables, p2.vocab, u, idx[v], p2.links(codes_b[u], codes_c[v])[0])
+            d = FinStructure(p2.vocab, b.size + len(extra), tables)
+            if in_rp2(p2, d):
+                return d, Embedding(b, d, range(b.size)), Embedding(c, d, [idx[v] for v in range(c.size)])
+        for d in pool:
+            for beta in find_embeddings(b, d):
+                partial = {g.map[i]: beta.map[f.map[i]] for i in range(len(f.map))}
+                gammas = find_embeddings(c, d, limit=1, partial=partial)
+                if gammas:
+                    return d, beta, gammas[0]
+        return None
+
+    return search
+
+
+DIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+RED_ARC_POINTS = [FinStructure(MARKED, 1), FinStructure(MARKED, 1, {"red": [(0,)]})]
+RED_ARC_PAIRS = [assemble_pair(t0, t1, (d,))
+                 for t0 in RED_ARC_POINTS for t1 in RED_ARC_POINTS for d in DIRS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, len(RED_ARC_PAIRS) - 1)), st.sampled_from([(2, 2), (3, 2)]))
+def test_ap_matches_pool_search_on_random_specs(keep, bounds):
+    # adequacy is not required, so some specs fail
+    p2 = P2Spec([FinStructure(MARKED, 0)] + RED_ARC_POINTS
+                + [RED_ARC_PAIRS[i] for i in sorted(keep)])
+    rep = check_ap(p2, *bounds)
+    with mock.patch.object(amalgamation, "_amalgam", pool_amalgam(p2, bounds[0])):
+        ref = check_ap(p2, *bounds)
+    assert (rep.verdict, rep.triples_checked, rep.witness_count, rep.inconclusive_count) == \
+        (ref.verdict, ref.triples_checked, ref.witness_count, ref.inconclusive_count)
+
+
 def test_p2_rejects_oversized_members():
     with pytest.raises(Exception):
         P2Spec([undirected_graph(3, [])])
 
 
-DIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 TWO_ARCS = Vocabulary([("a", 2), ("b", 2)])
 
 

@@ -310,6 +310,16 @@ def test_sample_uniform_is_deterministic_and_permitted():
     assert sample_uniform(P2, 30, seed=6) != a
 
 
+@pytest.mark.parametrize("spec", ["graph", "marked"])
+def test_samples_compare_and_hash_on_rows(spec):
+    p2 = SAMPLED[spec]
+    a, b, other = (sample_uniform(p2, 40, seed) for seed in (3, 3, 4))
+    assert a == b and hash(a) == hash(b) and a != other
+    assert a._tables is None and b._tables is None and other._tables is None
+    checked = FinStructure(p2.vocab, 40, sample_uniform(p2, 40, 3).tables)
+    assert a == checked and hash(a) == hash(checked)
+
+
 def test_sample_uniform_edge_fairness():
     # each pair is an independent fair coin: 200 samples on 2 points
     hits = sum(1 for s in range(200)

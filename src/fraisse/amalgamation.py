@@ -168,14 +168,20 @@ def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
     iso class, sorted by canonical key."""
     if n < 0:
         raise InvalidElementError(f"negative size {n}")
+    return _levels(p2, n)[n]
+
+
+def _levels(p2: P2Spec, n: int) -> list[list[FinStructure]]:
+    """`enumerate_rp2` for every size 0..n, each level grown once from
+    the one below it."""
     if not p2.vocab.binary:
         raise VocabularyError("enumeration needs a binary vocabulary")
     vocab = p2.vocab
-    level = [FinStructure(vocab, 0)]
+    levels = [[FinStructure(vocab, 0)]]
     for size in range(1, n + 1):
         by_key: dict[TypeId, FinStructure] = {}
         w = size - 1
-        for parent in level:
+        for parent in levels[-1]:
             codes = point_codes(parent)
             for cw in p2.codes:
                 option_lists = [p2.links(cv, cw) for cv in codes]
@@ -188,10 +194,8 @@ def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
                         add_links(tables, vocab, v, w, dirs)
                     cand = FinStructure(vocab, size, tables)
                     by_key.setdefault(canonical_key(cand), cand)
-        level = [by_key[k] for k in sorted(by_key)]
-        if not level:
-            return []
-    return level
+        levels.append([by_key[k] for k in sorted(by_key)])
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -350,46 +354,34 @@ def _orbit_reps(a: FinStructure, b: FinStructure, auts: list[Embedding]) -> list
 
 
 def _amalgam(p2: P2Spec, b: FinStructure, c: FinStructure, f: Embedding,
-             g: Embedding, bound: int) -> tuple[FinStructure, Embedding, Embedding] | None:
-    """An amalgam of b and c over the common base with at most `bound`
-    points, or None when there is none.
+             g: Embedding, bound: int) -> tuple[tuple[int, ...], int] | None:
+    """Whether b and c have an amalgam over the common base with at most
+    `bound` points: the map of c into it and its size, or None when there
+    is none.  `_glue` builds the amalgam.
 
     Membership is local, so an amalgam may be cut down to the images of
     b and c: b and c glued over the base, with some points of c outside
     the base identified with points of b outside it.  Each point of c
     outside the base is made fresh (tried first) or identified with an
     unused point of b outside the base that has the same point code and
-    the same link to every point of c already placed.  A fresh point and
-    an unidentified point of b take their first permitted link option, so
-    the amalgam is in the class by construction; with no identification
-    this is the free amalgam."""
+    the same link to every point of c already placed.  The pairs of a
+    fresh point and an unidentified point of b are the only ones left to
+    link, so the amalgam exists when each of them has a permitted option;
+    with no identification it is the free amalgam."""
     idx = {g.map[i]: f.map[i] for i in range(len(f.map))}
     extra = [v for v in range(c.size) if v not in idx]
     outside = [u for u in range(b.size) if u not in f.map]
     codes_b, codes_c = point_codes(b), point_codes(c)
     used: set[int] = set()
 
-    def glue(size: int) -> tuple[FinStructure, Embedding, Embedding] | None:
-        cross = [(u, idx[v], p2.links(codes_b[u], codes_c[v]))
-                 for u in outside if u not in used for v in extra if idx[v] >= b.size]
-        if not all(options for _u, _w, options in cross):
-            return None
-        tables = {name: set(tab) for name, tab in b.tables.items()}
-        for name, _a in c.vocab.symbols:
-            for t in c.tables[name]:
-                tables[name].add(tuple(idx[x] for x in t))
-        for u, w, options in cross:
-            add_links(tables, b.vocab, u, w, options[0])
-        d = FinStructure(b.vocab, size, tables)
-        beta = Embedding(b, d, tuple(range(b.size)))
-        gamma = Embedding(c, d, tuple(idx[v] for v in range(c.size)))
-        return d, beta, gamma
-
-    def place(k: int, size: int) -> tuple[FinStructure, Embedding, Embedding] | None:
+    def place(k: int, size: int) -> tuple[tuple[int, ...], int] | None:
         if size > bound:
             return None
         if k == len(extra):
-            return glue(size)
+            if all(p2.links(codes_b[u], codes_c[v]) for u in outside if u not in used
+                   for v in extra if idx[v] >= b.size):
+                return tuple(idx[v] for v in range(c.size)), size
+            return None
         v = extra[k]
         idx[v] = size
         found = place(k + 1, size + 1)
@@ -413,6 +405,25 @@ def _amalgam(p2: P2Spec, b: FinStructure, c: FinStructure, f: Embedding,
     return place(0, b.size)
 
 
+def _glue(p2: P2Spec, b: FinStructure, c: FinStructure,
+          found: tuple[tuple[int, ...], int]) -> tuple[FinStructure, Embedding, Embedding]:
+    """The amalgam `_amalgam` found, with b on its first points and c
+    mapped by `found`'s map; a fresh point and an unidentified point of b
+    take their first permitted link option."""
+    gmap, size = found
+    tables = {name: set(tab) for name, tab in b.tables.items()}
+    for name, _a in c.vocab.symbols:
+        for t in c.tables[name]:
+            tables[name].add(tuple(gmap[x] for x in t))
+    codes_b, codes_c = point_codes(b), point_codes(c)
+    for u in set(range(b.size)).difference(gmap):
+        for v in range(c.size):
+            if gmap[v] >= b.size:
+                add_links(tables, b.vocab, u, gmap[v], p2.links(codes_b[u], codes_c[v])[0])
+    d = FinStructure(b.vocab, size, tables)
+    return d, Embedding(b, d, range(b.size), check=True), Embedding(c, d, gmap, check=True)
+
+
 def check_ap(p2: P2Spec, amalgam_bound: int,
              triple_bound: int | None = None) -> APReport:
     """Check the amalgamation property over all base triples in the class.
@@ -422,17 +433,18 @@ def check_ap(p2: P2Spec, amalgam_bound: int,
     with every orbit of embedding pairs of the base into the two sides.
     A triple with no amalgam of size <= amalgam_bound counts as a failure
     when the bound admits the free size |left| + |right| - |base|, and as
-    inconclusive otherwise.
+    inconclusive otherwise.  Every triple with an amalgam is counted;
+    only the first `_SAMPLE_WITNESSES` amalgams are built.
     """
     if triple_bound is None:
         triple_bound = p2.size_bound
-    reps = []
-    for size in range(0, triple_bound + 1):
-        reps.extend(enumerate_rp2(p2, size))
+    if triple_bound < 0:
+        raise InputError(f"negative triple bound {triple_bound}")
     max_in_spec = max((m.size for m in p2.members), default=0)
     if amalgam_bound < max_in_spec:
         raise InputError(
             f"amalgam bound {amalgam_bound} is below the largest size {max_in_spec} in the class")
+    reps = [r for level in _levels(p2, triple_bound) for r in level]
 
     report = APReport("holds", amalgam_bound, triple_bound)
     auts = [find_embeddings(r, r) for r in reps]
@@ -461,7 +473,7 @@ def check_ap(p2: P2Spec, amalgam_bound: int,
                         if found is not None:
                             report.witness_count += 1
                             if len(report.sample_witnesses) < _SAMPLE_WITNESSES:
-                                d, beta, gamma = found
+                                d, beta, gamma = _glue(p2, b, c, found)
                                 report.sample_witnesses.append(
                                     AmalgamWitness(a, b, c, d, f, g, beta, gamma))
                             continue

@@ -14,7 +14,7 @@ from fraisse.amalgamation import (P2Spec, age, assemble_pair,
                                   check_1_adequate, check_ap, check_hp,
                                   enumerate_rp2, graph_p2, in_rp2,
                                   point_structure, require_adequate)
-from fraisse.errors import AdequacyError
+from fraisse.errors import AdequacyError, InputError, InvalidElementError
 from fraisse.structures import (Embedding, FinStructure, Vocabulary, add_links, canonical_key,
                                 find_embeddings, point_codes, undirected_graph)
 
@@ -129,11 +129,15 @@ def test_non_hereditary_p2_fails_hp():
     assert member.size == 2 and len(subset) == 1 and piece.size == 1
 
 
+def lonely_p2() -> P2Spec:
+    """A plain and a red point are permitted, but no two-point structure."""
+    return P2Spec([FinStructure(MARKED, 0), FinStructure(MARKED, 1),
+                   FinStructure(MARKED, 1, {"red": [(0,)]})])
+
+
 def test_lonely_points_fail_ap_then_go_inconclusive():
-    # a plain and a red point are permitted, but no two-point structure:
     # two points over the empty base have no amalgam at all
-    lonely = P2Spec([FinStructure(MARKED, 0), FinStructure(MARKED, 1),
-                     FinStructure(MARKED, 1, {"red": [(0,)]})])
+    lonely = lonely_p2()
     rep = check_ap(lonely, amalgam_bound=2, triple_bound=1)
     assert rep.verdict == "fails"
     cx = rep.counterexample
@@ -177,9 +181,11 @@ def test_ap_counts_are_pinned(run):
 
 @pytest.mark.parametrize("run", sorted(AP_RUNS), ids=lambda run: "-".join(map(str, run)))
 def test_ap_witnesses_are_amalgams(run):
-    rep = ap_report(*run)
+    # check_ap builds only the amalgams it keeps; keep all of them here
     spec = graph_p2() if run[0] == "graph" else marked_p2()
-    assert rep.sample_witnesses
+    with mock.patch.object(amalgamation, "_SAMPLE_WITNESSES", AP_RUNS[run][1] + 1):
+        rep = check_ap(spec, *run[1:])
+    assert len(rep.sample_witnesses) == rep.witness_count == AP_RUNS[run][2]
     for w in rep.sample_witnesses:
         beta = Embedding(w.left, w.amalgam, w.left_into.map, check=True)
         gamma = Embedding(w.right, w.amalgam, w.right_into.map, check=True)
@@ -187,6 +193,39 @@ def test_ap_witnesses_are_amalgams(run):
             [gamma(w.into_right(x)) for x in range(w.base.size)]
         assert in_rp2(spec, w.amalgam)
         assert w.amalgam.size <= run[1]
+    kept = ap_report(*run).sample_witnesses
+    assert kept == rep.sample_witnesses[:len(kept)]
+
+
+def test_ap_builds_only_the_kept_witnesses():
+    with mock.patch.object(amalgamation, "_glue", wraps=amalgamation._glue) as glue:
+        rep = check_ap(graph_p2(), 8, 4)
+    assert rep.witness_count == 2787
+    assert glue.call_count == len(rep.sample_witnesses) == amalgamation._SAMPLE_WITNESSES
+
+
+def test_ap_rejects_bounds_before_enumerating():
+    with mock.patch.object(amalgamation, "_levels", side_effect=AssertionError("enumerated")):
+        with pytest.raises(InputError, match="negative triple bound -1"):
+            check_ap(graph_p2(), 8, -1)
+        with pytest.raises(InputError, match="amalgam bound 1 is below"):
+            check_ap(graph_p2(), 1, 4)
+
+
+def test_ap_enumerates_each_level_once():
+    with mock.patch.object(amalgamation, "_levels", wraps=amalgamation._levels) as levels, \
+            mock.patch.object(amalgamation, "enumerate_rp2") as enum:
+        check_ap(graph_p2(), 6, 3)
+    assert levels.call_count == 1 and not enum.called
+
+
+def test_levels_match_enumerate_rp2():
+    for p2, n, sizes in ((graph_p2(), 4, [1, 1, 2, 4, 11]), (lonely_p2(), 3, [1, 2, 0, 0])):
+        levels = amalgamation._levels(p2, n)
+        assert [len(level) for level in levels] == sizes
+        assert levels == [enumerate_rp2(p2, i) for i in range(n + 1)]
+    with pytest.raises(InvalidElementError):
+        enumerate_rp2(graph_p2(), -1)
 
 
 def pool_amalgam(p2: P2Spec, bound: int):
@@ -235,7 +274,21 @@ def test_ap_matches_pool_search_on_random_specs(keep, bounds):
     p2 = P2Spec([FinStructure(MARKED, 0)] + RED_ARC_POINTS
                 + [RED_ARC_PAIRS[i] for i in sorted(keep)])
     rep = check_ap(p2, *bounds)
-    with mock.patch.object(amalgamation, "_amalgam", pool_amalgam(p2, bounds[0])):
+    search = pool_amalgam(p2, bounds[0])
+
+    def reference(_p2, b, c, f, g, bound):
+        # the pool search's amalgam cut down to the images of b and c, as
+        # the identification `_glue` builds: c's map into it and its size
+        found = search(_p2, b, c, f, g, bound)
+        if found is None:
+            return None
+        _d, beta, gamma = found
+        back = {w: u for u, w in enumerate(beta.map)}
+        fresh = [w for w in gamma.map if w not in back]
+        gmap = tuple(back[w] if w in back else b.size + fresh.index(w) for w in gamma.map)
+        return gmap, b.size + len(fresh)
+
+    with mock.patch.object(amalgamation, "_amalgam", reference):
         ref = check_ap(p2, *bounds)
     assert (rep.verdict, rep.triples_checked, rep.witness_count, rep.inconclusive_count) == \
         (ref.verdict, ref.triples_checked, ref.witness_count, ref.inconclusive_count)

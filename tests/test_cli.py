@@ -71,6 +71,12 @@ def test_check_ap_fails_and_inconclusive_exit_codes(tmp_path, capsys):
     assert "inconclusive triples: 2" in out and "verdict: inconclusive" in out
 
 
+def test_check_ap_rejects_negative_triple_bound(p2file, capsys):
+    code, out, err = run(["check-ap", "--p2", p2file, "--triple-bound", "-1"], capsys)
+    assert code == 2
+    assert out == "" and "negative triple bound -1" in err
+
+
 def test_enum_emits_parseable_structures(p2file, capsys):
     code, out, _ = run(["enum", "--p2", p2file, "--size", "3"], capsys)
     assert code == 0

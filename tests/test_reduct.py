@@ -13,7 +13,7 @@ from fraisse.reduct import (definable_as_union, from_quotient,
                             from_structure, is_reduct,
                             pair_family_universe, parse_typed_universe,
                             partition_refines, save_typed_universe)
-from fraisse.structures import TypeId, expand_with_marks, undirected_graph
+from fraisse.structures import TypeId, expand_with_marks, tuple_type, undirected_graph
 from fraisse.types_orbits import types_determined_by_pairs
 
 from _naive import graph_of_bits
@@ -220,12 +220,52 @@ def test_determination_by_pairs_matches_per_tuple_loop(cover):
     n, bits = cover
     q2, ref = _quotients(n, bits, False)
     seen: dict = {}
-    want = ("determined", None)
-    for tup in product(range(n), repeat=3):
+    want = ("determined", n ** 3, None)
+    for checked, tup in enumerate(product(range(n), repeat=3), start=1):
         family = tuple(ref.pair_type((tup[i], tup[j])) for i in range(3) for j in range(3))
         prior = seen.setdefault(family, (ref.pair_type(tup), tup))
         if prior[0] != ref.pair_type(tup):
-            want = ("counterexample", (prior[1], tup))
+            want = ("counterexample", checked, (prior[1], tup))
             break
     rep = types_determined_by_pairs(q2, 3)
-    assert (rep.verdict, rep.counterexample) == want
+    assert (rep.verdict, rep.tuples_checked, rep.counterexample) == want
+
+
+def _union_reference(type_of, size, rel, n):
+    """Definability as a union of n-type classes, comparing TypeIds tuple
+    by tuple: (verdict, classes inside, witness)."""
+    status: dict = {}
+    for tup in product(range(size), repeat=n):
+        t = type_of(tup)
+        prior = status.setdefault(t, (tup in rel, tup))
+        if prior[0] != (tup in rel):
+            tup_in, tup_out = (prior[1], tup) if prior[0] else (tup, prior[1])
+            return "undefinable", [], (tup_in, tup_out, t.fingerprint)
+    return ("definable",
+            sorted(t.fingerprint for t, (inside, _) in status.items() if inside), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers, st.sampled_from(("structure", "quotient")), st.integers(1, 3),
+       st.booleans(), st.data())
+def test_definability_matches_per_tuple_loop(cover, kind, n, by_class, data):
+    nodes, bits = cover
+    if kind == "structure":
+        g = graph_of_bits(nodes, bits)
+        source, ref_type = from_structure(g, 3), (lambda tup: tuple_type(g, tup))
+    else:
+        q, ref = _quotients(nodes, bits, False)
+        source, ref_type = from_quotient(q, 3), ref.pair_type
+    tuples = list(product(range(source.size), repeat=n))
+    if by_class:
+        # a union of classes, so definable verdicts come up as well
+        classes = sorted({ref_type(t) for t in tuples}, key=lambda t: t.sort_key)
+        pick = data.draw(st.integers(0, (1 << len(classes)) - 1))
+        inside = {c for i, c in enumerate(classes) if pick >> i & 1}
+        rel = {t for t in tuples if ref_type(t) in inside}
+    else:
+        pick = data.draw(st.integers(0, (1 << len(tuples)) - 1))
+        rel = {t for i, t in enumerate(tuples) if pick >> i & 1}
+    rep = definable_as_union(source, rel, n)
+    assert ((rep.verdict, rep.classes_inside, rep.witness)
+            == _union_reference(ref_type, source.size, rel, n))

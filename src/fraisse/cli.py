@@ -398,11 +398,11 @@ def cmd_example412(args) -> int:
             "m.txt": structure_document(d2.m, name="cover"),
             "mstar.txt": structure_document(mstar, name="marked-cover"),
             "quotient_types.txt": save_typed_universe(
-                from_quotient(q2, args.emit_nmax), "quotient-types"),
+                from_quotient(q2, 3), "quotient-types"),
             "pair_family.txt": save_typed_universe(
-                pair_family_universe(q2, args.emit_nmax), "pair-family"),
+                pair_family_universe(q2, 3), "pair-family"),
             "marked_pair_family.txt": save_typed_universe(
-                pair_family_universe(qstar, args.emit_nmax), "marked-pair-family"),
+                pair_family_universe(qstar, 3), "marked-pair-family"),
         }
         for fname, text in files.items():
             (outdir / fname).write_text(text)
@@ -597,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     _seed_opt(p)
     _oracle_opts(p)
     p.add_argument("--max-b", type=int, default=3, help="largest base size")
-    _format_opt(p)
     p.set_defaults(func=cmd_triviality, points=6)
 
     p = sub.add_parser("degenerate",
@@ -636,9 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arity bound for the reduct check")
     p.add_argument("--emit-structures", default=None, metavar="DIR",
                    help="write base, cover, marked cover, and quotient "
-                        "type tables to a directory")
-    p.add_argument("--emit-nmax", type=int, default=3,
-                   help="arity bound for emitted type tables")
+                        "type tables up to arity 3 to a directory")
     p.set_defaults(func=cmd_example412)
 
     p = sub.add_parser("zeroone",

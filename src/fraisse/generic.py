@@ -213,9 +213,8 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
         drawn.append((v, options[o._rng.randrange(len(options))]))
     links = list(zip(tau.base, tau.dirs)) + drawn
     bit = 1 << w
-    names = o.vocab.names()
     for j, (sym, (out, inn)) in enumerate(zip(o.vocab.binary_symbols(), o._rows)):
-        row_out = row_in = bit if tau.point >> (len(names) - 1 - names.index(sym)) & 1 else 0
+        row_out = row_in = bit if tau.point & o.vocab.code_bit(sym) else 0
         for v, dirs in links:
             to_w, from_w = dirs[j]
             if to_w:
@@ -243,9 +242,8 @@ def _extend_detail(vocab: Vocabulary, w: int, tau: ExtensionType, drawn) -> str:
             f"{v}[{','.join(f'{sym}:{a:d}{b:d}' for sym, (a, b) in zip(bsyms, dirs)) or '-'}]"
             for v, dirs in pairs) or "-"
 
-    m = len(vocab.symbols)
-    marks = [name for i, (name, arity) in enumerate(vocab.symbols)
-             if arity == 1 and tau.point >> (m - 1 - i) & 1]
+    marks = [name for name, arity in vocab.symbols
+             if arity == 1 and tau.point & vocab.code_bit(name)]
     return (f"new={w} marks={','.join(marks) or '-'} "
             f"base {links(zip(tau.base, tau.dirs))} drawn {links(drawn)}")
 

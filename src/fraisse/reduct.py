@@ -122,6 +122,21 @@ class RefinementReport:
         return self.verdict == "refines"
 
 
+def _first_clash(size: int, n: int, key: Callable, value: Callable):
+    """Scan the n-tuples over range(size) in `product` order, keeping per
+    key the value and the first tuple met, and stop at the first tuple
+    whose value differs from its key's.  Returns the tuples scanned, that
+    map (key -> (value, first tuple)) and the clash (first tuple, tuple,
+    key), or None when there is none."""
+    seen: dict = {}
+    for checked, tup in enumerate(product(range(size), repeat=n), start=1):
+        k, v = key(tup), value(tup)
+        prior = seen.setdefault(k, (v, tup))
+        if prior[0] != v:
+            return checked, seen, (prior[1], tup, k)
+    return size ** n, seen, None
+
+
 def partition_refines(source: TypedUniverse, target: TypedUniverse, n: int
                       ) -> RefinementReport:
     """Exhaustively test that source-equal n-tuples are target-equal."""
@@ -129,20 +144,12 @@ def partition_refines(source: TypedUniverse, target: TypedUniverse, n: int
         raise InputError("refinement needs a shared carrier")
     if n < 1 or n > source.n_max or n > target.n_max:
         raise InputError(f"arity {n} outside both universes' declared range")
-    source_id, target_id = source._id, target._id
-    seen: dict[int, tuple[int, tuple]] = {}
-    checked = 0
-    for tup in product(range(source.size), repeat=n):
-        checked += 1
-        sk = source_id(tup)
-        tk = target_id(tup)
-        prior = seen.get(sk)
-        if prior is None:
-            seen[sk] = (tk, tup)
-        elif prior[0] != tk:
-            return RefinementReport("fails", n, checked, len(seen),
-                                    (prior[1], tup, source._types[sk].fingerprint))
-    return RefinementReport("refines", n, checked, len(seen))
+    checked, seen, clash = _first_clash(source.size, n, source._id, target._id)
+    if clash is None:
+        return RefinementReport("refines", n, checked, len(seen))
+    first, tup, sk = clash
+    return RefinementReport("fails", n, checked, len(seen),
+                            (first, tup, source._types[sk].fingerprint))
 
 
 @dataclass
@@ -193,10 +200,6 @@ class DefinabilityReport:
     classes_inside: list[str] = field(default_factory=list)
     witness: tuple | None = None    # (tuple_in, tuple_out, source_key)
 
-    @property
-    def definable(self) -> bool:
-        return self.verdict == "definable"
-
 
 def definable_as_union(source: TypedUniverse, relation, n: int
                        ) -> DefinabilityReport:
@@ -209,18 +212,13 @@ def definable_as_union(source: TypedUniverse, relation, n: int
             raise InputError(f"relation row {t} does not have arity {n}")
         if any(x < 0 or x >= source.size for x in t):
             raise InvalidElementError(f"relation row {t} leaves the carrier")
-    source_id, types = source._id, source._types
-    status: dict[int, tuple[bool, tuple]] = {}
-    for tup in product(range(source.size), repeat=n):
-        sk = source_id(tup)
-        inside = tup in rel
-        prior = status.get(sk)
-        if prior is None:
-            status[sk] = (inside, tup)
-        elif prior[0] != inside:
-            tup_in, tup_out = (prior[1], tup) if prior[0] else (tup, prior[1])
-            return DefinabilityReport("undefinable", n, [],
-                                      (tup_in, tup_out, types[sk].fingerprint))
+    checked, status, clash = _first_clash(source.size, n, source._id, rel.__contains__)
+    types = source._types
+    if clash is not None:
+        first, tup, sk = clash
+        tup_in, tup_out = (first, tup) if status[sk][0] else (tup, first)
+        return DefinabilityReport("undefinable", n, [],
+                                  (tup_in, tup_out, types[sk].fingerprint))
     inside_keys = sorted(types[k].fingerprint for k, (flag, _) in status.items() if flag)
     return DefinabilityReport("definable", n, inside_keys)
 

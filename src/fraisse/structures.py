@@ -23,7 +23,7 @@ from .errors import InvalidElementError, VocabularyError
 class Vocabulary:
     """An ordered list of relation symbols with arities."""
 
-    __slots__ = ("symbols", "_arity", "_hash", "_names", "_binary", "_unary", "_rho")
+    __slots__ = ("symbols", "_arity", "_hash", "_names", "_binary", "_code_bit", "_rho")
 
     def __init__(self, symbols: Iterable[tuple[str, int]]):
         syms = []
@@ -44,7 +44,7 @@ class Vocabulary:
         self._hash = hash(self.symbols)
         self._names = tuple(name for name, _ in syms)
         self._binary = tuple(name for name, a in syms if a == 2)
-        self._unary = tuple(name for name, a in syms if a == 1)
+        self._code_bit = {name: 1 << (len(syms) - 1 - i) for i, (name, _) in enumerate(syms)}
         self._rho = max((a for _, a in syms), default=0)
 
     def names(self) -> tuple[str, ...]:
@@ -72,8 +72,13 @@ class Vocabulary:
     def binary_symbols(self) -> tuple[str, ...]:
         return self._binary
 
-    def unary_symbols(self) -> tuple[str, ...]:
-        return self._unary
+    def code_bit(self, name: str) -> int:
+        """The bit that a point code (`point_codes`) sets when `name` holds
+        on (v, ..., v): of the m symbols, the i-th sets bit m - 1 - i."""
+        try:
+            return self._code_bit[name]
+        except KeyError:
+            raise VocabularyError(f"unknown symbol {name!r}") from None
 
     def extended(self, extra: Iterable[tuple[str, int]]) -> "Vocabulary":
         return Vocabulary(list(self.symbols) + list(extra))
@@ -99,7 +104,7 @@ class FinStructure:
     them on first read."""
 
     __slots__ = ("vocab", "size", "_tables", "_hash", "_canon", "_bits", "_codes",
-                 "_code_bits", "_binary_tables", "_binary_rows")
+                 "_code_bits", "_binary_rows")
 
     def __init__(self, vocab: Vocabulary, size: int,
                  tables: dict[str, Iterable[tuple[int, ...]]] | None = None):
@@ -130,8 +135,7 @@ class FinStructure:
                 rows.add(t)
             clean[name] = frozenset(rows)
         self._tables = clean
-        self._binary_tables = tuple(clean[name] for name in vocab.binary_symbols())
-        self._binary_rows = None
+        self._binary_rows: tuple[tuple[int, ...], ...] | None = None
         self._hash: int | None = None
         self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
         # out- and in-rows keyed (symbol, converse); link rows keyed by option
@@ -153,7 +157,6 @@ class FinStructure:
         s.vocab = vocab
         s.size = size
         s._tables = None
-        s._binary_tables = None
         s._hash = None
         s._canon = None
         s._bits = {}
@@ -176,13 +179,11 @@ class FinStructure:
 
     def _decode(self) -> dict[str, frozenset[tuple[int, ...]]]:
         """The tables of a `_trusted` structure, from its codes and out-rows."""
-        m = len(self.vocab.symbols)
         tables = {}
-        for i, (name, arity) in enumerate(self.vocab.symbols):
+        for name, arity in self.vocab.symbols:
             if arity == 1:
-                shift = m - 1 - i
-                tables[name] = frozenset((v,) for v, c in enumerate(self._codes)
-                                         if c >> shift & 1)
+                bit = self.vocab.code_bit(name)
+                tables[name] = frozenset((v,) for v, c in enumerate(self._codes) if c & bit)
             else:
                 # row v's binary digits, lowest first, select the points u of (v, u)
                 tables[name] = frozenset(chain.from_iterable(
@@ -202,10 +203,9 @@ class FinStructure:
     def link(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """The link option from u to v, in `P2Spec.links` format: per
         binary symbol, the (u -> v, v -> u) bits as a pair."""
-        if self._binary_rows is not None:
-            return tuple([(out[u] >> v & 1, out[v] >> u & 1) for out in self._binary_rows])
-        return tuple([(1 if (u, v) in tab else 0, 1 if (v, u) in tab else 0)
-                      for tab in self._binary_tables])
+        if self._binary_rows is None:
+            self._binary_rows = tuple(self.out_bits(sym) for sym in self.vocab.binary_symbols())
+        return tuple([(out[u] >> v & 1, out[v] >> u & 1) for out in self._binary_rows])
 
     def link_rows(self, option) -> tuple[int, ...]:
         """Per point x, the bitmask of the points c with link(x, c) == option
@@ -455,9 +455,8 @@ def tuple_type(s: FinStructure, tup: Sequence[int]) -> TypeId:
 
 def add_point(tables: dict[str, set], vocab: Vocabulary, v: int, code: int) -> None:
     """Add the facts on (v, ..., v) that the point code `code` names."""
-    m = len(vocab.symbols)
-    for i, (name, arity) in enumerate(vocab.symbols):
-        if code >> (m - 1 - i) & 1:
+    for name, arity in vocab.symbols:
+        if code & vocab.code_bit(name):
             tables[name].add((v,) * arity)
 
 
@@ -471,16 +470,16 @@ def add_links(tables: dict[str, set], vocab: Vocabulary, u: int, v: int, option)
 
 
 def point_codes(s: FinStructure) -> tuple[int, ...]:
-    """The one-point type of each point as an int: of the vocabulary's m
-    symbols, the i-th sets bit m-1-i when it holds on (v, ..., v).  Two
-    points have equal codes exactly when their one-point induced
-    substructures are equal, and codes sort as the tuples of those facts.
-    Computed once per structure."""
+    """The one-point type of each point as an int: each symbol holding on
+    (v, ..., v) sets its `Vocabulary.code_bit`.  Two points have equal
+    codes exactly when their one-point induced substructures are equal,
+    and codes sort as the tuples of those facts.  Computed once per
+    structure."""
     if s._codes is None:
         codes = [0] * s.size
         for name, arity in s.vocab.symbols:
-            tab = s.tables[name]
-            codes = [c << 1 | ((v,) * arity in tab) for v, c in enumerate(codes)]
+            tab, bit = s.tables[name], s.vocab.code_bit(name)
+            codes = [c | bit if (v,) * arity in tab else c for v, c in enumerate(codes)]
         s._codes = tuple(codes)
     return s._codes
 

@@ -26,7 +26,7 @@ from .generic import (
     extension_at,
     realizer_bits,
 )
-from .reduct import pair_grids
+from .reduct import _first_clash, pair_grids
 from .structures import FinStructure, TypeId, Vocabulary, tuple_payload, tuple_type
 
 
@@ -41,12 +41,6 @@ class TypeCensus:
     distinct: bool
     entries: list[tuple[TypeId, int]]
     total: int
-
-    def count(self, t: TypeId) -> int:
-        for u, c in self.entries:
-            if u == t:
-                return c
-        return 0
 
 
 def _typed_view(s) -> tuple[int, Callable[[tuple[int, ...]], TypeId]]:
@@ -90,10 +84,6 @@ class DeterminationReport:
     tuples_checked: int
     counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    @property
-    def determined(self) -> bool:
-        return self.verdict == "determined"
-
 
 def types_determined_by_pairs(s, n: int) -> DeterminationReport:
     """Do the pairwise 2-types of an n-tuple pin down its full n-type?
@@ -104,19 +94,10 @@ def types_determined_by_pairs(s, n: int) -> DeterminationReport:
     if n < 3:
         raise InputError("pairwise determination is asked for arity >= 3")
     size, type_of = _typed_view(s)
-    family_of = pair_grids(size, type_of)
-    seen: dict[tuple, tuple[TypeId, tuple[int, ...]]] = {}
-    checked = 0
-    for tup in product(range(size), repeat=n):
-        checked += 1
-        family = family_of(tup)
-        full = type_of(tup)
-        prior = seen.get(family)
-        if prior is None:
-            seen[family] = (full, tup)
-        elif prior[0] != full:
-            return DeterminationReport("counterexample", n, checked, (prior[1], tup))
-    return DeterminationReport("determined", n, checked)
+    checked, _, clash = _first_clash(size, n, pair_grids(size, type_of), type_of)
+    if clash is None:
+        return DeterminationReport("determined", n, checked)
+    return DeterminationReport("counterexample", n, checked, clash[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,11 @@ def _link_key(vocab: Vocabulary, slot: int, option, point: int) -> tuple:
     structure: per symbol, which positions hold, among (base) and (new)
     for a unary symbol and among (base, base), (base, new), (new, base)
     and (new, new) for a binary one."""
-    m = len(vocab.symbols)
     pairs = iter(option)
     key = []
-    for i, (_name, arity) in enumerate(vocab.symbols):
-        on_base, on_new = slot >> (m - 1 - i) & 1, point >> (m - 1 - i) & 1
+    for name, arity in vocab.symbols:
+        bit = vocab.code_bit(name)
+        on_base, on_new = slot & bit, point & bit
         facts = (on_base, *next(pairs), on_new) if arity == 2 else (on_base, on_new)
         key.append(tuple(j for j, f in enumerate(facts) if f))
     return tuple(key)
@@ -127,22 +127,19 @@ def _link_key(vocab: Vocabulary, slot: int, option, point: int) -> tuple:
 def _mark_tokens(vocab: Vocabulary, code: int) -> list[str]:
     """The marks of a point code: its unary symbols, then 'loop:sym' for
     each binary symbol holding on (v, v)."""
-    m = len(vocab.symbols)
-    held = [(name, arity) for i, (name, arity) in enumerate(vocab.symbols)
-            if code >> (m - 1 - i) & 1]
+    held = [(name, arity) for name, arity in vocab.symbols if code & vocab.code_bit(name)]
     return ([name for name, arity in held if arity == 1]
             + [f"loop:{name}" for name, arity in held if arity == 2])
 
 
 def _mark_code(vocab: Vocabulary, text: str) -> int:
     """The point code of a comma-separated list of marks."""
-    names = vocab.names()
     code = 0
     for tok in (t.strip() for t in text.split(",") if t.strip()):
         name, arity = (tok[5:], 2) if tok.startswith("loop:") else (tok, 1)
         if name not in vocab or vocab.arity(name) != arity:
             raise ParseError(f"unknown mark {tok!r} in axiom")
-        code |= 1 << (len(names) - 1 - names.index(name))
+        code |= vocab.code_bit(name)
     return code
 
 
@@ -325,7 +322,6 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
         raise AdequacyError("a pair of permitted point types admits no permitted link")
     picked = list(map(add, map(first.__getitem__, pairs), _randrange_batch(rng, bounds)))
     point = [codes[a] for a in chosen]
-    m = len(vocab.symbols)
     rows = []
     for j, (sym, symmetric) in enumerate(zip(vocab.binary_symbols(), p2.symmetric())):
         # grid[u * n + v] for u < v: the pair's bits in sym
@@ -336,7 +332,7 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
         for u in range(n):
             grid[u * n + u + 1:(u + 1) * n] = drawn[start:start + n - 1 - u]
             start += n - 1 - u
-        shift = m - 1 - vocab.names().index(sym)
+        loop_bit = vocab.code_bit(sym)
         out, inn = [], []
         # point u's out-row, one digit per point v: for v < u the second bit
         # of pair (v, u), column u of the grid; its loop; for v > u the first
@@ -344,7 +340,7 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
         # swaps the bits.
         for u in range(n):
             after, before = grid[u * n + u + 1:(u + 1) * n], grid[u:u * n:n]
-            loop = b"1" if point[u] >> shift & 1 else b"0"
+            loop = b"1" if point[u] & loop_bit else b"0"
             out.append(int((before.translate(_SECOND) + loop + after.translate(_FIRST))[::-1], 2))
             if not symmetric:
                 inn.append(int((before.translate(_FIRST) + loop + after.translate(_SECOND))[::-1], 2))

@@ -251,6 +251,8 @@ def _extend_detail(vocab: Vocabulary, w: int, tau: ExtensionType, drawn) -> str:
 def grow_random(o: GenericOracle, n: int) -> list[int]:
     """Add n points with empty base: the point pattern is drawn uniformly
     from the permitted one-point types, all links from the seed stream."""
+    if n < 0:
+        raise InputError(f"cannot add a negative number of points ({n})")
     ones = o.p2.codes
     if not ones:
         raise ExtensionError("no one-point pattern is permitted")

@@ -212,7 +212,7 @@ def definable_as_union(source: TypedUniverse, relation, n: int
             raise InputError(f"relation row {t} does not have arity {n}")
         if any(x < 0 or x >= source.size for x in t):
             raise InvalidElementError(f"relation row {t} leaves the carrier")
-    checked, status, clash = _first_clash(source.size, n, source._id, rel.__contains__)
+    _, status, clash = _first_clash(source.size, n, source._id, rel.__contains__)
     types = source._types
     if clash is not None:
         first, tup, sk = clash

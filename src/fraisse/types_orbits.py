@@ -166,6 +166,8 @@ class _AclEngine:
     """
 
     def __init__(self, source, d: int, budget: int | None):
+        if d < 1:
+            raise InputError(f"the duplication bound d must be >= 1, got {d}")
         self.src = source
         self.d = d
         self.remaining = budget          # None = unlimited
@@ -314,6 +316,8 @@ def check_triviality(source, max_b: int, d: int = 5,
     """Is every point algebraic over a base of size <= max_b already
     algebraic over one of its singletons?  Bases range over the prefix
     covered by saturation level max_b + 1."""
+    if max_b < 0:
+        raise InputError(f"max_b must be >= 0, got {max_b}")
     src = as_acl_source(source)
     engine = _AclEngine(src, d, growth_budget)
     prefix = src.saturated_prefix(max_b + 1)
@@ -383,6 +387,8 @@ def check_degenerate_dependence(source, rho: int, max_b: int = 3, max_c: int = 3
     the union base needs that level."""
     if rho < 1:
         raise InputError(f"rho must be >= 1, got {rho}")
+    if max_b < 1 or max_c < 0:
+        raise InputError(f"degeneracy needs max_b >= 1 and max_c >= 0, got {max_b} and {max_c}")
     src = as_acl_source(source)
     engine = _AclEngine(src, d, growth_budget)
     prefix = src.saturated_prefix(max_b + max_c + 1)

@@ -224,6 +224,31 @@ def test_usage_errors_exit_2(p2file, capsys, tmp_path):
     assert run(["types", "--in", p2file], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["example412", "--check", "claim2", "--base-size", "4", "--pairs", "-1"],
+    ["gen", "--p2", "P2", "--points", "-2"],
+    ["acl", "--p2", "P2", "--d", "0"],
+    ["triviality", "--p2", "P2", "--max-b", "-1"],
+    ["triviality", "--p2", "P2", "--d", "0"],
+    ["degenerate", "--p2", "P2", "--max-c", "-1"],
+    ["degenerate", "--p2", "P2", "--max-b", "0"],
+])
+def test_out_of_range_bounds_exit_2(argv, p2file, capsys):
+    code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["triviality", "--p2", "P2", "--format", "csv"],
+    ["example412", "--emit-nmax", "2"],
+])
+def test_removed_options_are_usage_errors(argv, p2file, capsys):
+    code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err
+
+
 def test_reports_are_byte_identical(p2file, capsys):
     args = ["zeroone", "--p2", p2file, "--sizes", "6", "--trials", "10",
             "--seed", "9"]

@@ -183,6 +183,13 @@ def test_saturation_level_zero_needs_a_point_of_each_type():
     assert o.saturated_prefix(0) == 0
 
 
+def test_negative_growth_rejected():
+    o = fresh(3, 4)
+    with pytest.raises(InputError):
+        grow_random(o, -2)
+    assert o.size == 4 and len(o.log) == 4
+
+
 def test_negative_level_rejected():
     with pytest.raises(InputError):
         saturate(fresh(), -1)

@@ -140,13 +140,14 @@ def test_in_bits_transpose_out_bits():
 # -- links and point codes ------------------------------------------------------
 
 LINK_VOCABS = (Vocabulary([("red", 1), ("arc", 2)]),
-               Vocabulary([("adj", 2), ("bond", 2)]))
+               Vocabulary([("adj", 2), ("bond", 2)]),
+               Vocabulary([("mark", 1), ("arc", 2), ("tri", 3)]))
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _raw_structure(vocab: Vocabulary, n: int, bits: int) -> FinStructure:
-    """A structure with the facts that `bits` picks, loops included: n bits
-    per unary symbol, n * n per binary symbol."""
+    """A structure with the facts that `bits` picks, loops included:
+    n ** arity bits per symbol."""
     tables = {}
     for name, arity in vocab.symbols:
         cells = list(product(range(n), repeat=arity))
@@ -156,7 +157,7 @@ def _raw_structure(vocab: Vocabulary, n: int, bits: int) -> FinStructure:
 
 
 _linked = st.tuples(st.sampled_from(LINK_VOCABS), st.integers(0, 5),
-                    st.integers(0, (1 << 60) - 1))
+                    st.integers(0, (1 << 155) - 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,6 +188,9 @@ def test_add_point_and_add_links_write_what_link_reads(vocab, data):
         add_links(tables, vocab, u, v, option)
     s = FinStructure(vocab, n, tables)
     assert point_codes(s) == tuple(codes)
+    for v, code in enumerate(codes):
+        for name, arity in vocab.symbols:
+            assert ((v,) * arity in s.tables[name]) == bool(code & vocab.code_bit(name))
     for (u, v), option in options.items():
         assert s.link(u, v) == naive_link(s, u, v) == option
         assert s.link(v, u) == tuple((b, a) for a, b in option)

@@ -167,6 +167,22 @@ def test_degeneracy_rejects_bad_rho():
         check_degenerate_dependence(stable_oracle(), rho=0)
 
 
+def test_bounds_are_rejected_before_growth_or_enumeration():
+    # unchecked, these calls would refuse an empty oracle for want of
+    # saturation or answer over no points; a stable oracle must not grow
+    for o in (new_generic(graph_p2(), 9), stable_oracle()):
+        size = o.size
+        for call in (lambda: acl_approx(o, (), d=0),
+                     lambda: check_triviality(o, max_b=-1),
+                     lambda: check_triviality(o, max_b=1, d=0),
+                     lambda: check_degenerate_dependence(o, rho=2, max_c=-1),
+                     lambda: check_degenerate_dependence(o, rho=2, max_b=0),
+                     lambda: check_degenerate_dependence(o, rho=2, d=0)):
+            with pytest.raises(InputError):
+                call()
+            assert o.size == size
+
+
 # -- a synthetic source with a genuinely binary dependence ----------------------
 
 

@@ -210,8 +210,9 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0
     swapped; sampling draws base tuples whose adjacency patterns agree up
     to the swap parities, which is exactly when such a map is a partial
     isomorphism.  Requires the base saturated to level n + 1."""
-    if n < 0:
-        raise InputError(f"pair-extension trials need n >= 0 pairs, got {n}")
+    if n < 0 or trials < 0:
+        raise InputError(f"pair-extension trials need n >= 0 pairs and a "
+                         f"non-negative trial count, got {n} and {trials}")
     prefix = d.f_prefix(n + 1)
     if prefix < n + 1:
         raise SaturationError(

@@ -226,6 +226,7 @@ def test_usage_errors_exit_2(p2file, capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["example412", "--check", "claim2", "--base-size", "4", "--pairs", "-1"],
+    ["example412", "--check", "claim2", "--base-size", "4", "--trials", "-5"],
     ["gen", "--p2", "P2", "--points", "-2"],
     ["acl", "--p2", "P2", "--d", "0"],
     ["triviality", "--p2", "P2", "--max-b", "-1"],

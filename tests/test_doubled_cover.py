@@ -289,9 +289,11 @@ def test_claim2_extends_pair_maps():
     assert rep.prefix == o.saturated_prefix(3)
 
 
-def test_claim2_rejects_a_negative_pair_count(small_pipeline):
+def test_claim2_rejects_negative_counts(small_pipeline):
     with pytest.raises(InputError):
         verify_claim2(small_pipeline.d2, -1, 5, seed=0)
+    with pytest.raises(InputError):
+        verify_claim2(small_pipeline.d2, 0, -5, seed=0)
 
 
 def test_claim2_refuses_unsaturated(small_pipeline):

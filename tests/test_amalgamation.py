@@ -253,9 +253,10 @@ def pool_amalgam(p2: P2Spec, bound: int):
         for d in pool:
             for beta in find_embeddings(b, d):
                 partial = {g.map[i]: beta.map[f.map[i]] for i in range(len(f.map))}
-                gammas = find_embeddings(c, d, limit=1, partial=partial)
-                if gammas:
-                    return d, beta, gammas[0]
+                gamma = next((e for e in find_embeddings(c, d)
+                              if all(e.map[x] == y for x, y in partial.items())), None)
+                if gamma is not None:
+                    return d, beta, gamma
         return None
 
     return search

@@ -308,6 +308,60 @@ def test_claim2_is_deterministic():
     assert (a.successes, a.failures) == (b.successes, b.failures)
 
 
+NO_IMAGE = "no image tuple with the required pattern"
+
+# (oracle seed, grown points, n) -> (successes, prefix, failing trials) of
+# 30 trials after one saturation pass at level n + 1.  Small prefixes
+# often hold no image tuple with the sampled pattern: seed 0 on 4 points
+# at n = 3 fails 12 trials that way.
+CLAIM2_RECORDED = {
+    (0, 4, 1): (30, 4, []),
+    (0, 4, 2): (30, 4, []),
+    (0, 4, 3): (18, 4, [0, 1, 2, 3, 4, 7, 9, 10, 12, 14, 26, 27]),
+    (0, 6, 1): (30, 6, []),
+    (0, 6, 2): (30, 6, []),
+    (0, 6, 3): (18, 6, [0, 2, 3, 4, 9, 11, 18, 19, 20, 21, 25, 26]),
+    (1, 4, 1): (30, 4, []),
+    (1, 4, 2): (24, 4, [3, 9, 18, 23, 24, 25]),
+    (1, 4, 3): (15, 4, [0, 2, 3, 5, 10, 11, 13, 14, 17, 20, 22, 23, 25, 28, 29]),
+    (1, 6, 1): (30, 6, []),
+    (1, 6, 2): (30, 6, []),
+    (1, 6, 3): (22, 6, [1, 3, 6, 11, 13, 14, 18, 21]),
+    (2, 4, 1): (30, 4, []),
+    (2, 4, 2): (22, 4, [4, 9, 11, 12, 19, 20, 23, 26]),
+    (2, 4, 3): (9, 4, [0, 1, 2, 3, 5, 6, 8, 9, 10, 11, 12, 14, 16, 17, 18, 19, 20, 25, 26,
+                       28, 29]),
+    (2, 6, 1): (30, 6, []),
+    (2, 6, 2): (26, 6, [13, 14, 27, 28]),
+    (2, 6, 3): (15, 6, [0, 1, 4, 6, 8, 10, 17, 18, 19, 20, 22, 26, 27, 28, 29]),
+    (3, 4, 1): (30, 4, []),
+    (3, 4, 2): (26, 4, [2, 17, 21, 24]),
+    (3, 4, 3): (15, 4, [0, 1, 2, 5, 6, 7, 8, 9, 11, 17, 18, 19, 25, 26, 29]),
+    (3, 6, 1): (30, 6, []),
+    (3, 6, 2): (27, 6, [0, 7, 25]),
+    (3, 6, 3): (21, 6, [1, 7, 8, 16, 18, 19, 21, 25, 29]),
+}
+
+
+@pytest.mark.parametrize("seed,points,n", sorted(CLAIM2_RECORDED))
+def test_claim2_reports_match_recorded(seed, points, n):
+    o = new_generic(graph_p2(), seed)
+    grow_random(o, points)
+    saturate(o, n + 1)
+    rep = verify_claim2(build_double(o.current, o.saturation), n, 30, seed=seed)
+    successes, prefix, failing = CLAIM2_RECORDED[seed, points, n]
+    assert (rep.successes, rep.prefix) == (successes, prefix)
+    assert rep.failures == [(t, NO_IMAGE) for t in failing]
+
+
+@pytest.mark.parametrize("seed,prefix", [(5, 17), (7, 18)])
+def test_claim2_reports_on_stable_bases_match_recorded(seed, prefix):
+    _, d = sat3_instance(seed)
+    for n in (1, 2):
+        rep = verify_claim2(d, n, 60, seed=seed)
+        assert (rep.successes, rep.prefix, rep.failures) == (60, prefix, [])
+
+
 # -- marked expansion ------------------------------------------------------------------
 
 

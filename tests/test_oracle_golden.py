@@ -6,7 +6,7 @@ and CLI reports.
 * `scan`: for every pattern of `one_point_extensions` over a few bases of
   three unsaturated oracles (`graph_p2()` and the marked spec of
   `test_sampling_golden`), in order, the first realisation that
-  `find_realization` returns and the next one when the first is excluded;
+  `find_realization` returns and the second-lowest bit of `realizer_bits`;
 * `verify`: the failing subsets of `verify_saturation` on those oracles;
 * `acl`: the entries of `acl_approx` over a two-point base, on a graph
   oracle, a marked oracle and a doubled cover, with a growth budget that
@@ -45,7 +45,7 @@ from fraisse.cli import main
 from fraisse.doubled_cover import doubled_acl_source
 from fraisse.generic import (back_and_forth, find_realization, grow_random,
                              homogeneity_probe, new_generic, one_point_extensions,
-                             saturate, saturate_until_stable, verify_saturation)
+                             realizer_bits, saturate, saturate_until_stable, verify_saturation)
 from fraisse.structures import induced_substructure, point_codes, undirected_graph
 from fraisse.textio import p2_document
 from fraisse.types_orbits import acl_approx
@@ -89,7 +89,9 @@ def scan_lines() -> list[str]:
             taus = one_point_extensions(o.p2, [codes[b] for b in base], base)
             for i, tau in enumerate(taus):
                 first = find_realization(s, tau)
-                second = None if first is None else find_realization(s, tau, exclude=(first,))
+                bits = realizer_bits(s, tau)
+                rest = bits & (bits - 1)
+                second = (rest & -rest).bit_length() - 1 if rest else None
                 out.append(f"{label} {list(base)} {i} {first} {second}")
     return out
 

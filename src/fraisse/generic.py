@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .amalgamation import P2Spec, require_adequate
@@ -280,16 +280,15 @@ def one_point_extensions(p2: P2Spec, codes: Sequence[int],
     return out
 
 
-def realizer_bits(s: FinStructure, tau: ExtensionType, exclude: Iterable[int] = ()) -> int:
-    """Bitmask of the points of s outside the base and `exclude` that
-    realise tau: those with the pattern's point code, narrowed by one
+def realizer_bits(s: FinStructure, tau: ExtensionType) -> int:
+    """Bitmask of the points of s outside the base that realise tau: those with the pattern's point code, narrowed by one
     AND per base point with its row of `FinStructure.link_rows`."""
     if tau.vocab is not s.vocab and tau.vocab != s.vocab:
         raise VocabularyError("the pattern and the structure use different vocabularies")
     if tau.base and (min(tau.base) < 0 or max(tau.base) >= s.size):
         raise InvalidElementError(f"base {tau.base} is not within universe 0..{s.size - 1}")
     mask = s.code_bits(tau.point)
-    for x in chain(tau.base, exclude):
+    for x in tau.base:
         mask &= ~(1 << x)
     for b, dirs in zip(tau.base, tau.dirs):
         mask &= s.link_rows(dirs)[b]
@@ -298,11 +297,18 @@ def realizer_bits(s: FinStructure, tau: ExtensionType, exclude: Iterable[int] = 
     return mask
 
 
-def find_realization(s: FinStructure, tau: ExtensionType,
-                     exclude: Iterable[int] = ()) -> int | None:
+def find_realization(s: FinStructure, tau: ExtensionType) -> int | None:
     """First point of s realising tau over its base, or None."""
-    mask = realizer_bits(s, tau, exclude)
+    mask = realizer_bits(s, tau)
     return (mask & -mask).bit_length() - 1 if mask else None
+
+
+def extends(s: FinStructure, dom: Sequence[int], img: Sequence[int], x: int) -> bool:
+    """Does some point of s realise over `img` what x realises over `dom`?
+    When dom -> img is a partial isomorphism, that point is exactly an
+    image of x that extends it."""
+    tau = extension_at(s, dom, x)
+    return find_realization(s, ExtensionType(s.vocab, img, tau.dirs, tau.point)) is not None
 
 
 @dataclass
@@ -581,13 +587,7 @@ def homogeneity_probe(o: GenericOracle, m: int, trials: int) -> ProbeReport:
         image = tuple(f.map[i] for i in range(m))
         candidates = [x for x in range(s.size) if x not in subset]
         x = candidates[rng.randrange(len(candidates))] if candidates else None
-        if x is None:
-            successes += 1
-            continue
-        # f is an embedding, so y extends it exactly when y realises over
-        # the image what x realises over the subset
-        tau = extension_at(s, subset, x)
-        if find_realization(s, ExtensionType(s.vocab, image, tau.dirs, tau.point)) is not None:
+        if x is None or extends(s, subset, image, x):
             successes += 1
         else:
             failures.append((subset, image, x))

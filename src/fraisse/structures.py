@@ -498,13 +498,8 @@ def _degree_vectors(s: FinStructure) -> list[tuple[int, ...]]:
 
 
 def find_embeddings(a: FinStructure, b: FinStructure,
-                    limit: int | None = None,
-                    partial: dict[int, int] | None = None) -> list[Embedding]:
-    """All strong injective maps a -> b, lexicographically by map tuple.
-
-    `partial` prescribes images for some source points; only embeddings
-    extending it are returned.
-    """
+                    limit: int | None = None) -> list[Embedding]:
+    """All strong injective maps a -> b, lexicographically by map tuple."""
     if a.vocab != b.vocab:
         raise VocabularyError("embedding endpoints use different vocabularies")
     if limit is not None and limit <= 0:
@@ -513,14 +508,6 @@ def find_embeddings(a: FinStructure, b: FinStructure,
         return [Embedding(a, b, (), check=False)]
     if a.size > b.size:
         return []
-    if partial:
-        if any(x < 0 or x >= a.size or y < 0 or y >= b.size
-               for x, y in partial.items()):
-            raise InvalidElementError("partial map leaves the universes")
-        if len(set(partial.values())) != len(partial):
-            raise InvalidElementError("partial map is not injective")
-    else:
-        partial = {}
     deg_a = _degree_vectors(a)
     deg_b = _degree_vectors(b)
     symbols = a.vocab.symbols
@@ -546,8 +533,7 @@ def find_embeddings(a: FinStructure, b: FinStructure,
             out.append(Embedding(a, b, tuple(mapping), check=False))
             return limit is not None and len(out) >= limit
         need = deg_a[i]
-        forced = partial.get(i)
-        for w in range(b.size) if forced is None else (forced,):
+        for w in range(b.size):
             if used[w]:
                 continue
             dw = deg_b[w]

@@ -246,13 +246,6 @@ def test_embedding_limit():
     assert len(find_embeddings(edge, tri, limit=2)) == 2
 
 
-def test_embedding_partial_pin():
-    edge = undirected_graph(2, [(0, 1)])
-    tri = undirected_graph(3, [(0, 1), (1, 2), (0, 2)])
-    got = {e.map for e in find_embeddings(edge, tri, partial={0: 2})}
-    assert got == {(2, 0), (2, 1)}
-
-
 @settings(max_examples=80, deadline=None)
 @given(graphs, st.integers(min_value=0, max_value=2**30))
 def test_isomorphic_to_permuted_copy(spec, seed):

@@ -26,6 +26,7 @@ from .amalgamation import (
     graph_p2,
 )
 from .doubled_cover import (
+    _check_claim2_counts,
     build_double,
     build_expansion_star,
     e_definability_check,
@@ -36,15 +37,11 @@ from .doubled_cover import (
     verify_claim3,
 )
 from .errors import (
-    AdequacyError,
     ConfigurationNotFoundError,
     ExtensionError,
     FraisseError,
     InputError,
-    InvalidElementError,
-    ParseError,
     SaturationError,
-    VocabularyError,
 )
 from .generic import grow_random, new_generic, saturate, saturate_until_stable
 from .reduct import (
@@ -55,8 +52,10 @@ from .reduct import (
     save_typed_universe,
 )
 from .structures import FinStructure
-from .textio import load_p2, load_structure, structure_document
+from .textio import Document, document_text, load_p2, load_structure, structure_document
 from .types_orbits import (
+    _check_bounds,
+    _check_degeneracy_bounds,
     acl_approx,
     check_degenerate_dependence,
     check_triviality,
@@ -125,6 +124,10 @@ class Report:
         print("\n".join(self.lines))
 
 
+def _exit_code(verdict: str, positive: str, negative: str) -> int:
+    return {positive: 0, negative: 1}.get(verdict, INCONCLUSIVE)
+
+
 def _structure_lines(s: FinStructure, name: str) -> list[str]:
     return structure_document(s, name=name).rstrip("\n").splitlines()
 
@@ -179,22 +182,19 @@ def cmd_check_ap(args) -> int:
               f"{rep.counterexample.base.size}/"
               f"{rep.counterexample.left.size}/{rep.counterexample.right.size}")
     r.emit()
-    if rep.verdict == "holds":
-        return 0
-    return 1 if rep.verdict == "fails" else INCONCLUSIVE
+    return _exit_code(rep.verdict, "holds", "fails")
 
 
 def cmd_enum(args) -> int:
-    from .textio import structure_block, vocab_block
     p2 = load_p2(args.p2)
     reps = enumerate_rp2(p2, args.size)
     r = Report("enum", [args.p2])
     # non-document lines are comments so the output parses as a document
     r.add(f"# size: {args.size}", f"# isomorphism types: {len(reps)}")
     if reps:
-        r.add("", *vocab_block("v", reps[0].vocab).rstrip("\n").splitlines())
-    for i, s in enumerate(reps):
-        r.add("", *structure_block(f"rep{i}", s, "v").rstrip("\n").splitlines())
+        names = [f"rep{i}" for i in range(len(reps))]
+        doc = Document({"v": reps[0].vocab}, dict(zip(names, reps)), names)
+        r.add("", *document_text(doc).splitlines())
     r.emit()
     return 0
 
@@ -263,6 +263,7 @@ def _grown_oracle(args, seed: int, need_level: int):
 def cmd_acl(args) -> int:
     seed = _resolve_seed(args)
     base = tuple(int(x) for x in args.base.split(",")) if args.base else ()
+    _check_bounds(args.d)
     oracle = _grown_oracle(args, seed, len(base) + 1)
     rep = acl_approx(oracle, base, d=args.d, growth_budget=args.growth_budget)
     r = Report("acl", [args.p2], seed=seed)
@@ -278,6 +279,7 @@ def cmd_acl(args) -> int:
 
 def cmd_triviality(args) -> int:
     seed = _resolve_seed(args)
+    _check_bounds(args.d, args.max_b)
     oracle = _grown_oracle(args, seed, args.max_b + 1)
     rep = check_triviality(oracle, args.max_b, d=args.d,
                            growth_budget=args.growth_budget)
@@ -292,13 +294,12 @@ def cmd_triviality(args) -> int:
         r.add(f"counterexample: element {a} algebraic over {list(b)} "
               "but over no singleton of it")
     r.emit()
-    if rep.verdict == "trivial":
-        return 0
-    return 1 if rep.verdict == "nontrivial" else INCONCLUSIVE
+    return _exit_code(rep.verdict, "trivial", "nontrivial")
 
 
 def cmd_degenerate(args) -> int:
     seed = _resolve_seed(args)
+    _check_degeneracy_bounds(args.rho, args.max_b, args.max_c, args.d)
     oracle = _grown_oracle(args, seed, args.max_b + args.max_c + 1)
     rep = check_degenerate_dependence(oracle, args.rho, max_b=args.max_b,
                                       max_c=args.max_c, d=args.d,
@@ -314,21 +315,21 @@ def cmd_degenerate(args) -> int:
         r.add(f"counterexample: element {a} depends on {list(bb)} "
               f"over {list(cb)} with no small witness set")
     r.emit()
-    if rep.verdict == "degenerate":
-        return 0
-    return 1 if rep.verdict == "counterexample" else INCONCLUSIVE
+    return _exit_code(rep.verdict, "degenerate", "counterexample")
 
 
 def cmd_example412(args) -> int:
     seed = _resolve_seed(args)
+    checks = (["claim1", "e-def", "claim3", "separation", "claim2", "reduct"]
+              if args.check == "all" else [args.check])
+    if "claim2" in checks:
+        _check_claim2_counts(args.pairs, args.trials)
     p2 = graph_p2()
     oracle = new_generic(p2, seed)
     grow_random(oracle, args.base_size)
     saturate_until_stable(oracle, 2, new_point_budget=args.budget)
     f2 = oracle.current
     d2 = build_double(f2, oracle.saturation)
-    checks = (["claim1", "e-def", "claim3", "separation", "claim2", "reduct"]
-              if args.check == "all" else [args.check])
     r = Report("example412", seed=seed)
     r.add(f"base size requested: {args.base_size}",
           f"2-stable base size: {f2.size}",
@@ -388,8 +389,6 @@ def cmd_example412(args) -> int:
                   f"reduct of marked pair-family: {rep_pos.verdict} up to "
                   f"arity {args.nmax}")
             failed |= rep_neg.holds or not rep_pos.holds
-        else:
-            raise InputError(f"unknown check {check!r}")
     if args.emit_structures:
         outdir = Path(args.emit_structures)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -673,20 +672,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (InputError, VocabularyError, InvalidElementError, AdequacyError,
-            FileNotFoundError, IsADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
     except (SaturationError, ExtensionError) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return INCONCLUSIVE
     except ConfigurationNotFoundError as e:
         print(f"not found: {e}", file=sys.stderr)
         return 1
-    except FraisseError as e:
+    except (FraisseError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

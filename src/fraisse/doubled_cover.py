@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     ConfigurationNotFoundError,
@@ -199,6 +199,12 @@ class Claim2Report:
         return self.successes == self.trials
 
 
+def _check_claim2_counts(n: int, trials: int) -> None:
+    if n < 0 or trials < 0:
+        raise InputError(f"pair-extension trials need n >= 0 pairs and a "
+                         f"non-negative trial count, got {n} and {trials}")
+
+
 def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0
                   ) -> Claim2Report:
     """Sample pair-closed partial isomorphisms on n bonded pairs and try
@@ -208,9 +214,7 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0
     swapped; sampling draws base tuples whose adjacency patterns agree up
     to the swap parities, which is exactly when such a map is a partial
     isomorphism.  Requires the base saturated to level n + 1."""
-    if n < 0 or trials < 0:
-        raise InputError(f"pair-extension trials need n >= 0 pairs and a "
-                         f"non-negative trial count, got {n} and {trials}")
+    _check_claim2_counts(n, trials)
     prefix = d.f_prefix(n + 1)
     if prefix < n + 1:
         raise SaturationError(
@@ -227,13 +231,12 @@ def verify_claim2(d: DoubledStructure, n: int, trials: int, seed: int = 0
         hs: list[int] = []
         offset = rng.randrange(prefix)
         for i in range(n):
-            # the unpicked prefix points c with adjacency to each earlier
-            # h = hs[j] equal to that of gs[i] to gs[j], flipped by the swaps;
-            # the first at or after offset, cyclically
+            # unpicked prefix points adjacent to each earlier hs[j] exactly when
+            # gs[i] is to gs[j], up to the swaps; the first at or after offset
             mask = (1 << prefix) - 1
             for j, h in enumerate(hs):
-                same = fbits[gs[i]] >> gs[j] & 1 ^ s_bits[i] ^ s_bits[j]
-                mask &= ~(1 << h) & (fbits[h] if same else ~fbits[h])
+                adj = fbits[gs[i]] >> gs[j] & 1 ^ s_bits[i] ^ s_bits[j]
+                mask &= ~(1 << h) & (fbits[h] if adj else ~fbits[h])
             if not mask:
                 report.failures.append((t, "no image tuple with the required pattern"))
                 break

@@ -281,8 +281,9 @@ def one_point_extensions(p2: P2Spec, codes: Sequence[int],
 
 
 def realizer_bits(s: FinStructure, tau: ExtensionType) -> int:
-    """Bitmask of the points of s outside the base that realise tau: those with the pattern's point code, narrowed by one
-    AND per base point with its row of `FinStructure.link_rows`."""
+    """Bitmask of the points of s outside the base that realise tau: those
+    with the pattern's point code, narrowed by one AND per base point with
+    its row of `FinStructure.link_rows`."""
     if tau.vocab is not s.vocab and tau.vocab != s.vocab:
         raise VocabularyError("the pattern and the structure use different vocabularies")
     if tau.base and (min(tau.base) < 0 or max(tau.base) >= s.size):
@@ -305,8 +306,7 @@ def find_realization(s: FinStructure, tau: ExtensionType) -> int | None:
 
 def extends(s: FinStructure, dom: Sequence[int], img: Sequence[int], x: int) -> bool:
     """Does some point of s realise over `img` what x realises over `dom`?
-    When dom -> img is a partial isomorphism, that point is exactly an
-    image of x that extends it."""
+    Such points are the images of x that extend a partial isomorphism dom -> img."""
     tau = extension_at(s, dom, x)
     return find_realization(s, ExtensionType(s.vocab, img, tau.dirs, tau.point)) is not None
 

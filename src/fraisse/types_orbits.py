@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError, InvalidElementError, SaturationError
 from .generic import (
@@ -166,8 +166,6 @@ class _AclEngine:
     """
 
     def __init__(self, source, d: int, budget: int | None):
-        if d < 1:
-            raise InputError(f"the duplication bound d must be >= 1, got {d}")
         self.src = source
         self.d = d
         self.remaining = budget          # None = unlimited
@@ -232,6 +230,21 @@ class _AclEngine:
         return out
 
 
+def _check_bounds(d: int, max_b: int = 0) -> None:
+    if max_b < 0:
+        raise InputError(f"max_b must be >= 0, got {max_b}")
+    if d < 1:
+        raise InputError(f"the duplication bound d must be >= 1, got {d}")
+
+
+def _check_degeneracy_bounds(rho: int, max_b: int, max_c: int, d: int) -> None:
+    if rho < 1:
+        raise InputError(f"rho must be >= 1, got {rho}")
+    if max_b < 1 or max_c < 0:
+        raise InputError(f"degeneracy needs max_b >= 1 and max_c >= 0, got {max_b} and {max_c}")
+    _check_bounds(d)
+
+
 def _check_base(source, base: Sequence[int]) -> tuple[int, ...]:
     base = tuple(int(b) for b in base)
     if len(set(base)) != len(base):
@@ -281,6 +294,7 @@ def acl_approx(source, base: Sequence[int], d: int = 5,
     """Per-element algebraicity verdicts over `base` with duplication
     bound d.  Requires the source saturated to level |base| + 1 over a
     prefix covering the base."""
+    _check_bounds(d)
     src = as_acl_source(source)
     engine = _AclEngine(src, d, growth_budget)
     base = _check_base(src, base)
@@ -316,8 +330,7 @@ def check_triviality(source, max_b: int, d: int = 5,
     """Is every point algebraic over a base of size <= max_b already
     algebraic over one of its singletons?  Bases range over the prefix
     covered by saturation level max_b + 1."""
-    if max_b < 0:
-        raise InputError(f"max_b must be >= 0, got {max_b}")
+    _check_bounds(d, max_b)
     src = as_acl_source(source)
     engine = _AclEngine(src, d, growth_budget)
     prefix = src.saturated_prefix(max_b + 1)
@@ -385,10 +398,7 @@ def check_degenerate_dependence(source, rho: int, max_b: int = 3, max_c: int = 3
     sub-base B0 of B with at most rho - 1 points.  B and C range over the
     prefix covered by saturation level max_b + max_c + 1, since acl over
     the union base needs that level."""
-    if rho < 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
-    if max_b < 1 or max_c < 0:
-        raise InputError(f"degeneracy needs max_b >= 1 and max_c >= 0, got {max_b} and {max_c}")
+    _check_degeneracy_bounds(rho, max_b, max_c, d)
     src = as_acl_source(source)
     engine = _AclEngine(src, d, growth_budget)
     prefix = src.saturated_prefix(max_b + max_c + 1)

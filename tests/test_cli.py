@@ -240,6 +240,36 @@ def test_out_of_range_bounds_exit_2(argv, p2file, capsys):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+REJECTED_BOUNDS = [
+    (["acl", "--p2", "P2", "--d", "0"], "the duplication bound d must be >= 1, got 0"),
+    (["triviality", "--p2", "P2", "--max-b", "-1"], "max_b must be >= 0, got -1"),
+    (["triviality", "--p2", "P2", "--d", "0"], "the duplication bound d must be >= 1, got 0"),
+    (["degenerate", "--p2", "P2", "--rho", "0"], "rho must be >= 1, got 0"),
+    (["degenerate", "--p2", "P2", "--max-c", "-1"],
+     "degeneracy needs max_b >= 1 and max_c >= 0, got 3 and -1"),
+    (["degenerate", "--p2", "P2", "--max-b", "0"],
+     "degeneracy needs max_b >= 1 and max_c >= 0, got 0 and 3"),
+    (["degenerate", "--p2", "P2", "--d", "0"], "the duplication bound d must be >= 1, got 0"),
+    (["example412", "--pairs", "-1"],
+     "pair-extension trials need n >= 0 pairs and a non-negative trial count, got -1 and 200"),
+    (["example412", "--check", "claim2", "--trials", "-5"],
+     "pair-extension trials need n >= 0 pairs and a non-negative trial count, got 2 and -5"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED_BOUNDS,
+                         ids=[" ".join(a for a in argv if a not in ("--p2", "P2"))
+                              for argv, _ in REJECTED_BOUNDS])
+def test_out_of_range_bounds_are_rejected_before_any_oracle(argv, message, p2file, capsys,
+                                                            monkeypatch):
+    def no_oracle(*args):
+        raise AssertionError("an oracle was built before the bounds were checked")
+
+    monkeypatch.setattr("fraisse.cli.new_generic", no_oracle)
+    code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["triviality", "--p2", "P2", "--format", "csv"],
     ["example412", "--emit-nmax", "2"],

@@ -54,6 +54,7 @@ from .reduct import (
 from .structures import FinStructure
 from .textio import Document, document_text, load_p2, load_structure, structure_document
 from .types_orbits import (
+    _check_base_points,
     _check_bounds,
     _check_degeneracy_bounds,
     acl_approx,
@@ -230,10 +231,9 @@ def cmd_gen(args) -> int:
 
 def cmd_types(args) -> int:
     s = load_structure(args.input)
-    params = tuple(int(x) for x in args.params.split(",")) if args.params else ()
-    census = enumerate_types(s, args.n, params=params, distinct=args.distinct)
+    census = enumerate_types(s, args.n, params=args.params, distinct=args.distinct)
     r = Report("types", [args.input])
-    r.add(f"arity: {args.n}", f"parameters: {list(params)}",
+    r.add(f"arity: {args.n}", f"parameters: {list(args.params)}",
           f"distinct tuples only: {args.distinct}",
           f"distinct types: {len(census.entries)}",
           f"tuples counted: {census.total}")
@@ -262,10 +262,10 @@ def _grown_oracle(args, seed: int, need_level: int):
 
 def cmd_acl(args) -> int:
     seed = _resolve_seed(args)
-    base = tuple(int(x) for x in args.base.split(",")) if args.base else ()
     _check_bounds(args.d)
-    oracle = _grown_oracle(args, seed, len(base) + 1)
-    rep = acl_approx(oracle, base, d=args.d, growth_budget=args.growth_budget)
+    _check_base_points(args.base)
+    oracle = _grown_oracle(args, seed, len(args.base) + 1)
+    rep = acl_approx(oracle, args.base, d=args.d, growth_budget=args.growth_budget)
     r = Report("acl", [args.p2], seed=seed)
     r.add(f"base: {list(rep.base)}", f"duplication bound d: {rep.d}",
           f"points added while probing: {rep.added}",
@@ -423,8 +423,7 @@ def cmd_zeroone(args) -> int:
             axioms.extend(full_extension_axioms(p2, k))
     if not axioms:
         axioms = [ax for k in (1, 2) for ax in full_extension_axioms(p2, k)]
-    sizes = [int(x) for x in args.sizes.split(",")]
-    rep = convergence_report(p2, axioms, sizes, args.trials, seed=seed)
+    rep = convergence_report(p2, axioms, args.sizes, args.trials, seed=seed)
     r = Report("zeroone", [args.p2], seed=seed)
     r.add(f"axioms: {len(axioms)}", f"trials per size: {rep.trials}",
           "note: sampling is labelled-uniform, independent across points "
@@ -473,6 +472,15 @@ def cmd_reduct(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; the empty string is the empty tuple."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _seed_opt(p):
@@ -568,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "relative to parameter points.")
     p.add_argument("--in", dest="input", required=True, help="structure file")
     p.add_argument("--n", type=int, required=True, help="tuple arity")
-    p.add_argument("--params", default="", help="comma-separated parameters")
+    p.add_argument("--params", type=_int_list, default="",
+                   help="comma-separated parameters")
     p.add_argument("--distinct", action="store_true",
                    help="count only tuples of distinct points")
     _format_opt(p)
@@ -583,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", required=True, help="permission-set file")
     _seed_opt(p)
     _oracle_opts(p)
-    p.add_argument("--base", default="", help="comma-separated base points")
+    p.add_argument("--base", type=_int_list, default="",
+                   help="comma-separated base points")
     _format_opt(p)
     p.set_defaults(func=cmd_acl, points=8)
 
@@ -649,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeatable")
     p.add_argument("--full", type=int, default=None, metavar="K",
                    help="add every axiom with up to K base points")
-    p.add_argument("--sizes", default="10,20,50,100,200")
+    p.add_argument("--sizes", type=_int_list, default="10,20,50,100,200")
     p.add_argument("--trials", type=int, default=200)
     _format_opt(p)
     p.set_defaults(func=cmd_zeroone)

@@ -9,15 +9,17 @@ when they have no common neighbour.
 
 The quotient by bonded pairs is carried as a geometry of classes whose
 n-types are taken up to within-pair swaps: the type of a class tuple is
-the minimum, over all choices of representative order inside each pair,
-of the labelled type of the flattened point tuple in the ambient
-structure (the cover itself, or an expansion of it)."""
+what the flattened point tuple's labelled type keeps under every choice
+of representative order inside each pair.  Two ambients are read, both
+in closed form off the base adjacencies: the cover itself, where swaps
+act on the base-adjacency matrix as XOR cuts, and the cover marked on
+one full level, where the mark freezes the swaps."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .errors import (
@@ -38,7 +40,6 @@ from .structures import (
     TypeId,
     expand_with_marks,
     induced_substructure,
-    tuple_payload,
 )
 
 
@@ -282,7 +283,8 @@ def _xor_cut_canon(bits: int, m: int) -> int:
 
 
 class QuotientGeometry:
-    """Classes are bonded pairs; types are taken up to within-pair swaps."""
+    """Classes are bonded pairs; types are taken up to within-pair swaps.
+    The ambient is the cover or the cover marked on one level."""
 
     __slots__ = ("double", "ambient", "size", "_memo", "_mode", "_fbits")
 
@@ -297,10 +299,11 @@ class QuotientGeometry:
         self._fbits = double.base.out_bits(double.symbol)
 
     def _detect_mode(self) -> str:
-        """Two ambients admit an exact shortcut: the bare cover, whose
-        swap orbit is the base-adjacency matrix up to XOR cuts, and the
-        cover with one unary mark on a full level, which freezes swaps
-        so the matrix itself is the invariant."""
+        """`cover` for the bare cover, whose swap orbit is the
+        base-adjacency matrix up to XOR cuts, or `marked` for the cover
+        with one unary mark on a full level, which freezes swaps so the
+        matrix itself is the invariant; any other ambient is an
+        InputError."""
         d = self.double
         amb = self.ambient
         if amb is d.m or (amb.vocab == d.m.vocab and amb.tables == d.m.tables):
@@ -313,18 +316,14 @@ class QuotientGeometry:
                 marked = {t[0] for t in amb.tables[unary]}
                 if marked in (set(d.level_points(0)), set(d.level_points(1))):
                     return "marked"
-        return "general"
+        raise InputError("the quotient reads the cover or the cover marked on one level")
 
     def class_members(self, g: int) -> tuple[int, int]:
         return (2 * g, 2 * g + 1)
 
     def pair_type(self, classes: Sequence[int]) -> TypeId:
-        """Swap-invariant type of an ordered tuple of classes.
-
-        The `cover` and `marked` modes read the type off the base
-        adjacencies in closed form, for any number of classes.  The
-        `general` mode searches all 2^m swap choices of the m distinct
-        classes and refuses m > 8 with InputError."""
+        """Swap-invariant type of an ordered tuple of classes, read off the
+        base adjacencies in closed form for any number of classes."""
         tup = tuple(int(g) for g in classes)
         if any(g < 0 or g >= self.size for g in tup):
             raise InvalidElementError(f"classes {tup} leave the quotient")
@@ -332,49 +331,23 @@ class QuotientGeometry:
         eq = tuple(first.setdefault(g, i) for i, g in enumerate(tup))
         distinct = [g for i, g in enumerate(tup) if eq[i] == i]
         m = len(distinct)
-        if self._mode != "general":
-            bits = 0
-            pos = 0
-            fbits = self._fbits
-            for i in range(m):
-                row = fbits[distinct[i]]
-                for j in range(i + 1, m):
-                    bits |= ((row >> distinct[j]) & 1) << pos
-                    pos += 1
-            memo_key = (len(tup), eq, bits)
-            hit = self._memo.get(memo_key)
-            if hit is None:
-                if self._mode == "cover":
-                    bits = _xor_cut_canon(bits, m)
-                hit = TypeId("pair", self.ambient.vocab.symbols,
-                             (len(tup), eq, (self._mode, m, bits)))
-                self._memo[memo_key] = hit
-            return hit
-        if m > 8:
-            raise InputError("class tuples with more than 8 distinct classes "
-                             "are beyond the swap search this carries")
-        flat0 = tuple(x for g in distinct for x in (2 * g, 2 * g + 1))
-        p0 = tuple_payload(self.ambient.vocab, self.ambient.tables, flat0)
-        memo_key = (eq, p0)
+        bits = 0
+        pos = 0
+        fbits = self._fbits
+        for i in range(m):
+            row = fbits[distinct[i]]
+            for j in range(i + 1, m):
+                bits |= ((row >> distinct[j]) & 1) << pos
+                pos += 1
+        memo_key = (len(tup), eq, bits)
         hit = self._memo.get(memo_key)
-        if hit is not None:
-            return hit
-        count, eq0, rel0 = p0
-        best = None
-        for s in product((0, 1), repeat=m):
-            if any(s):
-                rel_s = tuple(
-                    tuple(sorted(tuple(q ^ s[q >> 1] for q in hitpos)
-                                 for hitpos in sym_hits))
-                    for sym_hits in rel0)
-                cand = (count, eq0, rel_s)
-            else:
-                cand = p0
-            if best is None or cand < best:
-                best = cand
-        tid = TypeId("pair", self.ambient.vocab.symbols, (len(tup), eq, best))
-        self._memo[memo_key] = tid
-        return tid
+        if hit is None:
+            if self._mode == "cover":
+                bits = _xor_cut_canon(bits, m)
+            hit = TypeId("pair", self.ambient.vocab.symbols,
+                         (len(tup), eq, (self._mode, m, bits)))
+            self._memo[memo_key] = hit
+        return hit
 
     def type_of(self, tup: Sequence[int]) -> TypeId:
         return self.pair_type(tup)

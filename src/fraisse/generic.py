@@ -487,25 +487,29 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
                  for tup in product(range(s.size), repeat=arity)]
         ends.append(len(keys))
 
-    def atom(si: int, tup: tuple) -> tuple:
-        """The facts of tup and the set of facts of its one-point extensions."""
-        s = sides[si]
-        ext = frozenset(tuple_payload(s.vocab, s.tables, tup + (c,))
-                        for c in range(s.size) if c not in tup)
-        return tuple_payload(s.vocab, s.tables, tup), ext
+    ids: dict[tuple, int] = {}
+
+    def facts(key: tuple[int, tuple]) -> int:
+        """A tuple's class by its facts, at any arity: recomputed, not stored."""
+        s = sides[key[0]]
+        return ids.setdefault(tuple_payload(s.vocab, s.tables, key[1]), len(ids))
 
     # levels[r][(side, tup)]: the class of tup with r rounds left, for arity
-    # <= k - r; ids go in first-seen order, since only their equality is read
+    # <= k - r, from its class one level down and the classes of its
+    # extensions by a point outside tup (an extension by a point of tup is
+    # fixed by tup's own class); ids go in first-seen order, since only
+    # their equality is read
     levels: list[dict[tuple[int, tuple], int]] = []
+    down = facts
     for r in range(k + 1):
-        ids: dict[tuple, int] = {}
+        level_ids: dict[tuple, int] = {}
         level = {}
         for si, tup in keys[:ends[k - r]]:
-            raw = atom(si, tup) if r == 0 else (
-                levels[-1][si, tup],
-                frozenset(levels[-1][si, tup + (c,)] for c in range(sides[si].size)))
-            level[si, tup] = ids.setdefault(raw, len(ids))
+            raw = (down((si, tup)), frozenset(down((si, tup + (c,)))
+                                              for c in range(sides[si].size) if c not in tup))
+            level[si, tup] = level_ids.setdefault(raw, len(level_ids))
         levels.append(level)
+        down = level.__getitem__
 
     if levels[k][0, ()] == levels[k][1, ()]:
         return BackAndForthReport(k, True)

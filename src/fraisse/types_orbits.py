@@ -19,15 +19,9 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .errors import InputError, InvalidElementError, SaturationError
-from .generic import (
-    ExtensionType,
-    GenericOracle,
-    extend_one_point,
-    extension_at,
-    realizer_bits,
-)
+from .generic import GenericOracle, extend_one_point, extension_at, realizer_bits
 from .reduct import _first_clash, pair_grids
-from .structures import FinStructure, TypeId, Vocabulary, tuple_payload, tuple_type
+from .structures import FinStructure, TypeId, Vocabulary, tuple_type
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +155,8 @@ class _AclEngine:
     are never destroyed, equality-bound types never gain any, and a
     source saying "no more realizations can exist" certifies that for
     the whole class, not just the present approximation.  Growth never
-    changes the facts among existing points either, so a point's key over
-    a base is fixed and its verdict is memoised under both.
+    changes the facts among existing points either, so the pattern a point
+    realises over a base is fixed and its verdict is memoised under both.
     """
 
     def __init__(self, source, d: int, budget: int | None):
@@ -170,24 +164,8 @@ class _AclEngine:
         self.d = d
         self.remaining = budget          # None = unlimited
         self.added = 0
-        # (base, key) -> verdict, and (base, a) -> the verdict of a's key
+        # (base, pattern) -> verdict, and (base, a) -> the verdict of a's pattern
         self._verdicts: dict[tuple, str] = {}
-
-    @staticmethod
-    def _key(s: FinStructure, base: tuple[int, ...], a: int):
-        """What a realises over base: its extension pattern, or, when a
-        symbol has arity above 2, the payload of base + (a,)."""
-        if s.vocab.binary:
-            return extension_at(s, base, a)
-        return tuple_payload(s.vocab, s.tables, base + (a,))
-
-    @staticmethod
-    def _realizers(s: FinStructure, base: tuple[int, ...], key) -> int:
-        """Bitmask of the points outside base that realise key."""
-        if isinstance(key, ExtensionType):
-            return realizer_bits(s, key)
-        return sum(1 << c for c in range(s.size) if c not in base
-                   and tuple_payload(s.vocab, s.tables, base + (c,)) == key)
 
     def verdict(self, base: tuple[int, ...], a: int) -> str:
         """"algebraic" | "non-algebraic" | "inconclusive" for a over base."""
@@ -197,10 +175,10 @@ class _AclEngine:
         if got is not None:
             return got
         s = self.src.snapshot()
-        key = self._key(s, base, a)
+        key = extension_at(s, base, a)
         got = self._verdicts.get((base, key))
         if got is None:
-            count = self._realizers(s, base, key).bit_count()
+            count = realizer_bits(s, key).bit_count()
             while count < self.d:
                 if self.remaining is not None and self.added >= self.remaining:
                     got = "inconclusive"
@@ -221,7 +199,7 @@ class _AclEngine:
         if a in base:
             return [a]
         s = self.src.snapshot()
-        bits = self._realizers(s, base, self._key(s, base, a))
+        bits = realizer_bits(s, extension_at(s, base, a))
         out = []
         while bits and (cap is None or len(out) < cap):
             low = bits & -bits
@@ -245,11 +223,19 @@ def _check_degeneracy_bounds(rho: int, max_b: int, max_c: int, d: int) -> None:
     _check_bounds(d)
 
 
-def _check_base(source, base: Sequence[int]) -> tuple[int, ...]:
+def _check_base_points(base: Sequence[int]) -> tuple[int, ...]:
+    """The checks on a base that need no source: distinct, non-negative points."""
     base = tuple(int(b) for b in base)
     if len(set(base)) != len(base):
         raise InputError(f"base {base} repeats a point")
-    if any(b < 0 or b >= source.size for b in base):
+    if any(b < 0 for b in base):
+        raise InvalidElementError(f"base {base} leaves the universe")
+    return base
+
+
+def _check_base(source, base: Sequence[int]) -> tuple[int, ...]:
+    base = _check_base_points(base)
+    if any(b >= source.size for b in base):
         raise InvalidElementError(f"base {base} leaves the universe")
     prefix = source.saturated_prefix(len(base) + 1)
     need = max(base) + 1 if base else 0

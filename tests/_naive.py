@@ -197,6 +197,19 @@ def type_desc(s: FinStructure, tup) -> tuple:
     return (len(tup), tuple(eq), tuple(facts))
 
 
+def naive_pair_key(s: FinStructure, classes) -> tuple:
+    """Swap-invariant description of a tuple of bonded-pair classes, class
+    g being the points 2g and 2g + 1: the classes' equality pattern and the
+    least `type_desc`, over all 2^m orders inside the m distinct classes,
+    of the flattened tuple of their points."""
+    classes = tuple(classes)
+    first = {}
+    eq = tuple(first.setdefault(g, i) for i, g in enumerate(classes))
+    best = min(type_desc(s, [x for g, f in zip(first, flips) for x in (2 * g + f, 2 * g + 1 - f)])
+               for flips in product((0, 1), repeat=len(first)))
+    return len(classes), eq, best
+
+
 def naive_realizers(s: FinStructure, base, a: int) -> list[int]:
     """The points c outside `base`, ascending, for which base + (c,) has
     the same type as base + (a,)."""

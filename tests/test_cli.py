@@ -242,6 +242,8 @@ def test_out_of_range_bounds_exit_2(argv, p2file, capsys):
 
 REJECTED_BOUNDS = [
     (["acl", "--p2", "P2", "--d", "0"], "the duplication bound d must be >= 1, got 0"),
+    (["acl", "--p2", "P2", "--base", "0,0"], "base (0, 0) repeats a point"),
+    (["acl", "--p2", "P2", "--base", "2,-1"], "base (2, -1) leaves the universe"),
     (["triviality", "--p2", "P2", "--max-b", "-1"], "max_b must be >= 0, got -1"),
     (["triviality", "--p2", "P2", "--d", "0"], "the duplication bound d must be >= 1, got 0"),
     (["degenerate", "--p2", "P2", "--rho", "0"], "rho must be >= 1, got 0"),
@@ -268,6 +270,22 @@ def test_out_of_range_bounds_are_rejected_before_any_oracle(argv, message, p2fil
     monkeypatch.setattr("fraisse.cli.new_generic", no_oracle)
     code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+MALFORMED_LISTS = [
+    (["acl", "--p2", "P2", "--base", "a"], "--base", "'a'"),
+    (["types", "--in", "P2", "--n", "1", "--params", "x"], "--params", "'x'"),
+    (["zeroone", "--p2", "P2", "--sizes", "x"], "--sizes", "'x'"),
+    (["zeroone", "--p2", "P2", "--sizes", "5,,6"], "--sizes", "'5,,6'"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", MALFORMED_LISTS,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _, _ in MALFORMED_LISTS])
+def test_malformed_integer_lists_are_usage_errors(argv, option, value, p2file, capsys):
+    code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert f"argument {option}: expected comma-separated integers, got {value}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,14 +11,14 @@ from fraisse.doubled_cover import (DoubledAclSource, _xor_cut_canon, build_doubl
                                    three_type_separation, verify_claim1,
                                    verify_claim2, verify_claim3)
 from fraisse.errors import (ConfigurationNotFoundError, InputError,
-                            SaturationError)
+                            InvalidElementError, SaturationError)
 from fraisse.generic import (grow_random, new_generic, saturate,
                              saturate_until_stable)
 from fraisse.amalgamation import graph_p2
-from fraisse.structures import expand_with_marks, tuple_type, undirected_graph
+from fraisse.structures import FinStructure, expand_with_marks, tuple_type, undirected_graph
 from fraisse.types_orbits import acl_approx, enumerate_types
 
-from _naive import all_graphs, graph_of_bits, random_graph
+from _naive import all_graphs, graph_of_bits, naive_pair_key, random_graph
 
 
 # -- construction ---------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_double_adjacency_law():
 def test_double_rejects_bad_bases():
     with pytest.raises(InputError):
         build_double(expand_with_marks(undirected_graph(2, []), [("m", [0])]))
-    from fraisse.structures import FinStructure, graph_vocabulary
+    from fraisse.structures import graph_vocabulary
     loopy = FinStructure(graph_vocabulary(), 2,
                          {"adj": frozenset({(0, 0)})})
     with pytest.raises(InputError):
@@ -141,27 +141,29 @@ def test_quotient_pair_type_collapses_order_and_adjacency(small_pipeline):
 def test_quotient_modes_detected(small_pipeline):
     assert small_pipeline.q2._mode == "cover"
     assert small_pipeline.qstar._mode == "marked"
-    odd = expand_with_marks(small_pipeline.d2.m, [("x", [0])])
-    assert quotient(small_pipeline.d2, ambient=odd)._mode == "general"
+    d = small_pipeline.d2
+    # a mark on one point, on a mixed set of points, or a second binary symbol
+    for ambient in (expand_with_marks(d.m, [("x", [0])]),
+                    expand_with_marks(d.m, [("x", d.level_points(0)[1:] + (1,))]),
+                    FinStructure(d.m.vocab.extended([("bond", 2)]), d.size,
+                                 {**d.m.tables, "bond": {(u, u ^ 1) for u in range(d.size)}})):
+        with pytest.raises(InputError):
+            quotient(d, ambient=ambient)
 
 
 def test_quotient_fast_paths_agree_with_general(small_pipeline):
+    """Both closed forms against the swap minimum of `_naive.type_desc`."""
     d = small_pipeline.d2
     rng = random.Random(5)
-    for ambient in (None, small_pipeline.mstar):
-        fast = quotient(d, ambient=ambient)
-        slow = quotient(d, ambient=ambient)
-        slow._mode = "general"
-        slow._memo.clear()
-        assert fast._mode in ("cover", "marked")
+    for ambient in (d.m, small_pipeline.mstar):
+        q = quotient(d, ambient=ambient)
         tuples = [tuple(rng.randrange(d.base.size) for _ in range(k))
-                  for k in (1, 2, 3) for _ in range(25)]
+                  for k in (1, 2, 3, 4) for _ in range(25)]
+        keys = {t: naive_pair_key(ambient, t) for t in tuples}
         for t1 in tuples:
             for t2 in tuples:
-                if len(t1) != len(t2):
-                    continue
-                assert ((fast.pair_type(t1) == fast.pair_type(t2))
-                        == (slow.pair_type(t1) == slow.pair_type(t2)))
+                if len(t1) == len(t2):
+                    assert (q.pair_type(t1) == q.pair_type(t2)) == (keys[t1] == keys[t2])
 
 
 def _flip_masks(m: int) -> list[int]:
@@ -186,12 +188,10 @@ def test_switching_normal_form_is_the_flip_minimum():
 
 def test_quotient_rejects_bad_classes(small_pipeline):
     q = small_pipeline.q2
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidElementError):
         q.pair_type((q.size,))
-    # only the general mode's swap search is capped at 8 classes
-    odd = expand_with_marks(small_pipeline.d2.m, [("x", [0])])
-    with pytest.raises(InputError):
-        quotient(small_pipeline.d2, ambient=odd).pair_type(tuple(range(9)))
+    with pytest.raises(InvalidElementError):
+        q.pair_type((0, -1))
 
 
 def test_closed_form_modes_take_more_than_8_classes():

@@ -3,9 +3,9 @@ brute-force tuple types.
 
 `find_realization`, `realizer_bits` and `extension_at` read a point's
 code and the out- and in-rows of each binary symbol; the closure
-engine's `count_realizations` walks the same scan, or compares tuple
-payloads when a symbol has arity above 2.  Every case here is compared
-with `naive_realizers`, which compares full tuple types directly.
+engine's `count_realizations` walks the same scan, and a symbol of arity
+above 2 fails at its first verdict.  Every case here is compared with
+`naive_realizers`, which compares full tuple types directly.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse.errors import InvalidElementError
+from fraisse.errors import InvalidElementError, VocabularyError
 from fraisse.generic import extension_at, find_realization, realizer_bits
 from fraisse.structures import FinStructure, Vocabulary
 from fraisse.types_orbits import _AclEngine
@@ -125,13 +125,16 @@ def test_engine_counts_the_naive_realizers(case, cap):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(0, 2 ** 32),
        st.integers(0, 2))
-def test_engine_falls_back_to_payloads_above_arity_two(n, seed, k):
+def test_engine_rejects_symbols_above_arity_two(n, seed, k):
     rng = random.Random(seed)
     s = random_mixed(rng, n, p=0.5)
     order = rng.sample(range(n), n)
     base, a = tuple(order[:min(k, n - 1)]), order[min(k, n - 1)]
     engine = _AclEngine(StaticSource(s), d=2, budget=None)
-    assert engine.count_realizations(base, a) == naive_realizers(s, base, a)
+    with pytest.raises(VocabularyError):
+        engine.verdict(base, a)
+    with pytest.raises(VocabularyError):
+        engine.count_realizations(base, a)
 
 
 def test_scan_tells_out_rows_from_in_rows():

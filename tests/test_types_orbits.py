@@ -7,7 +7,7 @@ import pytest
 
 from fraisse.amalgamation import graph_p2
 from fraisse.errors import InputError, InvalidElementError, SaturationError
-from fraisse.generic import (grow_random, new_generic, saturate,
+from fraisse.generic import (extension_at, grow_random, new_generic, saturate,
                              saturate_until_stable)
 from fraisse.structures import (FinStructure, graph_vocabulary, tuple_type,
                                 undirected_graph)
@@ -131,6 +131,8 @@ def test_acl_rejects_bad_base():
     o = stable_oracle()
     with pytest.raises(InvalidElementError):
         acl_approx(o, (99,))
+    with pytest.raises(InvalidElementError):
+        acl_approx(o, (0, -1))
     with pytest.raises(InputError):
         acl_approx(o, (1, 1))
 
@@ -238,7 +240,6 @@ def test_acl_sees_pair_locked_point():
 
 
 def test_verdict_key_matches_tuple_types():
-    from fraisse.types_orbits import _AclEngine
     rng = random.Random(7)
     for _ in range(30):
         g = random_graph(rng, 6)
@@ -246,8 +247,7 @@ def test_verdict_key_matches_tuple_types():
         cands = [c for c in range(6) if c not in base]
         for c1 in cands:
             for c2 in cands:
-                same_key = (_AclEngine._key(g, base, c1)
-                            == _AclEngine._key(g, base, c2))
+                same_key = extension_at(g, base, c1) == extension_at(g, base, c2)
                 same_type = (tuple_type(g, base + (c1,))
                              == tuple_type(g, base + (c2,)))
                 assert same_key == same_type

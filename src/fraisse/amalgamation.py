@@ -207,7 +207,6 @@ class HPReport:
     verdict: str                      # "holds" | "fails"
     checked: int = 0
     counterexample: tuple[FinStructure, tuple[int, ...], FinStructure] | None = None
-    note: str = ""
 
     @property
     def holds(self) -> bool:

@@ -378,10 +378,9 @@ def cmd_example412(args) -> int:
                 r.add(f"claim2: refused ({e})")
                 inconclusive = True
         elif check == "reduct":
-            g = from_quotient(q2, args.nmax, label="quotient-types")
-            g0 = pair_family_universe(q2, args.nmax, label="pair-family")
-            gstar0 = pair_family_universe(qstar, args.nmax,
-                                          label="marked-pair-family")
+            g = from_quotient(q2, args.nmax)
+            g0 = pair_family_universe(q2, args.nmax)
+            gstar0 = pair_family_universe(qstar, args.nmax)
             rep_neg = is_reduct(g0, g, min(args.nmax, 3))
             rep_pos = is_reduct(gstar0, g, args.nmax)
             r.add(f"reduct of plain pair-family: {rep_neg.verdict}"
@@ -542,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "inconclusive.")
     p.add_argument("--p2", required=True, help="permission-set file")
     p.add_argument("--amalgam-bound", type=int, default=8)
-    p.add_argument("--triple-bound", type=int, default=4)
+    p.add_argument("--triple-bound", type=int,
+                   help="largest triple size (default: the file's bound)")
     p.set_defaults(func=cmd_check_ap)
 
     p = sub.add_parser("enum",

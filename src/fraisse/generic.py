@@ -492,7 +492,7 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
     def facts(key: tuple[int, tuple]) -> int:
         """A tuple's class by its facts, at any arity: recomputed, not stored."""
         s = sides[key[0]]
-        return ids.setdefault(tuple_payload(s.vocab, s.tables, key[1]), len(ids))
+        return ids.setdefault(tuple_payload(s, key[1]), len(ids))
 
     # levels[r][(side, tup)]: the class of tup with r rounds left, for arity
     # <= k - r, from its class one level down and the classes of its

@@ -24,16 +24,15 @@ class TypedUniverse:
     order its type is first met, and equal types share one id and one
     TypeId."""
 
-    __slots__ = ("size", "n_max", "label", "_fn", "_cache", "_ids", "_types")
+    __slots__ = ("size", "n_max", "_fn", "_cache", "_ids", "_types")
 
-    def __init__(self, size: int, n_max: int, type_fn: Callable, label: str = "typed"):
+    def __init__(self, size: int, n_max: int, type_fn: Callable):
         if size < 0:
             raise InputError("carrier size must be non-negative")
         if n_max < 1:
             raise InputError("typed universes need arity at least 1")
         self.size = size
         self.n_max = n_max
-        self.label = label
         self._fn = type_fn
         self._cache: dict[tuple, int] = {}
         self._ids: dict[TypeId, int] = {}
@@ -63,46 +62,36 @@ class TypedUniverse:
         return self.type_of(tup).fingerprint
 
     def __repr__(self) -> str:
-        return f"TypedUniverse({self.label!r}, size={self.size}, n_max={self.n_max})"
+        return f"TypedUniverse(size={self.size}, n_max={self.n_max})"
 
 
-def from_structure(s: FinStructure, n_max: int, label: str = "structure"
-                   ) -> TypedUniverse:
+def from_structure(s: FinStructure, n_max: int) -> TypedUniverse:
     """Tuple types of a finite structure, up to n_max."""
-    return TypedUniverse(s.size, n_max, lambda tup: tuple_type(s, tup), label)
+    return TypedUniverse(s.size, n_max, lambda tup: tuple_type(s, tup))
 
 
-def from_quotient(q, n_max: int, label: str = "quotient") -> TypedUniverse:
+def from_quotient(q, n_max: int) -> TypedUniverse:
     """Swap-invariant class-tuple types of a quotient geometry."""
-    return TypedUniverse(q.size, n_max, q.pair_type, label)
+    return TypedUniverse(q.size, n_max, q.pair_type)
 
 
-def pair_family_universe(q, n_max: int, label: str = "pair-family"
-                         ) -> TypedUniverse:
+def pair_family_universe(q, n_max: int) -> TypedUniverse:
     """Types that remember only the family of component 2-types.
 
     The type of a tuple is the grid, over all ordered index pairs
-    (diagonal included), of the quotient's swap-invariant 2-types of the
-    corresponding class pairs — no joint information beyond pairs."""
-    grid_of = pair_grids(q.size, lambda pair: q.pair_type(pair).fingerprint)
+    (diagonal included), of the 2-types `q.type_of` gives the
+    corresponding pairs — no joint information beyond pairs.  `q` is a
+    quotient geometry or a typed universe; the size x size matrix of
+    2-type fingerprints is computed here, once."""
+    matrix = [[q.type_of((g, h)).fingerprint for h in range(q.size)]
+              for g in range(q.size)]
 
     def fam(tup):
-        return TypeId("pairfam", ("grid", len(tup)), grid_of(tup))
-
-    return TypedUniverse(q.size, n_max, fam, label)
-
-
-def pair_grids(size: int, pair_fn: Callable) -> Callable:
-    """The map from a tuple over range(size) to the row-major grid of
-    pair_fn over its ordered index pairs, diagonal included.  The
-    size x size matrix of pair_fn values is computed here, once."""
-    matrix = [[pair_fn((g, h)) for h in range(size)] for g in range(size)]
-
-    def grid(tup):
         rows = [matrix[g] for g in tup]
-        return tuple(row[h] for row in rows for h in tup)
+        return TypeId("pairfam", ("grid", len(tup)),
+                      tuple(row[h] for row in rows for h in tup))
 
-    return grid
+    return TypedUniverse(q.size, n_max, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -288,4 +277,4 @@ def parse_typed_universe(text: str) -> TypedUniverse:
     def stored(tup):
         return TypeId("stored", name, table[tuple(tup)])
 
-    return TypedUniverse(size, max_arity, stored, label=name)
+    return TypedUniverse(size, max_arity, stored)

@@ -425,14 +425,14 @@ def expand_with_marks(s: FinStructure, marks: Iterable[tuple[str, Iterable[int]]
     return FinStructure(vocab, s.size, tables)
 
 
-def tuple_payload(vocab: Vocabulary, tables, tup: tuple[int, ...]):
-    """The raw payload behind `tuple_type`; `tables` is any mapping from
-    symbol name to a container of tuples supporting `in`."""
+def tuple_payload(s: FinStructure, tup: tuple[int, ...]):
+    """The raw payload behind `tuple_type`, read from s's tables."""
     n = len(tup)
     first: dict[int, int] = {}
     eq = tuple(first.setdefault(v, i) for i, v in enumerate(tup))
     rel = []
-    for name, arity in vocab.symbols:
+    tables = s.tables
+    for name, arity in s.vocab.symbols:
         tab = tables[name]
         hits = tuple(pos for pos in product(range(n), repeat=arity)
                      if tuple(tup[p] for p in pos) in tab)
@@ -450,7 +450,7 @@ def tuple_type(s: FinStructure, tup: Sequence[int]) -> TypeId:
     tup = tuple(int(x) for x in tup)
     if any(x < 0 or x >= s.size for x in tup):
         raise InvalidElementError(f"tuple {tup} is not within universe 0..{s.size - 1}")
-    return TypeId("tuple", s.vocab.symbols, tuple_payload(s.vocab, s.tables, tup))
+    return TypeId("tuple", s.vocab.symbols, tuple_payload(s, tup))
 
 
 def add_point(tables: dict[str, set], vocab: Vocabulary, v: int, code: int) -> None:
@@ -528,26 +528,35 @@ def find_embeddings(a: FinStructure, b: FinStructure,
         at = mapping.__getitem__
         return all((tuple(map(at, pos)) in tb) == fact for pos, fact, tb in checks[i])
 
-    def dfs(i: int) -> bool:
-        if i == a.size:
-            out.append(Embedding(a, b, tuple(mapping), check=False))
-            return limit is not None and len(out) >= limit
+    def candidates(i: int):
         need = deg_a[i]
-        for w in range(b.size):
-            if used[w]:
-                continue
-            dw = deg_b[w]
-            if any(dw[k] < need[k] for k in range(len(need))):
-                continue
+        return (w for w in range(b.size) if not used[w]
+                and all(dw >= k for dw, k in zip(deg_b[w], need)))
+
+    # depth-first over an explicit stack of per-level candidate iterators,
+    # so the search depth is not bounded by Python's recursion limit
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        if mapping[i] >= 0:
+            used[mapping[i]] = False
+            mapping[i] = -1
+        for w in stack[i]:
             mapping[i] = w
             used[w] = True
-            if consistent(i) and dfs(i + 1):
-                return True
+            if consistent(i):
+                break
             used[w] = False
             mapping[i] = -1
-        return False
-
-    dfs(0)
+        else:
+            stack.pop()
+            continue
+        if i + 1 < a.size:
+            stack.append(candidates(i + 1))
+            continue
+        out.append(Embedding(a, b, tuple(mapping), check=False))
+        if limit is not None and len(out) >= limit:
+            break
     return out
 
 
@@ -792,12 +801,11 @@ def canonical_key(s: FinStructure) -> TypeId:
 # convenience constructors
 
 
-def graph_vocabulary(symbol: str = "adj") -> Vocabulary:
-    return Vocabulary([(symbol, 2)])
+def graph_vocabulary() -> Vocabulary:
+    return Vocabulary([("adj", 2)])
 
 
-def undirected_graph(size: int, edges: Iterable[tuple[int, int]],
-                     symbol: str = "adj") -> FinStructure:
+def undirected_graph(size: int, edges: Iterable[tuple[int, int]]) -> FinStructure:
     """A loop-free symmetric binary structure from an edge list."""
     tab = set()
     for u, v in edges:
@@ -805,4 +813,4 @@ def undirected_graph(size: int, edges: Iterable[tuple[int, int]],
             raise InvalidElementError(f"loop edge at {u}")
         tab.add((u, v))
         tab.add((v, u))
-    return FinStructure(graph_vocabulary(symbol), size, {symbol: tab})
+    return FinStructure(graph_vocabulary(), size, {"adj": tab})

@@ -16,11 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InputError, InvalidElementError, SaturationError
 from .generic import GenericOracle, extend_one_point, extension_at, realizer_bits
-from .reduct import _first_clash, pair_grids
+from .reduct import TypedUniverse, pair_family_universe, partition_refines
 from .structures import FinStructure, TypeId, Vocabulary, tuple_type
 
 
@@ -37,15 +37,7 @@ class TypeCensus:
     total: int
 
 
-def _typed_view(s) -> tuple[int, Callable[[tuple[int, ...]], TypeId]]:
-    """(size, type function) for a structure or any typed carrier that
-    offers `size` and `type_of`."""
-    if isinstance(s, FinStructure):
-        return s.size, lambda tup: tuple_type(s, tup)
-    return s.size, s.type_of
-
-
-def enumerate_types(s, n: int, params: Sequence[int] = (),
+def enumerate_types(s: FinStructure, n: int, params: Sequence[int] = (),
                     distinct: bool = False) -> TypeCensus:
     """Census of the types of params + tup over all n-tuples tup.
 
@@ -54,18 +46,15 @@ def enumerate_types(s, n: int, params: Sequence[int] = (),
     """
     if n < 0:
         raise InputError(f"negative arity {n}")
-    size, type_of = _typed_view(s)
     params = tuple(int(p) for p in params)
-    if params and not isinstance(s, FinStructure):
-        raise InputError("parameters are only supported over plain structures")
-    if any(p < 0 or p >= size for p in params):
+    if any(p < 0 or p >= s.size for p in params):
         raise InvalidElementError(f"parameters {params} leave the universe")
     counter: Counter[TypeId] = Counter()
     total = 0
-    for tup in product(range(size), repeat=n):
+    for tup in product(range(s.size), repeat=n):
         if distinct and len(set(tup)) != n:
             continue
-        counter[type_of(params + tup)] += 1
+        counter[tuple_type(s, params + tup)] += 1
         total += 1
     entries = sorted(counter.items(), key=lambda kv: kv[0].sort_key)
     return TypeCensus(n, params, distinct, entries, total)
@@ -79,19 +68,20 @@ class DeterminationReport:
     counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def types_determined_by_pairs(s, n: int) -> DeterminationReport:
+def types_determined_by_pairs(u: TypedUniverse, n: int) -> DeterminationReport:
     """Do the pairwise 2-types of an n-tuple pin down its full n-type?
 
-    Searches for two n-tuples whose families of (i, j)-component 2-types
-    agree while the n-types differ.
+    That is whether u's pair family refines u at arity n: the search is
+    for two n-tuples whose families of (i, j)-component 2-types agree
+    while the n-types differ.
     """
     if n < 3:
         raise InputError("pairwise determination is asked for arity >= 3")
-    size, type_of = _typed_view(s)
-    checked, _, clash = _first_clash(size, n, pair_grids(size, type_of), type_of)
-    if clash is None:
-        return DeterminationReport("determined", n, checked)
-    return DeterminationReport("counterexample", n, checked, clash[:2])
+    rep = partition_refines(pair_family_universe(u, n), u, n)
+    if rep.refines:
+        return DeterminationReport("determined", n, rep.tuples_checked)
+    return DeterminationReport("counterexample", n, rep.tuples_checked,
+                               rep.counterexample[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fraisse.structures import FinStructure, Vocabulary, graph_vocabulary
 # structure generators
 
 
-def graph_of_bits(n: int, bits: int, symbol: str = "adj") -> FinStructure:
+def graph_of_bits(n: int, bits: int) -> FinStructure:
     """Graph on n vertices whose edge set is encoded by `bits` over the
     pairs (0,1),(0,2),(1,2),(0,3),... in lexicographic-by-max order."""
     pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -24,19 +24,19 @@ def graph_of_bits(n: int, bits: int, symbol: str = "adj") -> FinStructure:
         if (bits >> idx) & 1:
             edges.add((i, j))
             edges.add((j, i))
-    return FinStructure(graph_vocabulary(symbol), n, {symbol: frozenset(edges)})
+    return FinStructure(graph_vocabulary(), n, {"adj": frozenset(edges)})
 
 
-def all_graphs(n: int, symbol: str = "adj"):
+def all_graphs(n: int):
     """Every labelled loop-free undirected graph on n vertices."""
     m = n * (n - 1) // 2
     for bits in range(1 << m):
-        yield graph_of_bits(n, bits, symbol)
+        yield graph_of_bits(n, bits)
 
 
-def random_graph(rng, n: int, symbol: str = "adj") -> FinStructure:
+def random_graph(rng, n: int) -> FinStructure:
     m = n * (n - 1) // 2
-    return graph_of_bits(n, rng.getrandbits(m) if m else 0, symbol)
+    return graph_of_bits(n, rng.getrandbits(m) if m else 0)
 
 
 MIXED = Vocabulary([("mark", 1), ("arc", 2), ("tri", 3)])

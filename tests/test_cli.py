@@ -71,6 +71,19 @@ def test_check_ap_fails_and_inconclusive_exit_codes(tmp_path, capsys):
     assert "inconclusive triples: 2" in out and "verdict: inconclusive" in out
 
 
+def test_check_ap_triple_bound_defaults_to_file_bound(tmp_path, capsys):
+    text = p2_document(graph_p2())
+    assert "\nbound 4\n" in text
+    bound3 = tmp_path / "g3.p2"
+    bound3.write_text(text.replace("\nbound 4\n", "\nbound 3\n"))
+    code, out, _ = run(["check-ap", "--p2", str(bound3)], capsys)
+    assert code == 0
+    assert "triple bound: 3" in out and "triples checked: 199" in out
+    code, out, _ = run(["check-ap", "--p2", str(bound3), "--triple-bound", "4"], capsys)
+    assert code == 0
+    assert "triple bound: 4" in out and "triples checked: 2787" in out
+
+
 def test_check_ap_rejects_negative_triple_bound(p2file, capsys):
     code, out, err = run(["check-ap", "--p2", p2file, "--triple-bound", "-1"], capsys)
     assert code == 2

@@ -109,7 +109,7 @@ def test_definability_rejects_bad_rows():
 def test_save_parse_round_trip():
     u = from_structure(P3, 2)
     back = parse_typed_universe(save_typed_universe(u, "demo"))
-    assert (back.size, back.n_max, back.label) == (3, 2, "demo")
+    assert (back.size, back.n_max) == (3, 2)
     assert is_reduct(back, u, 2).holds and is_reduct(u, back, 2).holds
 
 
@@ -227,7 +227,7 @@ def test_determination_by_pairs_matches_per_tuple_loop(cover):
         if prior[0] != ref.pair_type(tup):
             want = ("counterexample", checked, (prior[1], tup))
             break
-    rep = types_determined_by_pairs(q2, 3)
+    rep = types_determined_by_pairs(from_quotient(q2, 3), 3)
     assert (rep.verdict, rep.tuples_checked, rep.counterexample) == want
 
 

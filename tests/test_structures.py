@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -244,6 +245,18 @@ def test_embedding_limit():
     edge = undirected_graph(2, [(0, 1)])
     tri = undirected_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert len(find_embeddings(edge, tri, limit=2)) == 2
+
+
+def test_embedding_search_depth_is_not_bounded_by_recursion_limit():
+    n = 300
+    path = undirected_graph(n, [(i, i + 1) for i in range(n - 1)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(n // 2)
+    try:
+        found = find_embeddings(path, path, limit=1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert [e.map for e in found] == [tuple(range(n))]
 
 
 @settings(max_examples=80, deadline=None)

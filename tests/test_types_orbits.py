@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraisse.amalgamation import graph_p2
 from fraisse.errors import InputError, InvalidElementError, SaturationError
 from fraisse.generic import (extension_at, grow_random, new_generic, saturate,
                              saturate_until_stable)
+from fraisse.reduct import from_structure
 from fraisse.structures import (FinStructure, graph_vocabulary, tuple_type,
                                 undirected_graph)
 from fraisse.types_orbits import (acl_approx, check_degenerate_dependence,
@@ -73,7 +77,27 @@ def test_types_determined_by_pairs_on_binary_vocab():
     rng = random.Random(2)
     for _ in range(10):
         g = random_graph(rng, rng.randrange(1, 6))
-        assert types_determined_by_pairs(g, 3).verdict == "determined"
+        assert types_determined_by_pairs(from_structure(g, 3), 3).verdict == "determined"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+@example(92, 3)       # a counterexample after 8 tuples
+@example(24, 5)
+def test_determination_by_pairs_on_structures_matches_per_tuple_loop(seed, n):
+    # a ternary symbol makes 3-types finer than their pairs now and then
+    s = random_mixed(random.Random(seed), n)
+    seen: dict = {}
+    want = ("determined", n ** 3, None)
+    for checked, tup in enumerate(product(range(n), repeat=3), start=1):
+        family = tuple(tuple_type(s, (tup[i], tup[j])) for i in range(3) for j in range(3))
+        full = tuple_type(s, tup)
+        prior = seen.setdefault(family, (full, tup))
+        if prior[0] != full:
+            want = ("counterexample", checked, (prior[1], tup))
+            break
+    rep = types_determined_by_pairs(from_structure(s, 3), 3)
+    assert (rep.verdict, rep.tuples_checked, rep.counterexample) == want
 
 
 def test_link_between_reads_positionally():

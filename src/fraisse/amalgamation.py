@@ -32,7 +32,7 @@ from .structures import (
 
 
 class P2Spec:
-    """Permitted structures of size <= 2 over one vocabulary.
+    """Permitted structures of size <= 2 over one binary vocabulary.
 
     A point is named by its code (`point_codes`); `codes` lists the
     permitted ones in `one_types()` order.  The cross-link options of
@@ -47,6 +47,8 @@ class P2Spec:
         if not members and vocab is None:
             raise InputError("an empty permission set needs an explicit vocabulary")
         self.vocab = vocab if vocab is not None else members[0].vocab
+        if not self.vocab.binary:
+            raise VocabularyError("permission sets need a binary vocabulary")
         for m in members:
             if m.vocab != self.vocab:
                 raise VocabularyError("permission set mixes vocabularies")
@@ -62,15 +64,13 @@ class P2Spec:
                 ones.setdefault(canonical_key(m), m)
         self._ones = [ones[k] for k in sorted(ones)]
         self.codes = tuple(point_codes(m)[0] for m in self._ones)
-        self._links: dict[tuple[int, int], tuple[tuple, ...]] | None = None
-        if self.vocab.binary:
-            links: dict[tuple[int, int], set] = {}
-            for m in members:
-                if m.size == 2:
-                    c0, c1 = point_codes(m)
-                    links.setdefault((c0, c1), set()).add(m.link(0, 1))
-                    links.setdefault((c1, c0), set()).add(m.link(1, 0))
-            self._links = {pair: tuple(sorted(options)) for pair, options in links.items()}
+        links: dict[tuple[int, int], set] = {}
+        for m in members:
+            if m.size == 2:
+                c0, c1 = point_codes(m)
+                links.setdefault((c0, c1), set()).add(m.link(0, 1))
+                links.setdefault((c1, c0), set()).add(m.link(1, 0))
+        self._links = {pair: tuple(sorted(options)) for pair, options in links.items()}
 
     def is_member(self, s: FinStructure) -> bool:
         """Membership of a structure of size <= 2, up to isomorphism."""
@@ -95,8 +95,6 @@ class P2Spec:
 
     def links(self, cu: int, cv: int) -> tuple[tuple, ...]:
         """`permitted_links` for the one-point types with codes cu and cv."""
-        if self._links is None:
-            raise VocabularyError("link options need a binary vocabulary")
         return self._links.get((cu, cv), ())
 
     def symmetric(self) -> tuple[bool, ...]:
@@ -128,11 +126,6 @@ def assemble_pair(t0: FinStructure, t1: FinStructure, dirs) -> FinStructure:
     return FinStructure(vocab, 2, tables)
 
 
-def point_structure(s: FinStructure, v: int) -> FinStructure:
-    """The one-point induced substructure at v."""
-    return induced_substructure(s, (v,))[0]
-
-
 # ---------------------------------------------------------------------------
 # age / membership in the generated class
 
@@ -151,9 +144,6 @@ def in_rp2(p2: P2Spec, s: FinStructure) -> bool:
     """Does every one- and two-point induced substructure belong to p2?"""
     if s.vocab != p2.vocab:
         raise VocabularyError("structure and permission set use different vocabularies")
-    if not p2.vocab.binary:
-        return all(p2.is_member(induced_substructure(s, subset)[0])
-                   for size in (1, 2) for subset in combinations(range(s.size), size))
     codes = point_codes(s)
     if not set(codes).issubset(p2.codes):
         return False
@@ -174,8 +164,6 @@ def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
 def _levels(p2: P2Spec, n: int) -> list[list[FinStructure]]:
     """`enumerate_rp2` for every size 0..n, each level grown once from
     the one below it."""
-    if not p2.vocab.binary:
-        raise VocabularyError("enumeration needs a binary vocabulary")
     vocab = p2.vocab
     levels = [[FinStructure(vocab, 0)]]
     for size in range(1, n + 1):
@@ -239,7 +227,7 @@ class AdequacyReport:
     has_two_structure: bool
     hp_counterexample: tuple | None
     missing_pairs: list[tuple[FinStructure, FinStructure]]
-    witnesses: dict[tuple[TypeId, TypeId], int]
+    witnesses: dict[tuple[int, int], int]
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -251,9 +239,9 @@ def check_1_adequate(p2: P2Spec) -> AdequacyReport:
     """Adequacy: substructure-closed including the empty structure, at
     least one two-point member, and every unordered pair of permitted
     one-point types jointly realised on the two distinct points of some
-    permitted two-point structure."""
-    if not p2.vocab.binary:
-        raise VocabularyError("adequacy is defined for binary vocabularies")
+    permitted two-point structure.  `witnesses` maps each sorted pair of
+    point codes realised by a two-point member to the first such member's
+    index."""
     notes: list[str] = []
     has_empty = any(m.size == 0 for m in p2.members)
     if not has_empty:
@@ -264,22 +252,13 @@ def check_1_adequate(p2: P2Spec) -> AdequacyReport:
     has_two = any(m.size == 2 for m in p2.members)
     if not has_two:
         notes.append("no two-point structure is permitted")
-    witnesses: dict[tuple[TypeId, TypeId], int] = {}
-    member_index = {id(m): i for i, m in enumerate(p2.members)}
-    for m in p2.members:
-        if m.size != 2:
-            continue
-        k0 = canonical_key(point_structure(m, 0))
-        k1 = canonical_key(point_structure(m, 1))
-        pair = tuple(sorted((k0, k1)))
-        witnesses.setdefault(pair, member_index[id(m)])
-    ones = p2.one_types()
-    missing = []
-    for i, t0 in enumerate(ones):
-        for t1 in ones[i:]:
-            pair = tuple(sorted((canonical_key(t0), canonical_key(t1))))
-            if pair not in witnesses:
-                missing.append((t0, t1))
+    witnesses: dict[tuple[int, int], int] = {}
+    for i, m in enumerate(p2.members):
+        if m.size == 2:
+            witnesses.setdefault(tuple(sorted(point_codes(m))), i)
+    ones = list(zip(p2.codes, p2.one_types()))
+    missing = [(t0, t1) for i, (c0, t0) in enumerate(ones) for c1, t1 in ones[i:]
+               if not p2.links(c0, c1)]
     if missing:
         notes.append(f"{len(missing)} pair(s) of one-point types have no joint "
                      "two-point realisation on distinct points")

@@ -324,6 +324,8 @@ def cmd_example412(args) -> int:
               if args.check == "all" else [args.check])
     if "claim2" in checks:
         _check_claim2_counts(args.pairs, args.trials)
+    if "reduct" in checks and args.nmax < 3:
+        raise InputError(f"the reduct check needs nmax >= 3, got {args.nmax}")
     p2 = graph_p2()
     oracle = new_generic(p2, seed)
     grow_random(oracle, args.base_size)
@@ -413,6 +415,8 @@ def cmd_example412(args) -> int:
 
 def cmd_zeroone(args) -> int:
     seed = _resolve_seed(args)
+    if args.full is not None and args.full < 0:
+        raise InputError(f"full must be >= 0, got {args.full}")
     p2 = load_p2(args.p2)
     axioms = []
     for text in args.axiom or []:
@@ -641,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pairs in the domain of sampled maps")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--nmax", type=int, default=3,
-                   help="arity bound for the reduct check")
+                   help="arity bound for the reduct check, at least 3")
     p.add_argument("--emit-structures", default=None, metavar="DIR",
                    help="write base, cover, marked cover, and quotient "
                         "type tables up to arity 3 to a directory")

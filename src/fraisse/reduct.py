@@ -20,11 +20,11 @@ from .structures import FinStructure, TypeId, tuple_type
 class TypedUniverse:
     """A carrier plus a type function on tuples of arity up to n_max.
 
-    Types are interned: each tuple caches a dense int id, numbered in the
-    order its type is first met, and equal types share one id and one
-    TypeId."""
+    Types are interned: each type gets a dense int id, numbered in the
+    order it is first met, and equal types share one id and one TypeId.
+    Tuples are not cached; each call evaluates the type function."""
 
-    __slots__ = ("size", "n_max", "_fn", "_cache", "_ids", "_types")
+    __slots__ = ("size", "n_max", "_fn", "_ids", "_types")
 
     def __init__(self, size: int, n_max: int, type_fn: Callable):
         if size < 0:
@@ -34,7 +34,6 @@ class TypedUniverse:
         self.size = size
         self.n_max = n_max
         self._fn = type_fn
-        self._cache: dict[tuple, int] = {}
         self._ids: dict[TypeId, int] = {}
         self._types: list[TypeId] = []
 
@@ -49,13 +48,10 @@ class TypedUniverse:
 
     def _id(self, tup: tuple[int, ...]) -> int:
         """The interned type id of a tuple of ints known to be valid."""
-        hit = self._cache.get(tup)
-        if hit is None:
-            t = self._fn(tup)
-            hit = self._ids.setdefault(t, len(self._types))
-            if hit == len(self._types):
-                self._types.append(t)
-            self._cache[tup] = hit
+        t = self._fn(tup)
+        hit = self._ids.setdefault(t, len(self._types))
+        if hit == len(self._types):
+            self._types.append(t)
         return hit
 
     def key_of(self, tup: Sequence[int]) -> str:

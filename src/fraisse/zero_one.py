@@ -301,8 +301,6 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
     go straight into out- and in-rows."""
     rng = random.Random(seed)
     vocab = p2.vocab
-    if vocab.rho > 2:
-        raise VocabularyError("sampling needs a binary vocabulary")
     codes = p2.codes
     if not codes:
         raise AdequacyError("no permitted one-point types to sample from")

@@ -280,6 +280,37 @@ def naive_in_rp2(members, s: FinStructure) -> bool:
                for k in (1, 2) for pts in combinations(range(s.size), k))
 
 
+def naive_adequacy(members) -> tuple[bool, bool, bool, int, int]:
+    """Adequacy of a permission set by isomorphism tests alone: (holds,
+    has the empty structure, has a two-point member, unordered pairs of
+    permitted one-point types that no two-point member realises, unordered
+    pairs of one-point types that some two-point member realises)."""
+    def permitted(s):
+        return any(naive_is_isomorphic(s, m) for m in members)
+
+    def same_pair(p, q):
+        return any(naive_is_isomorphic(p[0], a) and naive_is_isomorphic(p[1], b)
+                   for a, b in (q, q[::-1]))
+
+    has_empty = any(m.size == 0 for m in members)
+    has_two = any(m.size == 2 for m in members)
+    closed = all(permitted(naive_induced(m, pts)) for m in members
+                 for k in range(1, m.size + 1) for pts in combinations(range(m.size), k))
+    ones: list[FinStructure] = []
+    realised: list[tuple[FinStructure, FinStructure]] = []
+    for m in members:
+        if m.size == 1 and not any(naive_is_isomorphic(m, t) for t in ones):
+            ones.append(m)
+        if m.size == 2:
+            pair = (naive_induced(m, (0,)), naive_induced(m, (1,)))
+            if not any(same_pair(pair, q) for q in realised):
+                realised.append(pair)
+    missing = sum(not any(same_pair((t0, t1), q) for q in realised)
+                  for i, t0 in enumerate(ones) for t1 in ones[i:])
+    return (has_empty and has_two and closed and not missing,
+            has_empty, has_two, missing, len(realised))
+
+
 # ---------------------------------------------------------------------------
 # links between two points
 

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from fraisse import amalgamation
 from fraisse.amalgamation import (P2Spec, age, assemble_pair,
                                   check_1_adequate, check_ap, check_hp,
-                                  enumerate_rp2, graph_p2, in_rp2,
-                                  point_structure, require_adequate)
+                                  enumerate_rp2, graph_p2, in_rp2, require_adequate)
 from fraisse.errors import AdequacyError, InputError, InvalidElementError
 from fraisse.structures import (Embedding, FinStructure, Vocabulary, add_links, canonical_key,
                                 find_embeddings, point_codes, undirected_graph)
 
-from _naive import all_graphs, graph_of_bits, naive_in_rp2, naive_is_isomorphic
+from _naive import (all_graphs, graph_of_bits, naive_adequacy, naive_in_rp2,
+                    naive_is_isomorphic)
 from test_sampling_golden import MARKED, marked_p2
 
 graphs = st.integers(min_value=0, max_value=5).flatmap(
@@ -85,15 +85,9 @@ def test_age_lists_nonempty_substructures():
     assert got == [(1, 0), (2, 0), (2, 1)]
 
 
-def test_point_structure():
-    g = undirected_graph(2, [(0, 1)])
-    pt = point_structure(g, 0)
-    assert pt.size == 1 and pt.tables["adj"] == frozenset()
-
-
 def test_assemble_pair_directions():
     p2 = graph_p2()
-    t0 = point_structure(undirected_graph(1, []), 0)
+    t0 = undirected_graph(1, [])
     links = p2.permitted_links(t0, t0)
     sizes = {len(assemble_pair(t0, t0, d).tables["adj"]) for d in links}
     assert sizes == {0, 2}
@@ -362,6 +356,21 @@ def test_in_rp2_sees_both_inside_and_outside():
     assert not in_rp2(p2, outside) and not naive_in_rp2(p2.members, outside)
 
 
+def _dropped(which: str, drops) -> tuple[Vocabulary, list[FinStructure]]:
+    vocab, full = (MARKED, marked_p2().members) if which == "marked" else \
+        (TWO_ARCS, two_arcs_members())
+    return vocab, [m for i, m in enumerate(full) if i not in drops]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("marked", "two-arcs")), _drops)
+def test_adequacy_matches_naive(which, drops):
+    vocab, members = _dropped(which, drops)
+    rep = check_1_adequate(P2Spec(members, vocab=vocab))
+    assert (rep.holds, rep.has_empty, rep.has_two_structure, len(rep.missing_pairs),
+            len(rep.witnesses)) == naive_adequacy(members)
+
+
 def _all_points(vocab: Vocabulary) -> list[FinStructure]:
     """Every one-point structure over the vocabulary, permitted or not."""
     return [FinStructure(vocab, 1, {name: [(0,) * arity]
@@ -372,9 +381,8 @@ def _all_points(vocab: Vocabulary) -> list[FinStructure]:
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("marked", "two-arcs")), _drops)
 def test_permitted_links_match_assembled_members(which, drops):
-    vocab, full = (MARKED, marked_p2().members) if which == "marked" else \
-        (TWO_ARCS, two_arcs_members())
-    p2 = P2Spec([m for i, m in enumerate(full) if i not in drops], vocab=vocab)
+    vocab, members = _dropped(which, drops)
+    p2 = P2Spec(members, vocab=vocab)
     nbin = len(vocab.binary_symbols())
     for t0 in _all_points(vocab):
         for t1 in _all_points(vocab):

@@ -246,6 +246,8 @@ def test_usage_errors_exit_2(p2file, capsys, tmp_path):
     ["triviality", "--p2", "P2", "--d", "0"],
     ["degenerate", "--p2", "P2", "--max-c", "-1"],
     ["degenerate", "--p2", "P2", "--max-b", "0"],
+    ["zeroone", "--p2", "P2", "--full", "-1"],
+    ["example412", "--check", "reduct", "--nmax", "2"],
 ])
 def test_out_of_range_bounds_exit_2(argv, p2file, capsys):
     code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
@@ -269,6 +271,9 @@ REJECTED_BOUNDS = [
      "pair-extension trials need n >= 0 pairs and a non-negative trial count, got -1 and 200"),
     (["example412", "--check", "claim2", "--trials", "-5"],
      "pair-extension trials need n >= 0 pairs and a non-negative trial count, got 2 and -5"),
+    (["zeroone", "--p2", "P2", "--full", "-1"], "full must be >= 0, got -1"),
+    (["example412", "--check", "reduct", "--nmax", "2"], "the reduct check needs nmax >= 3, got 2"),
+    (["example412", "--nmax", "1"], "the reduct check needs nmax >= 3, got 1"),
 ]
 
 
@@ -278,9 +283,10 @@ REJECTED_BOUNDS = [
 def test_out_of_range_bounds_are_rejected_before_any_oracle(argv, message, p2file, capsys,
                                                             monkeypatch):
     def no_oracle(*args):
-        raise AssertionError("an oracle was built before the bounds were checked")
+        raise AssertionError("an oracle or a sampler ran before the bounds were checked")
 
     monkeypatch.setattr("fraisse.cli.new_generic", no_oracle)
+    monkeypatch.setattr("fraisse.cli.convergence_report", no_oracle)
     code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

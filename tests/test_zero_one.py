@@ -12,7 +12,7 @@ from fraisse.cli import main
 from fraisse.errors import AdequacyError, InputError, ParseError, VocabularyError
 from fraisse.structures import (FinStructure, Vocabulary, expand_with_marks,
                                 undirected_graph)
-from fraisse.textio import p2_document
+from fraisse.textio import load_p2
 from fraisse.zero_one import (AxiomSpec, axiom_compatible, axiom_holds,
                               convergence_report, estimate_probability,
                               full_extension_axioms, parse_axiom, sample_uniform,
@@ -118,28 +118,35 @@ def test_axiom_spec_validates():
         AxiomSpec(MARKED, [4], [((0, 1),)], 3)
 
 
+# a permission set over a ternary symbol; its p2 block opens on line 10
+TRI_DOC = """vocab v
+rel tri 3
+
+structure m0 over v
+size 0
+
+structure m1 over v
+size 1
+
+p2 p over v
+members m0 m1
+"""
+
+
 def test_arity_three_is_rejected(tmp_path, capsys):
     with pytest.raises(VocabularyError):
         AxiomSpec(MIXED, [], [], 0)
     with pytest.raises(VocabularyError):
         parse_axiom(MIXED, "ext 1: arc @ mark")
-    points = [FinStructure(MIXED, 1, {"tri": t}) for t in ((), {(0, 0, 0)})]
-    pairs = [assemble_pair(a, b, ((0, 0),)) for a in points for b in points]
-    p2 = P2Spec([FinStructure(MIXED, 0)] + points + pairs)
-    for k in (0, 1):
-        with pytest.raises(VocabularyError):
-            full_extension_axioms(p2, k)
-    with pytest.raises(VocabularyError):
-        sample_uniform(p2, 4, 0)
-    with pytest.raises(VocabularyError):
-        p2.links(0, 0)
-    with pytest.raises(VocabularyError):
-        p2.permitted_links(points[0], points[1])
+    with pytest.raises(VocabularyError, match="binary vocabulary"):
+        P2Spec([FinStructure(MIXED, 0), FinStructure(MIXED, 1)])
     path = tmp_path / "tri.p2"
-    path.write_text(p2_document(p2))
-    assert main(["zeroone", "--p2", str(path), "--full", "1", "--sizes", "4",
-                 "--trials", "2"]) == 2
-    assert "binary vocabulary" in capsys.readouterr().err
+    path.write_text(TRI_DOC)
+    with pytest.raises(ParseError, match="^line 10: .*binary vocabulary"):
+        load_p2(path)
+    for argv in (["check-hp"], ["zeroone", "--full", "1", "--sizes", "4", "--trials", "2"]):
+        assert main(argv + ["--p2", str(path)]) == 2
+        assert "line 10:" in capsys.readouterr().err
 
 
 # -- evaluation ---------------------------------------------------------------------

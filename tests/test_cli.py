@@ -94,8 +94,9 @@ def test_enum_emits_parseable_structures(p2file, capsys):
     code, out, _ = run(["enum", "--p2", p2file, "--size", "3"], capsys)
     assert code == 0
     doc = parse_document(out)          # entire output is a valid document
-    assert len(doc.order) == 4
-    reps = [doc.structures[n] for n in doc.order]
+    names = list(doc.structures)
+    assert len(names) == 4
+    reps = [doc.structures[n] for n in names]
     for i, a in enumerate(reps):
         for b in reps[i + 1:]:
             assert not naive_is_isomorphic(a, b)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fraisse.amalgamation import graph_p2
 from fraisse.errors import ParseError
 from fraisse.structures import expand_with_marks, undirected_graph
+from fraisse.reduct import parse_typed_universe
 from fraisse.textio import (document_text, load_p2, load_structure,
                             p2_document, parse_document, structure_block,
                             structure_document, vocab_block)
@@ -122,4 +123,66 @@ def test_blocks_compose():
     doc = parse_document(text)
     assert doc.structures["g1"] == g1
     assert doc.structures["g2"] == g2
-    assert doc.order == ["g1", "g2"]
+    assert list(doc.structures) == ["g1", "g2"]
+
+
+# One input per parse-error branch, with the exact message.  A block's
+# construction error is reported on the block's header line; errors found
+# only after the whole text is read carry no line.
+V = "vocab v\nrel adj 2\n"
+S = V + "structure s over v\n"
+TU = "typed-universe u\ncarrier 1\narity 1\n"
+
+DOCUMENT_ERRORS = [
+    (S, "line 3: structure 's' has no size line"),
+    (S + "size -1\n", "line 3: size -1 is negative"),
+    (V + "p2 p over v\n", "line 3: p2 block 'p' lists no members"),
+    (V + "p2 p over v\nmembers x\n", "line 3: p2 member 'x' is not a structure above it"),
+    ("vocab v\nrel tri 3\nstructure m over v\nsize 0\np2 p over v\nmembers m\n",
+     "line 5: permission sets need a binary vocabulary"),
+    ("vocab\n", "line 1: vocab line needs exactly a name"),
+    ("vocab v\nvocab v\n", "line 2: duplicate vocab 'v'"),
+    (V + "structure s v\n", "line 3: structure line must read 'structure <name> over <vocab>'"),
+    (V + "p2 p of v\n", "line 3: p2 line must read 'p2 <name> over <vocab>'"),
+    ("structure s over w\nsize 1\n", "line 1: unknown vocab 'w'"),
+    (S + "size 1\nstructure s over v\n", "line 5: duplicate structure 's'"),
+    (S + "size 1\np2 p over v\nmembers s\np2 p over v\n", "line 7: duplicate p2 block 'p'"),
+    ("vocab v\nsize 2\n", "line 2: vocab blocks hold 'rel <symbol> <arity>' lines"),
+    ("vocab v\nrel adj two\n", "line 2: arity 'two' is not an integer"),
+    (S + "size 1\nsize 1\n", "line 5: size given twice"),
+    (S + "size 1 2\n", "line 4: size line needs exactly one integer"),
+    (S + "size x\n", "line 4: size 'x' is not an integer"),
+    (S + "size 1\nadj 0 0\n", "line 5: unrecognised structure line 'adj 0 0'"),
+    (S + "size 1\nred: 0\n", "line 5: unknown symbol 'red'"),
+    (S + "adj: 0 1\n", "line 4: tables must come after the size line"),
+    (S + "size 2\nadj: 0 x\n", "line 5: tuple '0 x' holds a non-integer"),
+    (S + "size 2\nadj: 0 1 1\n", "line 5: tuple '0 1 1' has 3 entries; 'adj' needs 2"),
+    (S + "size 2\nadj: 0 1; 0 2\n", "line 5: tuple '0 2' leaves universe 0..1"),
+    (V + "p2 p over v\nbound 1 2\n", "line 4: bound line needs exactly one integer"),
+    (V + "p2 p over v\nbound x\n", "line 4: bound 'x' is not an integer"),
+    (V + "p2 p over v\nsize 2\n", "line 4: unrecognised p2 line 'size 2'"),
+    ("rel adj 2\n", "line 1: unrecognised top-level line 'rel adj 2'"),
+]
+
+UNIVERSE_ERRORS = [
+    ("typed-universe\n", "line 1: typed-universe wants a name"),
+    ("typed-universe u\ncarrier x\n", "line 2: carrier wants a size"),
+    ("typed-universe u\ncarrier 1\narity -1\n", "line 3: arity wants a number"),
+    ("typed-universe u\n0 : k\n", "line 2: type rows need carrier and arity first"),
+    (TU + "0 k\n", "line 4: expected 'points : key'"),
+    (TU + "x : k\n", "line 4: bad point list in type row"),
+    (TU + "0 0 : k\n", "line 4: row arity 2 != declared 1"),
+    (TU + "1 : k\n", "line 4: row (1,) leaves the carrier"),
+    ("typed-universe u\ncarrier 1\n", "incomplete typed-universe document"),
+    ("typed-universe u\ncarrier 2\narity 1\n0 : k\n", "missing type row for (1,) at arity 1"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message",
+                         [(parse_document, t, m) for t, m in DOCUMENT_ERRORS]
+                         + [(parse_typed_universe, t, m) for t, m in UNIVERSE_ERRORS],
+                         ids=[m for _, m in DOCUMENT_ERRORS + UNIVERSE_ERRORS])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message

@@ -52,6 +52,8 @@ from .textio import (
     load_structure,
     p2_document,
     parse_document,
+    parse_typed_universe,
+    save_typed_universe,
     structure_document,
 )
 from .generic import (
@@ -92,7 +94,6 @@ from .doubled_cover import (
     QuotientGeometry,
     build_double,
     build_expansion_star,
-    doubled_acl_source,
     e_definability_check,
     quotient,
     three_type_separation,
@@ -119,7 +120,5 @@ from .reduct import (
     from_structure,
     is_reduct,
     pair_family_universe,
-    parse_typed_universe,
     partition_refines,
-    save_typed_universe,
 )

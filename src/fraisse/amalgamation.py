@@ -55,6 +55,8 @@ class P2Spec:
             if m.size > 2:
                 raise InvalidElementError(
                     f"permission set member of size {m.size}; only sizes <= 2 belong here")
+        if size_bound < 0:
+            raise InputError(f"size_bound must be >= 0, got {size_bound}")
         self.members = members
         self.size_bound = int(size_bound)
         self._keys = frozenset(canonical_key(m) for m in members)

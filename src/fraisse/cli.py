@@ -44,15 +44,17 @@ from .errors import (
     SaturationError,
 )
 from .generic import grow_random, new_generic, saturate, saturate_until_stable
-from .reduct import (
-    from_quotient,
-    is_reduct,
-    pair_family_universe,
+from .reduct import from_quotient, is_reduct, pair_family_universe
+from .structures import FinStructure
+from .textio import (
+    Document,
+    document_text,
+    load_p2,
+    load_structure,
     parse_typed_universe,
     save_typed_universe,
+    structure_document,
 )
-from .structures import FinStructure
-from .textio import Document, document_text, load_p2, load_structure, structure_document
 from .types_orbits import (
     _check_base_points,
     _check_bounds,
@@ -193,8 +195,7 @@ def cmd_enum(args) -> int:
     # non-document lines are comments so the output parses as a document
     r.add(f"# size: {args.size}", f"# isomorphism types: {len(reps)}")
     if reps:
-        names = [f"rep{i}" for i in range(len(reps))]
-        doc = Document({"v": reps[0].vocab}, dict(zip(names, reps)), names)
+        doc = Document({"v": reps[0].vocab}, {f"rep{i}": s for i, s in enumerate(reps)})
         r.add("", *document_text(doc).splitlines())
     r.emit()
     return 0
@@ -685,6 +686,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for opt in ("budget", "growth_budget", "passes", "saturate"):
+            if getattr(args, opt, 0) < 0:
+                raise InputError(f"{opt} must be >= 0, got {getattr(args, opt)}")
         return args.func(args)
     except (SaturationError, ExtensionError) as e:
         print(f"inconclusive: {e}", file=sys.stderr)

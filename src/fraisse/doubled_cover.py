@@ -39,7 +39,6 @@ from .structures import (
     FinStructure,
     TypeId,
     expand_with_marks,
-    induced_substructure,
 )
 
 
@@ -59,22 +58,8 @@ class DoubledStructure:
     def size(self) -> int:
         return self.m.size
 
-    def pair_of(self, u: int) -> int:
-        return u ^ 1
-
-    def base_of(self, u: int) -> int:
-        return u >> 1
-
-    def level_of(self, u: int) -> int:
-        return u & 1
-
     def level_points(self, level: int) -> tuple[int, ...]:
         return tuple(2 * a + level for a in range(self.base.size))
-
-    def half(self, level: int) -> FinStructure:
-        """The induced structure on one level, re-indexed by base vertex."""
-        sub, _ = induced_substructure(self.m, self.level_points(level))
-        return sub
 
     def f_prefix(self, level: int) -> int:
         if not self.f_saturation:
@@ -318,9 +303,6 @@ class QuotientGeometry:
                     return "marked"
         raise InputError("the quotient reads the cover or the cover marked on one level")
 
-    def class_members(self, g: int) -> tuple[int, int]:
-        return (2 * g, 2 * g + 1)
-
     def pair_type(self, classes: Sequence[int]) -> TypeId:
         """Swap-invariant type of an ordered tuple of classes, read off the
         base adjacencies in closed form for any number of classes."""
@@ -390,10 +372,7 @@ def verify_claim3(q: QuotientGeometry) -> Claim3Report:
                 shared = t
             elif t != shared and len(failures) < _RECORD_CAP:
                 failures.append((g, h))
-    verdict = "holds" if shared is not None and not failures else "fails"
-    if checked == 0:
-        verdict = "holds"
-    return Claim3Report(verdict, checked, shared, cases, failures)
+    return Claim3Report("fails" if failures else "holds", checked, shared, cases, failures)
 
 
 @dataclass
@@ -494,11 +473,6 @@ class DoubledAclSource:
     def size(self) -> int:
         return 2 * self.oracle.size
 
-    @property
-    def double(self) -> DoubledStructure:
-        self._refresh()
-        return self._double
-
     def snapshot(self) -> FinStructure:
         self._refresh()
         return self._snap
@@ -524,6 +498,3 @@ class DoubledAclSource:
         self._built_at = -1
         return True
 
-
-def doubled_acl_source(f_oracle: GenericOracle) -> DoubledAclSource:
-    return DoubledAclSource(f_oracle)

@@ -370,6 +370,8 @@ def saturate(o: GenericOracle, k: int, new_point_budget: int | None = None
     A pass that exhausts its budget records nothing and is flagged."""
     if k < 0:
         raise InputError(f"negative saturation level {k}")
+    if new_point_budget is not None and new_point_budget < 0:
+        raise InputError(f"new_point_budget must be >= 0, got {new_point_budget}")
     pre = o._size
     done = o.saturated_prefix(k)
     added = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence
 
-from .errors import InputError, InvalidElementError, ParseError
+from .errors import InputError, InvalidElementError
 from .structures import FinStructure, TypeId, tuple_type
 
 
@@ -206,71 +206,3 @@ def definable_as_union(source: TypedUniverse, relation, n: int
                                   (tup_in, tup_out, types[sk].fingerprint))
     inside_keys = sorted(types[k].fingerprint for k, (flag, _) in status.items() if flag)
     return DefinabilityReport("definable", n, inside_keys)
-
-
-# ---------------------------------------------------------------------------
-# text form
-
-
-def save_typed_universe(u: TypedUniverse, name: str = "universe") -> str:
-    """Serialize all type keys up to the universe's declared arity."""
-    lines = [f"typed-universe {name}", f"carrier {u.size}"]
-    for n in range(1, u.n_max + 1):
-        lines.append(f"arity {n}")
-        for tup in product(range(u.size), repeat=n):
-            pts = " ".join(str(x) for x in tup)
-            lines.append(f"{pts} : {u.key_of(tup)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_typed_universe(text: str) -> TypedUniverse:
-    """Rebuild a typed universe from its saved key table."""
-    name = None
-    size = None
-    arity = None
-    table: dict[tuple, str] = {}
-    max_arity = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "typed-universe":
-            if len(parts) != 2:
-                raise ParseError("typed-universe wants a name", lineno)
-            name = parts[1]
-        elif parts[0] == "carrier":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError("carrier wants a size", lineno)
-            size = int(parts[1])
-        elif parts[0] == "arity":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError("arity wants a number", lineno)
-            arity = int(parts[1])
-            max_arity = max(max_arity, arity)
-        else:
-            if size is None or arity is None:
-                raise ParseError("type rows need carrier and arity first", lineno)
-            if ":" not in line:
-                raise ParseError("expected 'points : key'", lineno)
-            left, _, key = line.partition(":")
-            try:
-                tup = tuple(int(x) for x in left.split())
-            except ValueError:
-                raise ParseError("bad point list in type row", lineno) from None
-            if len(tup) != arity:
-                raise ParseError(f"row arity {len(tup)} != declared {arity}", lineno)
-            if any(x < 0 or x >= size for x in tup):
-                raise ParseError(f"row {tup} leaves the carrier", lineno)
-            table[tup] = key.strip()
-    if name is None or size is None or max_arity == 0:
-        raise ParseError("incomplete typed-universe document")
-    for n in range(1, max_arity + 1):
-        for tup in product(range(size), repeat=n):
-            if tup not in table:
-                raise ParseError(f"missing type row for {tup} at arity {n}")
-
-    def stored(tup):
-        return TypeId("stored", name, table[tuple(tup)])
-
-    return TypedUniverse(size, max_arity, stored)

@@ -1,4 +1,5 @@
-"""Plain-text format for vocabularies, structures, and permission sets.
+"""Plain-text formats for vocabularies, structures, permission sets and
+typed universes.
 
 The format is line oriented.  `#` starts a comment, blank lines separate
 nothing in particular.  Blocks:
@@ -16,30 +17,34 @@ nothing in particular.  Blocks:
     members <structure names...>
 
 Tuples are space-separated element indices, `;` separates tuples, and a
-symbol line may be repeated to extend its table.  Parse errors carry the
-offending line number.
+symbol line may be repeated to extend its table.  A typed universe is a
+document of its own: `typed-universe <name>`, `carrier <n>`, then per
+arity an `arity <k>` line and one `i1 ... ik : <type key>` row for each
+k-tuple.  Parse errors carry the offending line number; a block rejected
+as a whole reports its header line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .amalgamation import P2Spec
 from .errors import FraisseError, ParseError
-from .structures import FinStructure, Vocabulary
+from .reduct import TypedUniverse
+from .structures import FinStructure, TypeId, Vocabulary
 
 
 @dataclass
 class Document:
     vocabs: dict[str, Vocabulary] = field(default_factory=dict)
     structures: dict[str, FinStructure] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
     p2specs: dict[str, P2Spec] = field(default_factory=dict)
 
     def sole_structure(self) -> FinStructure:
-        if len(self.order) != 1:
-            raise ParseError(f"expected exactly one structure, found {len(self.order)}")
-        return self.structures[self.order[0]]
+        if len(self.structures) != 1:
+            raise ParseError(f"expected exactly one structure, found {len(self.structures)}")
+        return next(iter(self.structures.values()))
 
     def sole_p2(self) -> P2Spec:
         if len(self.p2specs) != 1:
@@ -47,142 +52,191 @@ class Document:
         return next(iter(self.p2specs.values()))
 
 
-def parse_document(text: str) -> Document:
-    doc = Document()
-    mode = None            # None | "vocab" | "structure" | "p2"
-    cur_name = ""
-    cur_vocab: Vocabulary | None = None
-    rels: list[tuple[str, int]] = []
-    size: int | None = None
-    tables: dict[str, set] = {}
-    p2_members: list[str] = []
-    p2_bound = 4
-    open_line = 0
-
-    def close(line: int) -> None:
-        nonlocal mode
-        if mode == "vocab":
-            doc.vocabs[cur_name] = Vocabulary(rels)
-        elif mode == "structure":
-            if size is None:
-                raise ParseError(f"structure {cur_name!r} has no size line", open_line)
-            try:
-                doc.structures[cur_name] = FinStructure(cur_vocab, size, tables)
-            except FraisseError as e:
-                raise ParseError(str(e), open_line) from None
-            doc.order.append(cur_name)
-        elif mode == "p2":
-            if not p2_members:
-                raise ParseError(f"p2 block {cur_name!r} lists no members", open_line)
-            picked = []
-            for nm in p2_members:
-                if nm not in doc.structures:
-                    raise ParseError(f"p2 member {nm!r} is not a structure above it", open_line)
-                picked.append(doc.structures[nm])
-            try:
-                doc.p2specs[cur_name] = P2Spec(picked, size_bound=p2_bound)
-            except FraisseError as e:
-                raise ParseError(str(e), open_line) from None
-        mode = None
-
+def _lines(text: str):
+    """(line number, line, words) for each line left non-blank once its
+    comment is cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if line:
+            yield lineno, line, line.split()
+
+
+def _int(word: str, what: str, lineno: int) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ParseError(f"{what} {word!r} is not an integer", lineno) from None
+
+
+def _read_vocab(doc: Document, header: list[str], body: list, lineno: int) -> Vocabulary:
+    rels = []
+    for n, _, words in body:
+        if words[0] != "rel" or len(words) != 3:
+            raise ParseError("vocab blocks hold 'rel <symbol> <arity>' lines", n)
+        rels.append((words[1], _int(words[2], "arity", n)))
+    return Vocabulary(rels)
+
+
+def _read_structure(doc: Document, header: list[str], body: list, lineno: int
+                    ) -> FinStructure:
+    vocab = doc.vocabs[header[3]]
+    size = None
+    tables: dict[str, set] = {}
+    for n, line, words in body:
+        if words[0] == "size":
+            if size is not None:
+                raise ParseError("size given twice", n)
+            if len(words) != 2:
+                raise ParseError("size line needs exactly one integer", n)
+            size = _int(words[1], "size", n)
             continue
-        words = line.split()
-        head = words[0]
-        if head in ("vocab", "structure", "p2"):
-            close(lineno)
-            open_line = lineno
-            if head == "vocab":
-                if len(words) != 2:
-                    raise ParseError("vocab line needs exactly a name", lineno)
-                cur_name = words[1]
-                if cur_name in doc.vocabs:
-                    raise ParseError(f"duplicate vocab {cur_name!r}", lineno)
-                rels = []
-                mode = "vocab"
-            else:
-                if len(words) != 4 or words[2] != "over":
-                    raise ParseError(f"{head} line must read '{head} <name> over <vocab>'", lineno)
-                cur_name = words[1]
-                vname = words[3]
-                if vname not in doc.vocabs:
-                    raise ParseError(f"unknown vocab {vname!r}", lineno)
-                cur_vocab = doc.vocabs[vname]
-                if head == "structure":
-                    if cur_name in doc.structures:
-                        raise ParseError(f"duplicate structure {cur_name!r}", lineno)
-                    size = None
-                    tables = {}
-                    mode = "structure"
-                else:
-                    if cur_name in doc.p2specs:
-                        raise ParseError(f"duplicate p2 block {cur_name!r}", lineno)
-                    p2_members = []
-                    p2_bound = 4
-                    mode = "p2"
-            continue
-        if mode == "vocab":
-            if head != "rel" or len(words) != 3:
-                raise ParseError("vocab blocks hold 'rel <symbol> <arity>' lines", lineno)
+        sym, colon, rest = line.partition(":")
+        if not colon:
+            raise ParseError(f"unrecognised structure line {line!r}", n)
+        sym = sym.strip()
+        if sym not in vocab:
+            raise ParseError(f"unknown symbol {sym!r}", n)
+        if size is None:
+            raise ParseError("tables must come after the size line", n)
+        arity = vocab.arity(sym)
+        rows = tables.setdefault(sym, set())
+        for chunk in filter(None, map(str.strip, rest.split(";"))):
             try:
-                rels.append((words[1], int(words[2])))
+                t = tuple(int(w) for w in chunk.split())
             except ValueError:
-                raise ParseError(f"arity {words[2]!r} is not an integer", lineno) from None
-            continue
-        if mode == "structure":
-            if head == "size":
-                if size is not None:
-                    raise ParseError("size given twice", lineno)
-                if len(words) != 2:
-                    raise ParseError("size line needs exactly one integer", lineno)
-                try:
-                    size = int(words[1])
-                except ValueError:
-                    raise ParseError(f"size {words[1]!r} is not an integer", lineno) from None
-                continue
-            if ":" not in line:
-                raise ParseError(f"unrecognised structure line {line!r}", lineno)
-            sym, _, rest = line.partition(":")
-            sym = sym.strip()
-            if sym not in cur_vocab:
-                raise ParseError(f"unknown symbol {sym!r}", lineno)
-            if size is None:
-                raise ParseError("tables must come after the size line", lineno)
-            arity = cur_vocab.arity(sym)
-            rows = tables.setdefault(sym, set())
-            for chunk in rest.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                try:
-                    t = tuple(int(w) for w in chunk.split())
-                except ValueError:
-                    raise ParseError(f"tuple {chunk!r} holds a non-integer", lineno) from None
-                if len(t) != arity:
-                    raise ParseError(
-                        f"tuple {chunk!r} has {len(t)} entries; {sym!r} needs {arity}", lineno)
-                if any(x < 0 or x >= size for x in t):
-                    raise ParseError(f"tuple {chunk!r} leaves universe 0..{size - 1}", lineno)
-                rows.add(t)
-            continue
-        if mode == "p2":
-            if head == "members":
-                p2_members.extend(words[1:])
-                continue
-            if head == "bound":
-                if len(words) != 2:
-                    raise ParseError("bound line needs exactly one integer", lineno)
-                try:
-                    p2_bound = int(words[1])
-                except ValueError:
-                    raise ParseError(f"bound {words[1]!r} is not an integer", lineno) from None
-                continue
-            raise ParseError(f"unrecognised p2 line {line!r}", lineno)
-        raise ParseError(f"unrecognised top-level line {line!r}", lineno)
-    close(len(text.splitlines()) + 1)
+                raise ParseError(f"tuple {chunk!r} holds a non-integer", n) from None
+            if len(t) != arity:
+                raise ParseError(f"tuple {chunk!r} has {len(t)} entries; {sym!r} needs {arity}", n)
+            if any(x < 0 or x >= size for x in t):
+                raise ParseError(f"tuple {chunk!r} leaves universe 0..{size - 1}", n)
+            rows.add(t)
+    if size is None:
+        raise ParseError(f"structure {header[1]!r} has no size line", lineno)
+    return FinStructure(vocab, size, tables)
+
+
+def _read_p2(doc: Document, header: list[str], body: list, lineno: int) -> P2Spec:
+    members: list[str] = []
+    bound = 4
+    for n, line, words in body:
+        if words[0] == "members":
+            members.extend(words[1:])
+        elif words[0] == "bound":
+            if len(words) != 2:
+                raise ParseError("bound line needs exactly one integer", n)
+            bound = _int(words[1], "bound", n)
+        else:
+            raise ParseError(f"unrecognised p2 line {line!r}", n)
+    if not members:
+        raise ParseError(f"p2 block {header[1]!r} lists no members", lineno)
+    for nm in members:
+        if nm not in doc.structures:
+            raise ParseError(f"p2 member {nm!r} is not a structure above it", lineno)
+    return P2Spec([doc.structures[nm] for nm in members], size_bound=bound)
+
+
+# header word -> (what the block is called, Document field, reader)
+_BLOCKS = {"vocab": ("vocab", "vocabs", _read_vocab),
+           "structure": ("structure", "structures", _read_structure),
+           "p2": ("p2 block", "p2specs", _read_p2)}
+
+
+def parse_document(text: str) -> Document:
+    """Group the lines under their block headers, then read the blocks in
+    order; a block may name only blocks above it."""
+    blocks: list[tuple[tuple, list]] = []
+    for entry in _lines(text):
+        if entry[2][0] in _BLOCKS:
+            blocks.append((entry, []))
+        elif blocks:
+            blocks[-1][1].append(entry)
+        else:
+            raise ParseError(f"unrecognised top-level line {entry[1]!r}", entry[0])
+    doc = Document()
+    for (lineno, _, words), body in blocks:
+        head = words[0]
+        kind, field_name, read = _BLOCKS[head]
+        if head == "vocab":
+            if len(words) != 2:
+                raise ParseError("vocab line needs exactly a name", lineno)
+        elif len(words) != 4 or words[2] != "over":
+            raise ParseError(f"{head} line must read '{head} <name> over <vocab>'", lineno)
+        elif words[3] not in doc.vocabs:
+            raise ParseError(f"unknown vocab {words[3]!r}", lineno)
+        table = getattr(doc, field_name)
+        if words[1] in table:
+            raise ParseError(f"duplicate {kind} {words[1]!r}", lineno)
+        try:
+            table[words[1]] = read(doc, words, body, lineno)
+        except ParseError:
+            raise
+        except FraisseError as e:   # the block as a whole is rejected
+            raise ParseError(str(e), lineno) from None
     return doc
+
+
+# ---------------------------------------------------------------------------
+# typed universes
+
+
+def save_typed_universe(u: TypedUniverse, name: str = "universe") -> str:
+    """Serialize all type keys up to the universe's declared arity."""
+    lines = [f"typed-universe {name}", f"carrier {u.size}"]
+    for n in range(1, u.n_max + 1):
+        lines.append(f"arity {n}")
+        for tup in product(range(u.size), repeat=n):
+            pts = " ".join(str(x) for x in tup)
+            lines.append(f"{pts} : {u.key_of(tup)}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_typed_universe(text: str) -> TypedUniverse:
+    """Rebuild a typed universe from its saved key table."""
+    name = None
+    size = None
+    arity = None
+    table: dict[tuple, str] = {}
+    max_arity = 0
+    for lineno, line, parts in _lines(text):
+        if parts[0] == "typed-universe":
+            if len(parts) != 2:
+                raise ParseError("typed-universe wants a name", lineno)
+            name = parts[1]
+        elif parts[0] == "carrier":
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise ParseError("carrier wants a size", lineno)
+            size = int(parts[1])
+        elif parts[0] == "arity":
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise ParseError("arity wants a number", lineno)
+            arity = int(parts[1])
+            max_arity = max(max_arity, arity)
+        else:
+            if size is None or arity is None:
+                raise ParseError("type rows need carrier and arity first", lineno)
+            if ":" not in line:
+                raise ParseError("expected 'points : key'", lineno)
+            left, _, key = line.partition(":")
+            try:
+                tup = tuple(int(x) for x in left.split())
+            except ValueError:
+                raise ParseError("bad point list in type row", lineno) from None
+            if len(tup) != arity:
+                raise ParseError(f"row arity {len(tup)} != declared {arity}", lineno)
+            if any(x < 0 or x >= size for x in tup):
+                raise ParseError(f"row {tup} leaves the carrier", lineno)
+            table[tup] = key.strip()
+    if name is None or size is None or max_arity == 0:
+        raise ParseError("incomplete typed-universe document")
+    for n in range(1, max_arity + 1):
+        for tup in product(range(size), repeat=n):
+            if tup not in table:
+                raise ParseError(f"missing type row for {tup} at arity {n}")
+
+    def stored(tup):
+        return TypeId("stored", name, table[tuple(tup)])
+
+    return TypedUniverse(size, max_arity, stored)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +271,13 @@ def document_text(doc: Document) -> str:
                 return vn
         raise ParseError("document uses a vocabulary it does not declare")
 
-    for sn in doc.order:
-        s = doc.structures[sn]
+    for sn, s in doc.structures.items():
         blocks.append(structure_block(sn, s, name_of(s.vocab)))
     for pn, p2 in doc.p2specs.items():
         member_names = []
         for m in p2.members:
-            for sn in doc.order:
-                if doc.structures[sn] == m:
+            for sn, s in doc.structures.items():
+                if s == m:
                     member_names.append(sn)
                     break
         head = [f"p2 {pn} over {name_of(p2.vocab)}", f"bound {p2.size_bound}"]
@@ -236,22 +289,13 @@ def document_text(doc: Document) -> str:
 def p2_document(p2: P2Spec) -> str:
     """A self-contained document for one permission set: the p2 block `p2`
     over the vocabulary `v`, with members `m0`, `m1`, ..."""
-    doc = Document()
-    doc.vocabs["v"] = p2.vocab
-    for i, m in enumerate(p2.members):
-        doc.structures[f"m{i}"] = m
-        doc.order.append(f"m{i}")
-    doc.p2specs["p2"] = p2
-    return document_text(doc)
+    members = {f"m{i}": m for i, m in enumerate(p2.members)}
+    return document_text(Document({"v": p2.vocab}, members, {"p2": p2}))
 
 
 def structure_document(s: FinStructure, name: str = "s") -> str:
     """A self-contained document for one structure over the vocabulary `v`."""
-    doc = Document()
-    doc.vocabs["v"] = s.vocab
-    doc.structures[name] = s
-    doc.order.append(name)
-    return document_text(doc)
+    return document_text(Document({"v": s.vocab}, {name: s}))
 
 
 def load_document(path) -> Document:

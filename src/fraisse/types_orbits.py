@@ -150,6 +150,8 @@ class _AclEngine:
     """
 
     def __init__(self, source, d: int, budget: int | None):
+        if budget is not None and budget < 0:
+            raise InputError(f"growth_budget must be >= 0, got {budget}")
         self.src = source
         self.d = d
         self.remaining = budget          # None = unlimited
@@ -296,10 +298,6 @@ class TrivialityReport:
     added: int
     counterexample: tuple[int, tuple[int, ...]] | None = None
 
-    @property
-    def trivial(self) -> bool:
-        return self.verdict == "trivial"
-
 
 def check_triviality(source, max_b: int, d: int = 5,
                      growth_budget: int | None = None) -> TrivialityReport:
@@ -354,10 +352,6 @@ class DegeneracyReport:
     added: int
     witnesses: list[DependenceWitness] = field(default_factory=list)
     counterexample: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.verdict == "degenerate"
 
 
 _WITNESS_CAP = 32           # dependence witnesses a degeneracy report lists

@@ -206,6 +206,11 @@ def test_ap_rejects_bounds_before_enumerating():
             check_ap(graph_p2(), 1, 4)
 
 
+def test_negative_size_bound_rejected():
+    with pytest.raises(InputError, match="size_bound must be >= 0, got -2"):
+        P2Spec(graph_p2().members, size_bound=-2)
+
+
 def test_ap_enumerates_each_level_once():
     with mock.patch.object(amalgamation, "_levels", wraps=amalgamation._levels) as levels, \
             mock.patch.object(amalgamation, "enumerate_rp2") as enum:

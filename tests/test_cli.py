@@ -275,20 +275,32 @@ REJECTED_BOUNDS = [
     (["zeroone", "--p2", "P2", "--full", "-1"], "full must be >= 0, got -1"),
     (["example412", "--check", "reduct", "--nmax", "2"], "the reduct check needs nmax >= 3, got 2"),
     (["example412", "--nmax", "1"], "the reduct check needs nmax >= 3, got 1"),
+    (["gen", "--p2", "P2", "--saturate", "2", "--budget", "-1"], "budget must be >= 0, got -1"),
+    (["gen", "--p2", "P2", "--saturate", "-1"], "saturate must be >= 0, got -1"),
+    (["gen", "--p2", "P2", "--passes", "-1"], "passes must be >= 0, got -1"),
+    (["acl", "--p2", "P2", "--growth-budget", "-1"], "growth_budget must be >= 0, got -1"),
+    (["triviality", "--p2", "P2", "--budget", "-1"], "budget must be >= 0, got -1"),
+    (["example412", "--budget", "-1"], "budget must be >= 0, got -1"),
+    (["enum", "--p2", "NEG", "--size", "3"], "line 17: size_bound must be >= 0, got -2"),
+    (["check-ap", "--p2", "NEG"], "line 17: size_bound must be >= 0, got -2"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", REJECTED_BOUNDS,
                          ids=[" ".join(a for a in argv if a not in ("--p2", "P2"))
                               for argv, _ in REJECTED_BOUNDS])
-def test_out_of_range_bounds_are_rejected_before_any_oracle(argv, message, p2file, capsys,
-                                                            monkeypatch):
+def test_out_of_range_bounds_are_rejected_before_any_oracle(argv, message, p2file, tmp_path,
+                                                            capsys, monkeypatch):
     def no_oracle(*args):
         raise AssertionError("an oracle or a sampler ran before the bounds were checked")
 
     monkeypatch.setattr("fraisse.cli.new_generic", no_oracle)
     monkeypatch.setattr("fraisse.cli.convergence_report", no_oracle)
-    code, out, err = run([p2file if a == "P2" else a for a in argv], capsys)
+    # the graph permission set with bound -2; its p2 block opens on line 17
+    neg = tmp_path / "neg.p2"
+    neg.write_text(p2_document(graph_p2()).replace("\nbound 4\n", "\nbound -2\n"))
+    files = {"P2": p2file, "NEG": str(neg)}
+    code, out, err = run([files.get(a, a) for a in argv], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

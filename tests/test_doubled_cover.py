@@ -15,7 +15,8 @@ from fraisse.errors import (ConfigurationNotFoundError, InputError,
 from fraisse.generic import (grow_random, new_generic, saturate,
                              saturate_until_stable)
 from fraisse.amalgamation import graph_p2
-from fraisse.structures import FinStructure, expand_with_marks, tuple_type, undirected_graph
+from fraisse.structures import (FinStructure, expand_with_marks, induced_substructure, tuple_type,
+                                undirected_graph)
 from fraisse.types_orbits import acl_approx, enumerate_types
 
 from _naive import all_graphs, graph_of_bits, naive_pair_key, random_graph
@@ -64,9 +65,6 @@ def test_double_rejects_bad_bases():
 
 def test_accessors():
     d = build_double(undirected_graph(2, [(0, 1)]))
-    assert d.pair_of(0) == 1 and d.pair_of(3) == 2
-    assert d.base_of(0) == 0 and d.base_of(3) == 1
-    assert d.level_of(0) == 0 and d.level_of(3) == 1
     assert d.level_points(0) == (0, 2)
     assert d.level_points(1) == (1, 3)
 
@@ -74,8 +72,9 @@ def test_accessors():
 def test_halves_equal_base():
     base = graph_of_bits(4, 37)
     d = build_double(base)
-    assert d.half(0).tables == base.tables
-    assert d.half(1).tables == base.tables
+    for level in (0, 1):
+        half, _ = induced_substructure(d.m, d.level_points(level))
+        assert half.tables == base.tables
 
 
 def test_f_prefix_tracks_saturation():
@@ -108,7 +107,7 @@ def test_bond_is_the_no_common_neighbour_relation(pipeline):
     for u in range(d.size):
         for v in range(d.size):
             formula = u == v or not (rows[u] & rows[v])
-            actual = u == v or d.pair_of(u) == v
+            actual = u == v or u ^ 1 == v
             assert formula == actual
     rep = e_definability_check(d)
     assert rep.verdict == "match"
@@ -223,11 +222,6 @@ def test_nine_class_cover_types_are_switching_classes():
     assert q.pair_type(blocks[0]) != q.pair_type(blocks[2])
     # the level mark freezes swaps, so the marked cover tells H from its switch
     assert qm.pair_type(blocks[0]) != qm.pair_type(blocks[1])
-
-
-def test_class_members(small_pipeline):
-    q = small_pipeline.q2
-    assert q.class_members(3) == (6, 7)
 
 
 def test_claim3_on_generic_cover(pipeline):

@@ -195,6 +195,14 @@ def test_negative_level_rejected():
         saturate(fresh(), -1)
 
 
+def test_negative_budget_rejected():
+    o = fresh(3, 4)
+    for call in (saturate, saturate_until_stable):
+        with pytest.raises(InputError, match="new_point_budget must be >= 0, got -1"):
+            call(o, 2, -1)
+    assert o.size == 4 and len(o.log) == 4
+
+
 def test_two_stable_oracles_are_2_equivalent():
     a = fresh(21, 8)
     b = fresh(22, 9)

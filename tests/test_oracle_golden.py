@@ -42,7 +42,7 @@ from pathlib import Path
 
 from fraisse.amalgamation import graph_p2
 from fraisse.cli import main
-from fraisse.doubled_cover import doubled_acl_source
+from fraisse.doubled_cover import DoubledAclSource
 from fraisse.generic import (back_and_forth, find_realization, grow_random,
                              homogeneity_probe, new_generic, one_point_extensions,
                              realizer_bits, saturate, saturate_until_stable, verify_saturation)
@@ -111,7 +111,7 @@ def acl_lines() -> list[str]:
     out = []
     sources = (("graph", grown(graph_p2(), 3, 6, level=3), (0, 1)),
                ("marked", grown(marked_p2(), 2, 4, level=3), (0, 1)),
-               ("doubled", doubled_acl_source(grown(graph_p2(), 6, 3, level=3)), (0, 2)))
+               ("doubled", DoubledAclSource(grown(graph_p2(), 6, 3, level=3)), (0, 2)))
     for label, src, base in sources:
         rep = acl_approx(src, base, d=8, growth_budget=12)
         out.append(f"{label} added={rep.added} inconclusive={rep.inconclusive} "

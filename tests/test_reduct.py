@@ -11,9 +11,9 @@ from fraisse.doubled_cover import build_double, build_expansion_star, quotient
 from fraisse.errors import InputError, InvalidElementError, ParseError
 from fraisse.reduct import (definable_as_union, from_quotient,
                             from_structure, is_reduct,
-                            pair_family_universe, parse_typed_universe,
-                            partition_refines, save_typed_universe)
+                            pair_family_universe, partition_refines)
 from fraisse.structures import TypeId, expand_with_marks, tuple_type, undirected_graph
+from fraisse.textio import parse_typed_universe, save_typed_universe
 from fraisse.types_orbits import types_determined_by_pairs
 
 from _naive import graph_of_bits

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from fraisse.amalgamation import graph_p2
 from fraisse.errors import ParseError
 from fraisse.structures import expand_with_marks, undirected_graph
-from fraisse.reduct import parse_typed_universe
 from fraisse.textio import (document_text, load_p2, load_structure,
-                            p2_document, parse_document, structure_block,
-                            structure_document, vocab_block)
+                            p2_document, parse_document, parse_typed_universe,
+                            structure_block, structure_document, vocab_block)
 
 from _naive import graph_of_bits, random_graph
 
@@ -162,6 +161,10 @@ DOCUMENT_ERRORS = [
     (V + "p2 p over v\nbound x\n", "line 4: bound 'x' is not an integer"),
     (V + "p2 p over v\nsize 2\n", "line 4: unrecognised p2 line 'size 2'"),
     ("rel adj 2\n", "line 1: unrecognised top-level line 'rel adj 2'"),
+    # a vocabulary's own errors, a negative bound: on the block's header line
+    ("# v\nvocab v\nrel adj 0\n", "line 2: symbol 'adj' has arity 0; must be >= 1"),
+    ("# v\nvocab v\nrel adj 2\nrel adj 1\n", "line 2: duplicate symbol 'adj'"),
+    (S + "size 1\np2 p over v\nbound -2\nmembers s\n", "line 5: size_bound must be >= 0, got -2"),
 ]
 
 UNIVERSE_ERRORS = [

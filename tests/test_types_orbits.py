@@ -172,7 +172,7 @@ def test_acl_growth_budget_turns_inconclusive():
 
 def test_triviality_on_generic_graph():
     rep = check_triviality(stable_oracle(), max_b=1, growth_budget=200)
-    assert rep.trivial
+    assert rep.verdict == "trivial"
     assert rep.inconclusive == 0
     assert rep.bases_checked > 1
 
@@ -183,7 +183,7 @@ def test_degeneracy_on_generic_graph():
     saturate(o, 7)
     rep = check_degenerate_dependence(o, rho=2, max_b=2, max_c=2,
                                       growth_budget=300)
-    assert rep.degenerate
+    assert rep.verdict == "degenerate"
     assert rep.dependencies > 0
     assert all(len(w.b0) < 2 for w in rep.witnesses)
 
@@ -203,7 +203,10 @@ def test_bounds_are_rejected_before_growth_or_enumeration():
                      lambda: check_triviality(o, max_b=1, d=0),
                      lambda: check_degenerate_dependence(o, rho=2, max_c=-1),
                      lambda: check_degenerate_dependence(o, rho=2, max_b=0),
-                     lambda: check_degenerate_dependence(o, rho=2, d=0)):
+                     lambda: check_degenerate_dependence(o, rho=2, d=0),
+                     lambda: acl_approx(o, (), growth_budget=-1),
+                     lambda: check_triviality(o, max_b=1, growth_budget=-1),
+                     lambda: check_degenerate_dependence(o, rho=2, growth_budget=-1)):
             with pytest.raises(InputError):
                 call()
             assert o.size == size

@@ -1,8 +1,8 @@
 """Plain-text formats for vocabularies, structures, permission sets and
 typed universes.
 
-The format is line oriented.  `#` starts a comment, blank lines separate
-nothing in particular.  Blocks:
+The formats are line oriented.  `#` starts a comment, blank lines separate
+nothing in particular.  A document holds blocks:
 
     vocab <name>
     rel <symbol> <arity>
@@ -100,7 +100,10 @@ def _read_structure(doc: Document, header: list[str], body: list, lineno: int
             raise ParseError("tables must come after the size line", n)
         arity = vocab.arity(sym)
         rows = tables.setdefault(sym, set())
-        for chunk in filter(None, map(str.strip, rest.split(";"))):
+        for chunk in rest.split(";"):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
             try:
                 t = tuple(int(w) for w in chunk.split())
             except ValueError:

@@ -11,6 +11,7 @@ each), kept here as the reference.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -19,12 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraisse.amalgamation import graph_p2
+from fraisse.cli import main
 from fraisse.generic import (_STABLE_MAX_PASSES, LogEntry, SaturationReport,
                              StableSaturationReport, _missing, _new_bases,
                              extend_one_point, find_realization, grow_random,
                              new_generic, one_point_extensions, saturate,
                              saturate_until_stable)
 from fraisse.structures import FinStructure, point_codes
+from fraisse.textio import p2_document
 
 from test_sampling_golden import marked_p2
 
@@ -188,3 +191,23 @@ def test_semi_naive_passes_match_the_full_rescan(spec, seed, points, ops):
         assert [(e.op, e.detail) for e in fast.log] == [(e.op, e.detail) for e in slow.log]
         assert fast.saturation == slow.saturation
         assert fast._rng.getstate() == slow._rng.getstate()
+
+
+# sha256 of the report below its `# input` line, which names the input path
+MARKED_414_SHA256 = "74128034247d8f734038129ec792814bf84e614574b762460db52c73c1622c26"
+
+
+def test_marked_level_2_stabilisation_report_is_pinned(tmp_path, capsys):
+    """Twelve passes at level 2 on the marked spec grow 414 points, over
+    an asymmetric relation and with every point type; the whole report,
+    transcript and structure included, is pinned."""
+    path = tmp_path / "marked.p2"
+    path.write_text(p2_document(marked_p2()))
+    code = main(["gen", "--p2", str(path), "--seed", "3", "--points", "6", "--saturate", "2",
+                 "--passes", "12", "--budget", "1000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "\n# final size: 414\n" in out
+    assert "\n# saturation record: [(0, 414), (1, 414), (2, 414)]\n" in out
+    below = out.partition("\n# input ")[2].partition("\n")[2]
+    assert hashlib.sha256(below.encode()).hexdigest() == MARKED_414_SHA256

@@ -21,13 +21,12 @@ from .structures import (
     FinStructure,
     TypeId,
     Vocabulary,
-    add_links,
-    add_point,
     canonical_key,
     find_embeddings,
     graph_vocabulary,
     induced_substructure,
     point_codes,
+    with_point,
 )
 
 
@@ -120,12 +119,7 @@ def assemble_pair(t0: FinStructure, t1: FinStructure, dirs) -> FinStructure:
     """The two-point structure with point 0 like t0, point 1 like t1,
     and cross links given per binary symbol as (0->1, 1->0) bits."""
     _check_halves(t0, t1)
-    vocab = t0.vocab
-    tables: dict[str, set] = {name: set() for name in vocab.names()}
-    add_point(tables, vocab, 0, point_codes(t0)[0])
-    add_point(tables, vocab, 1, point_codes(t1)[0])
-    add_links(tables, vocab, 0, 1, dirs)
-    return FinStructure(vocab, 2, tables)
+    return with_point(t0, point_codes(t1)[0], [dirs])
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +160,14 @@ def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
 def _levels(p2: P2Spec, n: int) -> list[list[FinStructure]]:
     """`enumerate_rp2` for every size 0..n, each level grown once from
     the one below it."""
-    vocab = p2.vocab
-    levels = [[FinStructure(vocab, 0)]]
-    for size in range(1, n + 1):
+    levels = [[FinStructure(p2.vocab, 0)]]
+    for _ in range(n):
         by_key: dict[TypeId, FinStructure] = {}
-        w = size - 1
         for parent in levels[-1]:
             codes = point_codes(parent)
             for cw in p2.codes:
-                option_lists = [p2.links(cv, cw) for cv in codes]
-                if not all(option_lists):
-                    continue
-                for choice in product(*option_lists):
-                    tables = {name: set(tab) for name, tab in parent.tables.items()}
-                    add_point(tables, vocab, w, cw)
-                    for v, dirs in enumerate(choice):
-                        add_links(tables, vocab, v, w, dirs)
-                    cand = FinStructure(vocab, size, tables)
+                for choice in product(*[p2.links(cv, cw) for cv in codes]):
+                    cand = with_point(parent, cw, choice)
                     by_key.setdefault(canonical_key(cand), cand)
         levels.append([by_key[k] for k in sorted(by_key)])
     return levels
@@ -388,19 +373,18 @@ def _amalgam(p2: P2Spec, b: FinStructure, c: FinStructure, f: Embedding,
 def _glue(p2: P2Spec, b: FinStructure, c: FinStructure,
           found: tuple[tuple[int, ...], int]) -> tuple[FinStructure, Embedding, Embedding]:
     """The amalgam `_amalgam` found, with b on its first points and c
-    mapped by `found`'s map; a fresh point and an unidentified point of b
-    take their first permitted link option."""
+    mapped by `found`'s map.  The fresh points are added in index order;
+    a fresh point takes c's link to a point that is an image of c, and
+    its first permitted link option to any other point."""
     gmap, size = found
-    tables = {name: set(tab) for name, tab in b.tables.items()}
-    for name, _a in c.vocab.symbols:
-        for t in c.tables[name]:
-            tables[name].add(tuple(gmap[x] for x in t))
     codes_b, codes_c = point_codes(b), point_codes(c)
-    for u in set(range(b.size)).difference(gmap):
-        for v in range(c.size):
-            if gmap[v] >= b.size:
-                add_links(tables, b.vocab, u, gmap[v], p2.links(codes_b[u], codes_c[v])[0])
-    d = FinStructure(b.vocab, size, tables)
+    source = {x: v for v, x in enumerate(gmap)}
+    d = b
+    for w in range(b.size, size):
+        v = source[w]
+        d = with_point(d, codes_c[v], [c.link(source[x], v) if x in source
+                                       else p2.links(codes_b[x], codes_c[v])[0]
+                                       for x in range(w)])
     return d, Embedding(b, d, range(b.size), check=True), Embedding(c, d, gmap, check=True)
 
 

@@ -11,15 +11,13 @@ makes the approximation useful: extension properties verified over the
 recorded prefix stay true forever because realisations are never
 destroyed by later growth.
 
-The oracle is incremental.  Its state is live bit rows, per binary
-symbol the out- and in-row of every point, the point codes and per
-point code the points that have it, and `extend_one_point` updates
-them; a snapshot (`current`) copies them through the constructor the
-sampler uses, and decodes its tables only when they are read.
-Saturation passes are semi-naive: a pass skips the bases that lie
-inside the prefix already saturated at its level, which the same
-argument makes exact.  Each remaining base is scanned once, on
-one snapshot, by splitting the candidate mask over the link options
+The oracle holds one immutable structure, `current`, and each new point
+replaces it with `structures.with_point` of it; a structure read earlier
+is never changed, and its tables are decoded from bit rows only when
+they are read.  Saturation passes are semi-naive: a pass skips the
+bases that lie inside the prefix already saturated at its level, which
+the same argument makes exact.  Each remaining base is scanned once, on
+one structure, by splitting the candidate mask over the link options
 (`_missing`); `verify_saturation` stays a full, independent rescan.
 """
 
@@ -38,7 +36,7 @@ from .errors import (
     SaturationError,
     VocabularyError,
 )
-from .structures import FinStructure, Vocabulary, point_codes, tuple_payload
+from .structures import FinStructure, Vocabulary, point_codes, tuple_payload, with_point
 
 M64 = (1 << 64) - 1
 
@@ -123,22 +121,11 @@ class GenericOracle:
         self.p2 = p2
         self.seed = int(seed) & M64
         self._rng = random.Random(self.seed)
-        self._size = 0
-        self._codes: list[int] = []
-        # live bitmask rows: per binary symbol its out- and in-rows
-        # (`FinStructure.out_bits`/`in_bits`), one shared list when every
-        # permitted link is symmetric in it, and per point code the points
-        # that have it
-        self._rows: list[tuple[list[int], list[int]]] = []
-        for symmetric in p2.symmetric():
-            out: list[int] = []
-            self._rows.append((out, out if symmetric else []))
-        self._code_bits: dict[int, int] = {}
+        self._s = FinStructure(p2.vocab, 0)
         # a LogEntry, or an added point's (index, pattern, drawn links),
         # formatted when `log` is first read
         self._log: list = []
         self._sat: dict[int, int] = {}
-        self._frozen: FinStructure | None = None
 
     # -- views --------------------------------------------------------------
 
@@ -148,15 +135,12 @@ class GenericOracle:
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._s.size
 
     @property
     def current(self) -> FinStructure:
         """The approximation so far, as an immutable structure."""
-        if self._frozen is None:
-            self._frozen = FinStructure._trusted(self.vocab, self._size, self._rows,
-                                                 self._codes, self._code_bits)
-        return self._frozen
+        return self._s
 
     @property
     def log(self) -> tuple[LogEntry, ...]:
@@ -191,7 +175,8 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
     """Add one point realising `tau` over its base; links to all other
     points are drawn uniformly from the permitted options.  Returns the
     new point's index."""
-    w = o._size
+    w = o.size
+    codes = point_codes(o._s)
     if tau.vocab != o.vocab:
         raise ExtensionError("the pattern and the oracle use different vocabularies")
     for b in tau.base:
@@ -200,36 +185,20 @@ def extend_one_point(o: GenericOracle, tau: ExtensionType) -> int:
     if tau.point not in o.p2.codes:
         raise ExtensionError("the new point's pattern is not permitted")
     for b, dirs in zip(tau.base, tau.dirs):
-        if dirs not in o.p2.links(o._codes[b], tau.point):
+        if dirs not in o.p2.links(codes[b], tau.point):
             raise ExtensionError(f"the link pattern at base point {b} is not permitted")
 
-    base_set = set(tau.base)
+    links = [None] * w
+    for b, dirs in zip(tau.base, tau.dirs):
+        links[b] = dirs
     drawn = []
     for v in range(w):
-        if v in base_set:
-            continue
-        # adequacy gives every pair of permitted codes at least one option
-        options = o.p2.links(o._codes[v], tau.point)
-        drawn.append((v, options[o._rng.randrange(len(options))]))
-    links = list(zip(tau.base, tau.dirs)) + drawn
-    bit = 1 << w
-    for j, (sym, (out, inn)) in enumerate(zip(o.vocab.binary_symbols(), o._rows)):
-        row_out = row_in = bit if tau.point & o.vocab.code_bit(sym) else 0
-        for v, dirs in links:
-            to_w, from_w = dirs[j]
-            if to_w:
-                out[v] |= bit
-                row_in |= 1 << v
-            if from_w:
-                inn[v] |= bit
-                row_out |= 1 << v
-        out.append(row_out)
-        if inn is not out:
-            inn.append(row_in)
-    o._code_bits[tau.point] = o._code_bits.get(tau.point, 0) | bit
-    o._size = w + 1
-    o._codes.append(tau.point)
-    o._frozen = None
+        if links[v] is None:
+            # adequacy gives every pair of permitted codes at least one option
+            options = o.p2.links(codes[v], tau.point)
+            links[v] = options[o._rng.randrange(len(options))]
+            drawn.append((v, links[v]))
+    o._s = with_point(o._s, tau.point, links)
     o._log.append((w, tau, drawn))
     return w
 
@@ -271,13 +240,8 @@ def one_point_extensions(p2: P2Spec, codes: Sequence[int],
                          base: Sequence[int]) -> list[ExtensionType]:
     """All compatible extension patterns over `base`, in a deterministic
     order.  `codes[i]` is the point code (`point_codes`) of base point i."""
-    out = []
-    for cw in p2.codes:
-        option_lists = [p2.links(cb, cw) for cb in codes]
-        if all(option_lists):
-            out.extend(ExtensionType(p2.vocab, base, choice, cw)
-                       for choice in product(*option_lists))
-    return out
+    return [ExtensionType(p2.vocab, base, choice, cw) for cw in p2.codes
+            for choice in product(*[p2.links(cb, cw) for cb in codes])]
 
 
 def realizer_bits(s: FinStructure, tau: ExtensionType) -> int:
@@ -332,8 +296,6 @@ def _missing(p2: P2Spec, s: FinStructure, base: tuple[int, ...]) -> list[Extensi
     out = []
     for cw in p2.codes:
         option_lists = [p2.links(codes[b], cw) for b in base]
-        if not all(option_lists):
-            continue
         leaves = [(s.code_bits(cw) & clear, ())]
         for b, options in zip(base, option_lists):
             split = [(option, s.link_rows(option)[b]) for option in options]
@@ -372,7 +334,7 @@ def saturate(o: GenericOracle, k: int, new_point_budget: int | None = None
         raise InputError(f"negative saturation level {k}")
     if new_point_budget is not None and new_point_budget < 0:
         raise InputError(f"new_point_budget must be >= 0, got {new_point_budget}")
-    pre = o._size
+    pre = o.size
     done = o.saturated_prefix(k)
     added = 0
     for size in range(0, k + 1):
@@ -417,7 +379,7 @@ def saturate_until_stable(o: GenericOracle, k: int,
         if rep.exhausted:
             return StableSaturationReport(k, p, total, False, 0, reports)
         if rep.added == 0:
-            return StableSaturationReport(k, p, total, True, o._size, reports)
+            return StableSaturationReport(k, p, total, True, o.size, reports)
     return StableSaturationReport(k, _STABLE_MAX_PASSES, total, False,
                                   o.saturated_prefix(k), reports)
 

@@ -99,9 +99,9 @@ class FinStructure:
 
     `FinStructure(vocab, size, tables)` checks and freezes the tables.
     Library code that builds a binary structure from valid indices (the
-    sampler, oracle snapshots) goes through `_trusted` instead and hands
-    over bit rows and point codes; such a structure decodes `tables` from
-    them on first read."""
+    sampler, `with_point`) goes through `_trusted` instead and hands over
+    bit rows and point codes; such a structure decodes `tables` from them
+    on first read."""
 
     __slots__ = ("vocab", "size", "_tables", "_hash", "_canon", "_bits", "_codes",
                  "_code_bits", "_binary_rows")
@@ -453,20 +453,34 @@ def tuple_type(s: FinStructure, tup: Sequence[int]) -> TypeId:
     return TypeId("tuple", s.vocab.symbols, tuple_payload(s, tup))
 
 
-def add_point(tables: dict[str, set], vocab: Vocabulary, v: int, code: int) -> None:
-    """Add the facts on (v, ..., v) that the point code `code` names."""
-    for name, arity in vocab.symbols:
-        if code & vocab.code_bit(name):
-            tables[name].add((v,) * arity)
-
-
-def add_links(tables: dict[str, set], vocab: Vocabulary, u: int, v: int, option) -> None:
-    """Add the facts that make `option` the link from u to v (`FinStructure.link`)."""
-    for sym, (to_v, from_v) in zip(vocab.binary_symbols(), option):
-        if to_v:
-            tables[sym].add((u, v))
-        if from_v:
-            tables[sym].add((v, u))
+def with_point(s: FinStructure, code: int, links: Sequence) -> FinStructure:
+    """s plus the point w = s.size, with point code `code` (`point_codes`)
+    and `link(v, w) == links[v]` for each v < w; s is left unchanged."""
+    vocab, w = s.vocab, s.size
+    if not vocab.binary:
+        raise VocabularyError("with_point needs a binary vocabulary")
+    if len(links) != w:
+        raise InvalidElementError(f"{len(links)} links given for a new point after {w} points")
+    bit = 1 << w
+    rows = []
+    for j, sym in enumerate(vocab.binary_symbols()):
+        out, inn = list(s.out_bits(sym)), list(s.in_bits(sym))
+        row_out = row_in = bit if code & vocab.code_bit(sym) else 0
+        for v, option in enumerate(links):
+            to_w, from_w = option[j]
+            if to_w:
+                out[v] |= bit
+                row_in |= 1 << v
+            if from_w:
+                inn[v] |= bit
+                row_out |= 1 << v
+        out.append(row_out)
+        inn.append(row_in)
+        rows.append((out, inn))
+    codes = point_codes(s)
+    code_bits = {c: s.code_bits(c) for c in {*codes, code}}
+    code_bits[code] |= bit
+    return FinStructure._trusted(vocab, w + 1, rows, codes + (code,), code_bits)
 
 
 def point_codes(s: FinStructure) -> tuple[int, ...]:

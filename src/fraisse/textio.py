@@ -135,7 +135,8 @@ def _read_p2(doc: Document, header: list[str], body: list, lineno: int) -> P2Spe
     for nm in members:
         if nm not in doc.structures:
             raise ParseError(f"p2 member {nm!r} is not a structure above it", lineno)
-    return P2Spec([doc.structures[nm] for nm in members], size_bound=bound)
+    return P2Spec([doc.structures[nm] for nm in members], vocab=doc.vocabs[header[3]],
+                  size_bound=bound)
 
 
 # header word -> (what the block is called, Document field, reader)
@@ -277,12 +278,10 @@ def document_text(doc: Document) -> str:
     for sn, s in doc.structures.items():
         blocks.append(structure_block(sn, s, name_of(s.vocab)))
     for pn, p2 in doc.p2specs.items():
-        member_names = []
-        for m in p2.members:
-            for sn, s in doc.structures.items():
-                if s == m:
-                    member_names.append(sn)
-                    break
+        member_names = [next((sn for sn, s in doc.structures.items() if s == m), None)
+                        for m in p2.members]
+        if None in member_names:
+            raise ParseError(f"p2 block {pn!r} has a member the document does not name")
         head = [f"p2 {pn} over {name_of(p2.vocab)}", f"bound {p2.size_bound}"]
         head.append("members " + " ".join(member_names))
         blocks.append("\n".join(head))

@@ -14,7 +14,7 @@ from fraisse.amalgamation import (P2Spec, age, assemble_pair,
                                   check_1_adequate, check_ap, check_hp,
                                   enumerate_rp2, graph_p2, in_rp2, require_adequate)
 from fraisse.errors import AdequacyError, InputError, InvalidElementError
-from fraisse.structures import (Embedding, FinStructure, Vocabulary, add_links, canonical_key,
+from fraisse.structures import (Embedding, FinStructure, Vocabulary, canonical_key,
                                 find_embeddings, point_codes, undirected_graph)
 
 from _naive import (all_graphs, graph_of_bits, naive_adequacy, naive_in_rp2,
@@ -245,7 +245,12 @@ def pool_amalgam(p2: P2Spec, bound: int):
         if b.size + len(extra) <= bound and all(p2.links(codes_b[u], codes_c[v])
                                                 for u, v in cross):
             for u, v in cross:
-                add_links(tables, p2.vocab, u, idx[v], p2.links(codes_b[u], codes_c[v])[0])
+                option = p2.links(codes_b[u], codes_c[v])[0]
+                for sym, (to_v, from_v) in zip(p2.vocab.binary_symbols(), option):
+                    if to_v:
+                        tables[sym].add((u, idx[v]))
+                    if from_v:
+                        tables[sym].add((idx[v], u))
             d = FinStructure(p2.vocab, b.size + len(extra), tables)
             if in_rp2(p2, d):
                 return d, Embedding(b, d, range(b.size)), Embedding(c, d, [idx[v] for v in range(c.size)])

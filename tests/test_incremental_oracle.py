@@ -1,10 +1,11 @@
-"""The incremental oracle against the full rebuild and the full rescan.
+"""The oracle's growth against the full rebuild and the full rescan.
 
-`GenericOracle` keeps live bit rows and point codes, and `current`
-freezes them through a constructor that skips validation and decodes
-the tables only when they are read; every snapshot here is compared
-with `FinStructure(vocab, size, tables)` built from those decoded
-tables.  `saturate` is semi-naive and lists the missing patterns of
+`GenericOracle` holds one immutable structure, `current`, and replaces
+it at every new point with `structures.with_point`, which builds bit
+rows without validation and decodes the tables only when they are read;
+every structure here is compared with `FinStructure(vocab, size, tables)`
+built from those decoded tables, and structures taken earlier must not
+change as the oracle grows.  `saturate` is semi-naive and lists the missing patterns of
 a base once; `rescan_saturate` below is the pass it replaced (every base,
 every pattern, one `find_realization` on a freshly validated structure
 each), kept here as the reference.

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from fraisse.errors import InvalidElementError, VocabularyError
 from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
-                                add_links, add_point, canonical_key,
-                                expand_with_marks, find_embeddings,
-                                graph_vocabulary, induced_substructure,
-                                is_isomorphic, point_codes, reduct_to,
-                                tuple_type, undirected_graph)
+                                canonical_key, expand_with_marks,
+                                find_embeddings, graph_vocabulary,
+                                induced_substructure, is_isomorphic,
+                                point_codes, reduct_to, tuple_type,
+                                undirected_graph, with_point)
 
 from _naive import (all_graphs, graph_of_bits, is_valid_embedding,
                     naive_embeddings, naive_is_isomorphic, naive_link,
@@ -176,25 +176,47 @@ def test_link_and_link_rows_match_naive(raw):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(LINK_VOCABS), st.data())
-def test_add_point_and_add_links_write_what_link_reads(vocab, data):
+def test_with_point_writes_what_link_reads(vocab, data):
+    if not vocab.binary:
+        with pytest.raises(VocabularyError):
+            with_point(FinStructure(vocab, 0), 0, [])
+        return
     n = data.draw(st.integers(0, 5))
     nsym, nbin = len(vocab.symbols), len(vocab.binary_symbols())
     codes = data.draw(st.lists(st.integers(0, (1 << nsym) - 1), min_size=n, max_size=n))
     options = {(u, v): data.draw(st.tuples(*[st.sampled_from(PAIRS)] * nbin))
                for u in range(n) for v in range(u + 1, n)}
+    # the same facts written by hand: a loop per code bit, and per link
+    # option the facts of each direction it holds
     tables = {name: set() for name in vocab.names()}
     for v, code in enumerate(codes):
-        add_point(tables, vocab, v, code)
-    for (u, v), option in options.items():
-        add_links(tables, vocab, u, v, option)
-    s = FinStructure(vocab, n, tables)
-    assert point_codes(s) == tuple(codes)
-    for v, code in enumerate(codes):
         for name, arity in vocab.symbols:
-            assert ((v,) * arity in s.tables[name]) == bool(code & vocab.code_bit(name))
+            if code & vocab.code_bit(name):
+                tables[name].add((v,) * arity)
     for (u, v), option in options.items():
-        assert s.link(u, v) == naive_link(s, u, v) == option
+        for sym, (to_v, from_v) in zip(vocab.binary_symbols(), option):
+            if to_v:
+                tables[sym].add((u, v))
+            if from_v:
+                tables[sym].add((v, u))
+    grown = [FinStructure(vocab, 0)]
+    for w, code in enumerate(codes):
+        grown.append(with_point(grown[-1], code, [options[v, w] for v in range(w)]))
+    s, ref = grown[-1], FinStructure(vocab, n, tables)
+    assert point_codes(s) == tuple(codes)
+    for (u, v), option in options.items():
+        assert s.link(u, v) == naive_link(ref, u, v) == option
         assert s.link(v, u) == tuple((b, a) for a, b in option)
+    assert s == ref and hash(s) == hash(ref) and s.tables == ref.tables
+    for sym in vocab.binary_symbols():
+        assert s.in_bits(sym) == ref.in_bits(sym)
+        assert (s.in_bits(sym) is s.out_bits(sym)) == (s.in_bits(sym) == s.out_bits(sym))
+    # each point added left the structures before it as they were
+    for k, earlier in enumerate(grown):
+        sub, _ = induced_substructure(ref, range(k))
+        assert earlier.size == k and earlier == sub and earlier.tables == sub.tables
+    with pytest.raises(InvalidElementError):
+        with_point(s, 0, [PAIRS[:nbin]] * (n + 1))
 
 
 def test_undirected_graph_symmetrizes():

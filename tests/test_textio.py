@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fraisse.amalgamation import graph_p2
 from fraisse.errors import ParseError
 from fraisse.structures import expand_with_marks, undirected_graph
-from fraisse.textio import (document_text, load_p2, load_structure,
+from fraisse.textio import (Document, document_text, load_p2, load_structure,
                             p2_document, parse_document, parse_typed_universe,
                             structure_block, structure_document, vocab_block)
 
@@ -59,6 +59,13 @@ def test_document_text_round_trip():
     text = document_text(doc)
     again = parse_document(text)
     assert again.sole_structure() == g
+
+
+def test_document_text_rejects_an_unnamed_member():
+    p2 = graph_p2()
+    doc = Document({"v": p2.vocab}, {"a": p2.members[0]}, {"p": p2})
+    with pytest.raises(ParseError, match="p2 block 'p' has a member the document does not name"):
+        document_text(doc)
 
 
 def test_load_helpers(tmp_path):
@@ -165,6 +172,9 @@ DOCUMENT_ERRORS = [
     ("# v\nvocab v\nrel adj 0\n", "line 2: symbol 'adj' has arity 0; must be >= 1"),
     ("# v\nvocab v\nrel adj 2\nrel adj 1\n", "line 2: duplicate symbol 'adj'"),
     (S + "size 1\np2 p over v\nbound -2\nmembers s\n", "line 5: size_bound must be >= 0, got -2"),
+    # the header names w, the member is over v
+    (V + "vocab w\nrel red 1\nstructure m over v\nsize 1\np2 p over w\nmembers m\n",
+     "line 7: permission set mixes vocabularies"),
 ]
 
 UNIVERSE_ERRORS = [

@@ -94,7 +94,6 @@ class OracleAclSource:
 
     def __init__(self, oracle: GenericOracle):
         self.oracle = oracle
-        self._last: tuple = ((), -1, None)     # (base, ref, pattern) last added
 
     def snapshot(self) -> FinStructure:
         return self.oracle.current
@@ -107,11 +106,7 @@ class OracleAclSource:
         return self.oracle.saturated_prefix(level)
 
     def add_realization(self, base: tuple[int, ...], ref: int) -> bool:
-        # facts among existing points never change, so a repeated request
-        # reuses its pattern instead of freezing the grown oracle again
-        if self._last[:2] != (base, ref):
-            self._last = (base, ref, extension_at(self.oracle.current, base, ref))
-        extend_one_point(self.oracle, self._last[2])
+        extend_one_point(self.oracle, extension_at(self.oracle.current, base, ref))
         return True
 
 

@@ -1,7 +1,13 @@
 """Seeded generic approximations: growth, saturation, games."""
 from __future__ import annotations
 
+import random
+from itertools import product
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraisse.amalgamation import P2Spec, graph_p2, in_rp2
 from fraisse.errors import AdequacyError, ExtensionError, InputError, VocabularyError
@@ -10,10 +16,11 @@ from fraisse.generic import (ExtensionType, back_and_forth, extend_one_point,
                              grow_random, homogeneity_probe, mix64,
                              new_generic, one_point_extensions, saturate,
                              saturate_until_stable, verify_saturation)
-from fraisse.structures import Vocabulary, point_codes, undirected_graph
+from fraisse.structures import FinStructure, Vocabulary, point_codes, undirected_graph
 
-from _naive import MIXED, naive_is_isomorphic
-from test_sampling_golden import MARKED
+from _naive import (MIXED, naive_is_isomorphic, permuted_copy, random_graph, random_mixed,
+                    type_desc)
+from test_sampling_golden import MARKED, marked_p2
 
 
 def fresh(seed=3, points=6):
@@ -271,3 +278,138 @@ def test_snapshots_are_independent():
     assert before.size == 4
     assert o.current.size >= before.size
     assert naive_is_isomorphic(before, before)
+
+
+@pytest.mark.parametrize("a, b, k, message", [
+    (undirected_graph(2, [(0, 1)]), FinStructure(MARKED, 2), 1,
+     "game endpoints use different vocabularies"),
+    (undirected_graph(2, []), undirected_graph(2, []), -1, "negative round count -1"),
+    (undirected_graph(200, []), undirected_graph(200, []), 3,
+     "a 3-round game on sizes 200/200 exceeds the work cap"),
+])
+def test_back_and_forth_rejects_bad_input_before_classing(a, b, k, message):
+    # no table is read: the game is refused before any class is built
+    unread = property(lambda s: pytest.fail("a table was read"))
+    with mock.patch.object(FinStructure, "tables", unread), \
+            pytest.raises(InputError, match=f"^{message}$"):
+        back_and_forth(a, b, k)
+
+
+def reference_game(a, b, k):
+    """The reference game: `back_and_forth` with each tuple's level-0
+    class read from its whole `_naive.type_desc`.  Returns the verdict
+    and the (side, point, reply) moves of the losing line."""
+    sides = (a, b)
+    keys = []
+    ends = []
+    for arity in range(k + 1):
+        keys += [(si, tup) for si, s in enumerate(sides)
+                 for tup in product(range(s.size), repeat=arity)]
+        ends.append(len(keys))
+
+    ids = {}
+
+    def facts(key):
+        return ids.setdefault(type_desc(sides[key[0]], key[1]), len(ids))
+
+    levels = []
+    down = facts
+    for r in range(k + 1):
+        level_ids = {}
+        level = {}
+        for si, tup in keys[:ends[k - r]]:
+            raw = (down((si, tup)), frozenset(down((si, tup + (c,)))
+                                              for c in range(sides[si].size) if c not in tup))
+            level[si, tup] = level_ids.setdefault(raw, len(level_ids))
+        levels.append(level)
+        down = level.__getitem__
+
+    if levels[k][0, ()] == levels[k][1, ()]:
+        return True, []
+
+    def split(p0, p1):
+        return next(r for r in range(k - len(p0) + 1) if levels[r][0, p0] != levels[r][1, p1])
+
+    moves = []
+    pos = [(), ()]
+    r = split((), ())
+    while r > 0:
+        prev = levels[r - 1]
+        for si in (0, 1):
+            other = 1 - si
+            reachable = {prev[other, pos[other] + (c,)] for c in range(sides[other].size)}
+            c = next((c for c in range(sides[si].size)
+                      if prev[si, pos[si] + (c,)] not in reachable), None)
+            if c is not None:
+                break
+        pos[si] += (c,)
+        survive = {}
+        for y in range(sides[other].size):
+            if y not in pos[other]:
+                trial = list(pos)
+                trial[other] += (y,)
+                survive[y] = split(*trial)
+        best = min(survive, key=lambda y: (-survive[y], y), default=None)
+        moves.append((("left", "right")[si], c, best))
+        if best is None:
+            break
+        pos[other] += (best,)
+        r = survive[best]
+    return False, moves
+
+
+def game_structure(kind, seed, n):
+    """A random graph, a grown oracle of the marked spec, or a random
+    structure over MIXED (arity 3) on n points."""
+    rng = random.Random(seed)
+    if kind == "graph":
+        return random_graph(rng, n)
+    if kind == "marked":
+        o = new_generic(marked_p2(), seed)
+        grow_random(o, n)
+        return o.current
+    return random_mixed(rng, n)
+
+
+def tweaked_copy(rng, s):
+    """A relabelled copy of s with one fact added or removed."""
+    copy = permuted_copy(rng, s)[0]
+    name, arity = rng.choice(s.vocab.symbols)
+    fact = tuple(rng.randrange(s.size) for _ in range(arity))
+    tables = dict(copy.tables)
+    tables[name] = tables[name] ^ {fact}
+    return FinStructure(s.vocab, s.size, tables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["graph", "marked", "mixed"]), st.integers(0, 2**30),
+       st.integers(1, 6), st.sampled_from(["copy", "tweak", "draw"]), st.integers(0, 3))
+def test_game_matches_reference(kind, seed, n, how, k):
+    a = game_structure(kind, seed, n)
+    rng = random.Random(seed)
+    # a relabelled copy is equivalent at every k; one fact changed makes
+    # long losing lines; an independent draw may differ in size
+    b = {"copy": lambda: permuted_copy(rng, a)[0], "tweak": lambda: tweaked_copy(rng, a),
+         "draw": lambda: game_structure(kind, seed + 1, rng.randint(max(1, n - 1), n))}[how]()
+    rep = back_and_forth(a, b, k)
+    assert (rep.equivalent, [(m.side, m.point, m.reply) for m in rep.moves]) \
+        == reference_game(a, b, k)
+
+
+REGULAR_6 = (undirected_graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+             undirected_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+             undirected_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_game_matches_reference_on_regular_graphs(k):
+    # a hexagon, two triangles and K(3,3), relabelled: 1-equivalent, so
+    # from k = 2 their losing lines take two moves
+    rng = random.Random(k)
+    graphs = [permuted_copy(rng, g)[0] for g in REGULAR_6]
+    for a in graphs:
+        for b in graphs:
+            rep = back_and_forth(a, b, k)
+            moves = [(m.side, m.point, m.reply) for m in rep.moves]
+            assert (rep.equivalent, moves) == reference_game(a, b, k)
+            assert len(moves) == (2 if k >= 2 and a is not b else 0)

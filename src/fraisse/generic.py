@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .amalgamation import P2Spec, require_adequate
@@ -36,7 +37,7 @@ from .errors import (
     SaturationError,
     VocabularyError,
 )
-from .structures import FinStructure, Vocabulary, point_codes, tuple_payload, with_point
+from .structures import FinStructure, Vocabulary, point_codes, with_point
 
 M64 = (1 << 64) - 1
 
@@ -451,12 +452,27 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
                  for tup in product(range(s.size), repeat=arity)]
         ends.append(len(keys))
 
+    # news[si][m]: (table, getter) for each position pattern over range(m)
+    # that holds m - 1; a one-position getter slices, so it too gives a tuple
+    news = [[[(s.tables[name], itemgetter(*pos) if arity > 1 else itemgetter(slice(m - 1, m)))
+              for name, arity in s.vocab.symbols for pos in product(range(m), repeat=arity)
+              if m - 1 in pos] for m in range(k + 2)] for s in sides]
     ids: dict[tuple, int] = {}
+    facts: dict[tuple[int, tuple], int] = {}    # stored for arity <= k
 
-    def facts(key: tuple[int, tuple]) -> int:
-        """A tuple's class by its facts, at any arity: recomputed, not stored."""
-        s = sides[key[0]]
-        return ids.setdefault(tuple_payload(s, key[1]), len(ids))
+    def fact(key: tuple[int, tuple]) -> int:
+        """A tuple's fact class, from its prefix's stored class and the
+        position its last point repeats, else the facts that hold its last
+        position: this parts tuples as their full facts do, at any arity."""
+        si, tup = key
+        if not tup:
+            return -1
+        pre, c = tup[:-1], tup[-1]
+        new = pre.index(c) if c in pre else tuple([get(tup) in tab for tab, get in news[si][len(tup)]])
+        return ids.setdefault((facts[si, pre], new), len(ids))
+
+    for key in keys:
+        facts[key] = fact(key)
 
     # levels[r][(side, tup)]: the class of tup with r rounds left, for arity
     # <= k - r, from its class one level down and the classes of its
@@ -464,7 +480,7 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
     # fixed by tup's own class); ids go in first-seen order, since only
     # their equality is read
     levels: list[dict[tuple[int, tuple], int]] = []
-    down = facts
+    down = fact
     for r in range(k + 1):
         level_ids: dict[tuple, int] = {}
         level = {}

@@ -477,10 +477,9 @@ def with_point(s: FinStructure, code: int, links: Sequence) -> FinStructure:
         out.append(row_out)
         inn.append(row_in)
         rows.append((out, inn))
-    codes = point_codes(s)
-    code_bits = {c: s.code_bits(c) for c in {*codes, code}}
-    code_bits[code] |= bit
-    return FinStructure._trusted(vocab, w + 1, rows, codes + (code,), code_bits)
+    new_bits = s.code_bits(code) | bit      # fills s._code_bits
+    return FinStructure._trusted(vocab, w + 1, rows, point_codes(s) + (code,),
+                                 {**s._code_bits, code: new_bits})
 
 
 def point_codes(s: FinStructure) -> tuple[int, ...]:

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraisse.doubled_cover import build_double, quotient
 from fraisse.errors import InvalidElementError, VocabularyError
+from fraisse.reduct import pair_family_universe
 from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
                                 canonical_key, expand_with_marks,
                                 find_embeddings, graph_vocabulary,
                                 induced_substructure, is_isomorphic,
                                 point_codes, reduct_to, tuple_type,
                                 undirected_graph, with_point)
+from fraisse.textio import parse_typed_universe
 
 from _naive import (all_graphs, graph_of_bits, is_valid_embedding,
                     naive_embeddings, naive_is_isomorphic, naive_link,
@@ -355,6 +358,74 @@ def test_type_id_fingerprint_is_stable():
     assert fp == t.fingerprint
     assert len(fp) == 16
     assert tuple_type(g, (1, 0)).fingerprint == fp
+
+
+def _path4():
+    return undirected_graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def _structure_types():
+    return [canonical_key(_path4()), canonical_key(undirected_graph(3, [])),
+            canonical_key(undirected_graph(2, [(0, 1)]))]
+
+
+def _tuple_types():
+    return [tuple_type(_path4(), t) for t in ((0,), (0, 0), (0, 1), (1, 3))]
+
+
+def _pair_types():
+    q = quotient(build_double(_path4()))
+    return [q.pair_type(t) for t in ((0, 0), (0, 1), (0, 1, 2), (0, 1, 3))]
+
+
+def _pairfam_types():
+    u = pair_family_universe(quotient(build_double(_path4())), 2)
+    return [u.type_of(t) for t in ((0,), (0, 0), (0, 1))]
+
+
+def _stored_types():
+    u = parse_typed_universe("typed-universe u\ncarrier 2\narity 1\n0 : a\n1 : b\n")
+    return [u.type_of((0,)), u.type_of((1,))]
+
+
+# one maker per kind of TypeId the package builds, each building its types
+# from scratch, and the fingerprints of what it makes
+TYPE_ID_MAKERS = {
+    "structure": (_structure_types,
+                  ["ae6b259e3ffddf13", "ca2c34fc0f3e307e", "2b48185da269532e"]),
+    "tuple": (_tuple_types,
+              ["202373424fa2f186", "5ae8054025887c35", "5699ef4a38da13c7", "106a0f4be86b5b67"]),
+    "pair": (_pair_types,
+             ["5d2d6404bbbdea5b", "911214b10f6b6268", "6ce2e0453bb0149e", "164452829dfafaad"]),
+    "pairfam": (_pairfam_types, ["0cb6976e8429890b", "094b134d30411575", "1c41e18ec8b3c25b"]),
+    "stored": (_stored_types, ["00664b503539529a", "09777d5759ed7337"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TYPE_ID_MAKERS))
+def test_type_id_reference(kind):
+    make, fingerprints = TYPE_ID_MAKERS[kind]
+    types = make()
+    assert [t.kind for t in types] == [kind] * len(types)
+    assert [t.fingerprint for t in types] == fingerprints
+    for t, again in zip(types, make()):
+        for twin in (again, TypeId(t.kind, t.signature, t.payload)):
+            assert twin == t and hash(twin) == hash(t)
+    every = [t for makers in TYPE_ID_MAKERS.values() for t in makers[0]()]
+    for pool in (types, types[::-1], every):
+        assert sorted(pool) == sorted(pool, key=lambda t: t.sort_key)
+    for a in every:
+        for b in types:
+            assert (a < b) == (a.sort_key < b.sort_key)
+            assert (a > b) == (a.sort_key > b.sort_key)
+
+
+def test_type_id_order_is_by_repr():
+    # 9 sorts after 10 as text, so order never falls through to the fields
+    nine, ten = TypeId("k", (), 9), TypeId("k", (), 10)
+    assert ten < nine and nine > ten
+    assert not nine < ten and not ten > nine
+    assert sorted([nine, ten]) == [ten, nine]
 
 
 # -- vocabulary expansion and reducts -----------------------------------------

@@ -553,6 +553,9 @@ def homogeneity_probe(o: GenericOracle, m: int, trials: int) -> ProbeReport:
     universe.  Refuses to run below saturation level m."""
     from .structures import find_embeddings, induced_substructure
 
+    if m < 0 or trials < 0:
+        raise InputError(f"homogeneity probes need m >= 0 points and a "
+                         f"non-negative trial count, got {m} and {trials}")
     prefix = o.saturated_prefix(m)
     if prefix < m:
         raise SaturationError(

@@ -20,11 +20,9 @@ from .structures import FinStructure, TypeId, tuple_type
 class TypedUniverse:
     """A carrier plus a type function on tuples of arity up to n_max.
 
-    Types are interned: each type gets a dense int id, numbered in the
-    order it is first met, and equal types share one id and one TypeId.
-    Tuples are not cached; each call evaluates the type function."""
+    Nothing is cached; each call evaluates the type function."""
 
-    __slots__ = ("size", "n_max", "_fn", "_ids", "_types")
+    __slots__ = ("size", "n_max", "_fn")
 
     def __init__(self, size: int, n_max: int, type_fn: Callable):
         if size < 0:
@@ -34,8 +32,6 @@ class TypedUniverse:
         self.size = size
         self.n_max = n_max
         self._fn = type_fn
-        self._ids: dict[TypeId, int] = {}
-        self._types: list[TypeId] = []
 
     def type_of(self, tup: Sequence[int]) -> TypeId:
         tup = tuple(int(x) for x in tup)
@@ -44,18 +40,7 @@ class TypedUniverse:
                 f"arity {len(tup)} outside this universe's range 1..{self.n_max}")
         if any(x < 0 or x >= self.size for x in tup):
             raise InvalidElementError(f"tuple {tup} leaves the carrier")
-        return self._types[self._id(tup)]
-
-    def _id(self, tup: tuple[int, ...]) -> int:
-        """The interned type id of a tuple of ints known to be valid."""
-        t = self._fn(tup)
-        hit = self._ids.setdefault(t, len(self._types))
-        if hit == len(self._types):
-            self._types.append(t)
-        return hit
-
-    def key_of(self, tup: Sequence[int]) -> str:
-        return self.type_of(tup).fingerprint
+        return self._fn(tup)
 
     def __repr__(self) -> str:
         return f"TypedUniverse(size={self.size}, n_max={self.n_max})"
@@ -129,19 +114,18 @@ def partition_refines(source: TypedUniverse, target: TypedUniverse, n: int
         raise InputError("refinement needs a shared carrier")
     if n < 1 or n > source.n_max or n > target.n_max:
         raise InputError(f"arity {n} outside both universes' declared range")
-    checked, seen, clash = _first_clash(source.size, n, source._id, target._id)
+    checked, seen, clash = _first_clash(source.size, n, source._fn, target._fn)
     if clash is None:
         return RefinementReport("refines", n, checked, len(seen))
     first, tup, sk = clash
-    return RefinementReport("fails", n, checked, len(seen),
-                            (first, tup, source._types[sk].fingerprint))
+    return RefinementReport("fails", n, checked, len(seen), (first, tup, sk.fingerprint))
 
 
 @dataclass
 class ReductReport:
     verdict: str                    # "holds" | "fails"
     n_max: int
-    per_arity: list[RefinementReport] = field(default_factory=list)
+    per_arity: list[RefinementReport] = field(default_factory=list)  # up to the first failure
 
     @property
     def holds(self) -> bool:
@@ -149,17 +133,11 @@ class ReductReport:
 
     @property
     def failing_arity(self) -> int | None:
-        for r in self.per_arity:
-            if not r.refines:
-                return r.arity
-        return None
+        return None if self.holds else self.per_arity[-1].arity
 
     @property
     def counterexample(self) -> tuple | None:
-        for r in self.per_arity:
-            if not r.refines:
-                return r.counterexample
-        return None
+        return None if self.holds else self.per_arity[-1].counterexample
 
 
 def is_reduct(source: TypedUniverse, target: TypedUniverse, n_max: int
@@ -197,12 +175,10 @@ def definable_as_union(source: TypedUniverse, relation, n: int
             raise InputError(f"relation row {t} does not have arity {n}")
         if any(x < 0 or x >= source.size for x in t):
             raise InvalidElementError(f"relation row {t} leaves the carrier")
-    _, status, clash = _first_clash(source.size, n, source._id, rel.__contains__)
-    types = source._types
+    _, status, clash = _first_clash(source.size, n, source._fn, rel.__contains__)
     if clash is not None:
         first, tup, sk = clash
         tup_in, tup_out = (first, tup) if status[sk][0] else (tup, first)
-        return DefinabilityReport("undefinable", n, [],
-                                  (tup_in, tup_out, types[sk].fingerprint))
-    inside_keys = sorted(types[k].fingerprint for k, (flag, _) in status.items() if flag)
+        return DefinabilityReport("undefinable", n, [], (tup_in, tup_out, sk.fingerprint))
+    inside_keys = sorted(k.fingerprint for k, (flag, _) in status.items() if flag)
     return DefinabilityReport("definable", n, inside_keys)

@@ -14,6 +14,8 @@ its two arguments.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
+from functools import cached_property
 from itertools import chain, compress, count, product, repeat
 from typing import Iterable, Sequence
 
@@ -331,46 +333,33 @@ class Embedding:
         return f"Embedding({self.map})"
 
 
-class TypeId:
+class TypeId(namedtuple("TypeId", "kind signature payload")):
     """An opaque, canonical, hashable identifier for a type or iso-class.
 
     Two TypeIds are equal exactly when their underlying objects are
-    equivalent in the sense of the producing operation.  They sort
-    deterministically, so reports and censuses have a stable order.
+    equivalent in the sense of the producing operation.  They sort by
+    `sort_key`, so reports and censuses have a stable order.
     """
 
-    __slots__ = ("kind", "signature", "payload", "_hash", "_sort", "_fp")
-
-    def __init__(self, kind: str, signature, payload):
-        self.kind = kind
-        self.signature = signature
-        self.payload = payload
-        self._hash = hash((kind, signature, payload))
-        self._sort: tuple[str, str, str] | None = None
-        self._fp: str | None = None
-
-    @property
+    @cached_property
     def sort_key(self) -> tuple[str, str, str]:
-        if self._sort is None:
-            self._sort = (self.kind, repr(self.signature), repr(self.payload))
-        return self._sort
+        return (self.kind, repr(self.signature), repr(self.payload))
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        if self._fp is None:
-            blob = repr((self.kind, self.signature, self.payload)).encode()
-            self._fp = hashlib.sha256(blob).hexdigest()[:16]
-        return self._fp
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TypeId) and self.kind == other.kind
-                and self.signature == other.signature and self.payload == other.payload)
+        return hashlib.sha256(repr(tuple(self)).encode()).hexdigest()[:16]
 
     def __lt__(self, other) -> bool:
         return self.sort_key < other.sort_key
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __le__(self, other) -> bool:
+        return self.sort_key <= other.sort_key
+
+    def __gt__(self, other) -> bool:
+        return self.sort_key > other.sort_key
+
+    def __ge__(self, other) -> bool:
+        return self.sort_key >= other.sort_key
 
     def __repr__(self) -> str:
         return f"TypeId({self.kind}:{self.fingerprint})"

@@ -190,7 +190,7 @@ def save_typed_universe(u: TypedUniverse, name: str = "universe") -> str:
         lines.append(f"arity {n}")
         for tup in product(range(u.size), repeat=n):
             pts = " ".join(str(x) for x in tup)
-            lines.append(f"{pts} : {u.key_of(tup)}")
+            lines.append(f"{pts} : {u.type_of(tup).fingerprint}")
     return "\n".join(lines) + "\n"
 
 
@@ -203,10 +203,14 @@ def parse_typed_universe(text: str) -> TypedUniverse:
     max_arity = 0
     for lineno, line, parts in _lines(text):
         if parts[0] == "typed-universe":
+            if name is not None:
+                raise ParseError("typed-universe given twice", lineno)
             if len(parts) != 2:
                 raise ParseError("typed-universe wants a name", lineno)
             name = parts[1]
         elif parts[0] == "carrier":
+            if size is not None:
+                raise ParseError("carrier given twice", lineno)
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError("carrier wants a size", lineno)
             size = int(parts[1])
@@ -229,6 +233,8 @@ def parse_typed_universe(text: str) -> TypedUniverse:
                 raise ParseError(f"row arity {len(tup)} != declared {arity}", lineno)
             if any(x < 0 or x >= size for x in tup):
                 raise ParseError(f"row {tup} leaves the carrier", lineno)
+            if tup in table:
+                raise ParseError(f"row {tup} given twice", lineno)
             table[tup] = key.strip()
     if name is None or size is None or max_arity == 0:
         raise ParseError("incomplete typed-universe document")

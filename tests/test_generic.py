@@ -264,6 +264,16 @@ def test_homogeneity_probe_on_stable_oracle():
     assert rep.successes == rep.trials
 
 
+@pytest.mark.parametrize("m, trials", [(-1, 5), (2, -3)])
+def test_homogeneity_probe_rejects_negative_counts(m, trials):
+    o = fresh(13, 8)
+    saturate_until_stable(o, 2)
+    # refused before the probe seeds its generator, so nothing is sampled
+    with mock.patch("fraisse.generic.random.Random", side_effect=AssertionError), \
+            pytest.raises(InputError, match=f"got {m} and {trials}$"):
+        homogeneity_probe(o, m, trials)
+
+
 def test_log_records_operations():
     o = fresh(3, 4)
     saturate_until_stable(o, 1)

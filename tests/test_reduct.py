@@ -48,8 +48,9 @@ def test_marks_refine_the_plain_types():
     assert not rep.holds
     assert rep.failing_arity == 1
     prior, tup, key = rep.counterexample
-    assert fine.key_of(prior) != fine.key_of(tup)
-    assert coarse.key_of(prior) == coarse.key_of(tup) == key
+    assert fine.type_of(prior) != fine.type_of(tup)
+    assert coarse.type_of(prior) == coarse.type_of(tup)
+    assert coarse.type_of(tup).fingerprint == key
 
 
 def test_carrier_mismatch_rejected():
@@ -92,7 +93,8 @@ def test_directed_half_edge_is_not_definable():
     rep = definable_as_union(u, {(0, 1)}, 2)
     assert rep.verdict == "undefinable"
     tuple_in, tuple_out, key = rep.witness
-    assert u.key_of(tuple_in) == u.key_of(tuple_out) == key
+    assert u.type_of(tuple_in) == u.type_of(tuple_out)
+    assert u.type_of(tuple_out).fingerprint == key
 
 
 def test_definability_rejects_bad_rows():
@@ -138,8 +140,8 @@ def test_pair_family_determines_pairs_but_not_triples(small_pipeline):
     assert not rep.holds
     assert rep.failing_arity == 3
     prior, tup, _ = rep.counterexample
-    assert g0.key_of(prior) == g0.key_of(tup)
-    assert g.key_of(prior) != g.key_of(tup)
+    assert g0.type_of(prior) == g0.type_of(tup)
+    assert g.type_of(prior) != g.type_of(tup)
 
 
 def test_marked_pair_family_determines_triples(small_pipeline):

@@ -428,6 +428,22 @@ def test_type_id_order_is_by_repr():
     assert sorted([nine, ten]) == [ten, nine]
 
 
+def test_type_id_le_ge_follow_sort_key():
+    nine, ten = TypeId("k", (), 9), TypeId("k", (), 10)
+    assert ten <= nine and nine >= ten and nine <= nine and nine >= nine
+    assert not nine <= ten and not ten >= nine
+    every = [t for make, _ in TYPE_ID_MAKERS.values() for t in make()]
+    for a in every:
+        for b in every:
+            assert (a <= b) == (a.sort_key <= b.sort_key)
+            assert (a >= b) == (a.sort_key >= b.sort_key)
+
+
+def test_type_id_equals_its_plain_fields():
+    t = tuple_type(_path4(), (0, 1))
+    assert t == (t.kind, t.signature, t.payload) and hash(t) == hash(tuple(t))
+
+
 # -- vocabulary expansion and reducts -----------------------------------------
 
 

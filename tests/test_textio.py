@@ -188,6 +188,9 @@ UNIVERSE_ERRORS = [
     (TU + "1 : k\n", "line 4: row (1,) leaves the carrier"),
     ("typed-universe u\ncarrier 1\n", "incomplete typed-universe document"),
     ("typed-universe u\ncarrier 2\narity 1\n0 : k\n", "missing type row for (1,) at arity 1"),
+    ("typed-universe u\ntyped-universe v\n", "line 2: typed-universe given twice"),
+    ("typed-universe u\ncarrier 3\ncarrier 2\n", "line 3: carrier given twice"),
+    (TU + "0 : a\n0 : b\n", "line 5: row (0,) given twice"),
 ]
 
 

@@ -327,3 +327,163 @@ def naive_link_rows(s: FinStructure, option) -> list[int]:
     link from x is `option`."""
     return [sum(1 << c for c in range(s.size) if naive_link(s, x, c) == tuple(option))
             for x in range(s.size)]
+
+
+# ---------------------------------------------------------------------------
+# canonical search reference
+
+
+def reference_canonical(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
+    """The canonical search as it stood before incremental refinement and
+    twin pruning, reading only `s.tables`: (least row sequence, an order
+    of the points whose rows it is).  Every node refines from the root
+    colouring with all placed points individualised, and pruning uses only
+    the automorphisms found at leaves, so two structures have equal rows
+    exactly when they are isomorphic.  Recursive, so keep inputs small."""
+    n = s.size
+    if n == 0:
+        return (), ()
+    symbols = s.vocab.symbols
+    inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for si, (name, _arity) in enumerate(symbols):
+        for t in s.tables[name]:
+            for v in set(t):
+                inc[v].append((si, t))
+    # incidence codes: (si, x) as si * M**R + sum (x[j] + n + 1) * M**(r-1-j),
+    # x[j] = -1 where t[j] is v and t[j]'s colour elsewhere, colours in [-n, n)
+    m = 2 * n + 1
+    top = m ** max(a for _, a in symbols)
+    fixed: list[list[int]] = [[] for _ in range(n)]
+    single: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    multi: list[list[tuple[int, tuple]]] = [[] for _ in range(n)]
+    for v in range(n):
+        for si, t in inc[v]:
+            const, var = si * top, []
+            for j, u in enumerate(t):
+                w = m ** (len(t) - 1 - j)
+                if u == v:
+                    const += n * w
+                else:
+                    const += (n + 1) * w
+                    var.append((w, u))
+            if not var:
+                fixed[v].append(const)
+            elif len(var) == 1:
+                single[v].append((const, *var[0]))
+            else:
+                multi[v].append((const, tuple(var)))
+
+    def refine(colors: list[int]) -> list[int]:
+        count = len(set(colors))
+        while True:
+            sizes: dict[int, int] = {}
+            for c in colors:
+                sizes[c] = sizes.get(c, 0) + 1
+            sigs = []
+            for v in range(n):
+                c = colors[v]
+                if sizes[c] == 1:
+                    sigs.append((c, ()))
+                    continue
+                codes = fixed[v] + [k + w * colors[u] for k, w, u in single[v]]
+                for k, ws in multi[v]:
+                    codes.append(k + sum(w * colors[u] for w, u in ws))
+                codes.sort()
+                sigs.append((c, tuple(codes)))
+            ranks = {g: i for i, g in enumerate(sorted(set(sigs)))}
+            if len(ranks) == count:
+                return [ranks[g] for g in sigs]
+            count = len(ranks)
+            colors = [ranks[g] for g in sigs]
+
+    def join_orbits(root: dict[int, int], g: list[int]) -> None:
+        def find(x: int) -> int:
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for v in root:
+            a, b = find(v), find(g[v])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+
+    # one-point types ranked as the tuples of their loop facts
+    loops = [tuple((v,) * arity in s.tables[name] for name, arity in symbols)
+             for v in range(n)]
+    loop_rank = {c: i for i, c in enumerate(sorted(set(loops)))}
+    base = refine([loop_rank[c] for c in loops])
+    pos = [-1] * n
+    order: list[int] = []
+    rows: list = []
+    best_rows: list | None = None
+    best_order: list[int] = []
+    autos: list[list[int]] = []
+
+    def row_for(v: int):
+        hits: list[list[tuple[int, ...]]] = [[] for _ in symbols]
+        for si, t in inc[v]:
+            p = tuple(pos[x] for x in t)
+            if -1 not in p:
+                hits[si].append(p)
+        return tuple(tuple(sorted(h)) for h in hits)
+
+    def dfs(better: bool) -> int:
+        nonlocal best_rows, best_order
+        i = len(order)
+        if i == n:
+            if best_rows is None or better:
+                best_rows, best_order = list(rows), list(order)
+                return n
+            auto = [0] * n
+            for x, y in zip(best_order, order):
+                auto[x] = y
+            autos.append(auto)
+            j = 0
+            while best_order[j] == order[j]:
+                j += 1
+            return j
+        if i == n - 1:
+            cell = [pos.index(-1)]
+        else:
+            colors = list(base)
+            if order:
+                for p, u in enumerate(order):
+                    colors[u] = -(p + 1)
+                colors = refine(colors)
+            target = min(colors[v] for v in range(n) if pos[v] < 0)
+            cell = [v for v in range(n) if pos[v] < 0 and colors[v] == target]
+        root: dict[int, int] = {}
+        used = 0
+        for v in cell:
+            if v != cell[0]:
+                if not root:
+                    root = {u: u for u in cell}
+                for g in autos[used:]:
+                    if all(g[u] == u for u in order):
+                        join_orbits(root, g)
+                used = len(autos)
+                if root[v] != v:
+                    continue
+            pos[v] = i
+            row = row_for(v)
+            sub_better = better
+            if not better and best_rows is not None:
+                if row > best_rows[i]:
+                    pos[v] = -1
+                    continue
+                sub_better = row < best_rows[i]
+            order.append(v)
+            rows.append(row)
+            before = best_rows
+            back = dfs(sub_better)
+            order.pop()
+            rows.pop()
+            pos[v] = -1
+            if best_rows is not before:
+                better = False
+            if back < i:
+                return back
+        return n
+
+    dfs(False)
+    return tuple(best_rows), tuple(best_order)

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse.structures import canonical_key, is_isomorphic, undirected_graph
+from fraisse.structures import FinStructure, canonical_key, is_isomorphic, undirected_graph
 
 from _naive import (graph_of_bits, is_valid_embedding, naive_is_isomorphic,
-                    permuted_copy, random_graph, random_mixed)
+                    permuted_copy, random_graph, random_mixed, reference_canonical)
 
 GOLDEN = Path(__file__).parent / "golden" / "canonical_keys.txt"
 
@@ -111,6 +111,29 @@ def test_mixed_vocabulary_keys_and_witnesses(n, p, rng):
     assert (w is not None) == naive_is_isomorphic(s, other)
     if w is not None:
         assert is_valid_embedding(s, other, w.map)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=7),
+       st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+       st.randoms(use_true_random=False))
+def test_keys_agree_with_reference_search(n, p, rng):
+    """Equal keys exactly where the reference search gives equal rows, on
+    permuted copies, unrelated structures and one-fact changes."""
+    s = random_mixed(rng, n, p)
+    others = [permuted_copy(rng, s)[0], random_mixed(rng, n, p)]
+    if n:
+        tables = {name: set(s.tables[name]) for name in s.vocab.names()}
+        tables["arc"] ^= {(rng.randrange(n), rng.randrange(n))}
+        others.append(permuted_copy(rng, FinStructure(s.vocab, n, tables))[0])
+    ref = reference_canonical(s)[0]
+    for other in others:
+        same = reference_canonical(other)[0] == ref
+        assert (canonical_key(other) == canonical_key(s)) == same
+        w = is_isomorphic(s, other)
+        assert (w is not None) == same
+        if w is not None:
+            assert is_valid_embedding(s, other, w.map)
 
 
 def _nx_graph(nx, g):

@@ -101,6 +101,19 @@ def test_enumerations_match_recorded():
     assert enum_lines() == recorded("enum")
 
 
+def _by_level(lines: list[str]) -> dict[str, list[str]]:
+    levels: dict[str, list[str]] = {}
+    for line in lines:
+        label, _index, dig = line.split()
+        levels.setdefault(label, []).append(dig)
+    return {label: sorted(digs) for label, digs in levels.items()}
+
+
+def test_enumerations_keep_each_levels_classes():
+    # key values set the order within a level, never which classes it holds
+    assert _by_level(enum_lines()) == _by_level(recorded("enum"))
+
+
 def test_cli_reports_match_recorded():
     assert cli_lines() == recorded("cli")
 

@@ -595,13 +595,6 @@ def _incidences(s: FinStructure) -> list[list[tuple[int, tuple[int, ...]]]]:
     return inc
 
 
-def _initial_colors(s: FinStructure) -> list[int]:
-    # one-point types, ranked as the tuples of their loop facts: keys depend on it
-    codes = point_codes(s)
-    ranks = {c: i for i, c in enumerate(sorted(set(codes)))}
-    return [ranks[c] for c in codes]
-
-
 def _templates(s: FinStructure, inc: list[list[tuple[int, tuple[int, ...]]]]):
     """Each point's incidences as integer codes, built once per structure.
 
@@ -690,29 +683,47 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
     """The least row sequence over the leaves of the search tree, and an
     order of the points whose rows it is.
 
-    A node is an order of some points.  Its children place one more point,
-    taken from the least colour class left unplaced after the placed points
-    are individualised and the colouring refined.  A point's row lists the
-    facts it shares with points placed before it, by position.  Subtrees
-    whose rows already exceed the best are cut.  A leaf whose rows equal
-    the best yields an automorphism (best order to this order); the search
-    then returns to where the two orders part, and at each node explores
-    one child per orbit of the automorphisms found that fix the node's
-    points.  Cut and skipped subtrees hold no smaller leaf.
+    A node is an order of some points and a colouring.  Its children place
+    one more point, taken from the least colour class left unplaced.  A
+    point's row lists the facts it shares with points placed before it, by
+    position.  Subtrees whose rows already exceed the best are cut.  A leaf
+    whose rows equal the best yields an automorphism (best order to this
+    order); the search then returns to where the two orders part, and at
+    each node explores one child per orbit of the automorphisms found that
+    fix the node's points.  Over a vocabulary of arity at most 2 the
+    class's first point a is also joined to each twin v, a point for which
+    the transposition (a v) is an automorphism: equal point codes, and each
+    of v's out- and in-rows is a's with bits a and v swapped.
+
+    A child refines its parent's colouring with only the new point
+    individualised, unless the class is all twins (a single point
+    included): then no other class splits, and the child keeps its
+    parent's colouring.  Cut and skipped subtrees hold no smaller leaf.
+    The nodes are generators on an explicit stack, so no input is too
+    deep for Python's recursion limit.
     """
     n = s.size
     if n == 0:
         return (), ()
     inc = _incidences(s)
     templates = _templates(s, inc)
-    base = _refine_colors(_initial_colors(s), templates)
     nsym = len(s.vocab.symbols)
+    codes = point_codes(s)
+    binary = s.vocab.binary
+    # each binary symbol's out- and in-rows, one tuple when it is symmetric
+    bit_rows = [r for sym in s.vocab.binary_symbols() if binary
+                for r in {s.out_bits(sym), s.in_bits(sym)}]
     pos = [-1] * n
     order: list[int] = []
     rows: list = []
     best_rows: list | None = None
     best_order: list[int] = []
     autos: list[list[int]] = []
+
+    def twins(a: int, v: int) -> bool:
+        swap = 1 << a | 1 << v
+        return codes[a] == codes[v] and all(
+            (r[a] ^ swap if (r[a] >> a ^ r[a] >> v) & 1 else r[a]) == r[v] for r in bit_rows)
 
     def row_for(v: int):
         hits: list[list[tuple[int, ...]]] = [[] for _ in range(nsym)]
@@ -723,39 +734,29 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
                 hits[si].append(p)
         return tuple(tuple(sorted(h)) for h in hits)
 
-    def dfs(better: bool) -> int:
-        """Explore below `order`; return the depth to resume at."""
+    def node(colors: list[int], better: bool):
+        """Explore below `order`, yielding each child's (colouring, better)
+        and being sent the depth its subtree resumes at; return the depth
+        to resume at."""
         nonlocal best_rows, best_order
         i = len(order)
         if i == n:
             if best_rows is None or better:
                 best_rows, best_order = list(rows), list(order)
                 return n
-            auto = [0] * n
-            for x, y in zip(best_order, order):
-                auto[x] = y
-            autos.append(auto)
-            j = 0
-            while best_order[j] == order[j]:
-                j += 1
-            return j
-        if i == n - 1:
-            cell = [pos.index(-1)]
-        else:
-            # at the root, refining the stable `base` again returns it unchanged
-            colors = list(base)
-            if order:
-                for p, u in enumerate(order):
-                    colors[u] = -(p + 1)
-                colors = _refine_colors(colors, templates)
-            target = min(colors[v] for v in range(n) if pos[v] < 0)
-            cell = [v for v in range(n) if pos[v] < 0 and colors[v] == target]
-        root: dict[int, int] = {}
+            # the automorphism sends best_order[k] to order[k]; resume where they part
+            autos.append([y for _x, y in sorted(zip(best_order, order))])
+            return next(j for j, (x, y) in enumerate(zip(best_order, order)) if x != y)
+        free = [v for v in range(n) if pos[v] < 0]
+        target = min(map(colors.__getitem__, free))
+        cell = [v for v in free if colors[v] == target]
+        # join each twin of cell[0] to it: their transposition is an automorphism
+        root = {v: cell[0] if v != cell[0] and binary and twins(cell[0], v) else v
+                for v in cell}
+        twin_class = all(root[v] == cell[0] for v in cell)
         used = 0
         for v in cell:
             if v != cell[0]:
-                if not root:
-                    root = {u: u for u in cell}
                 # automorphisms fixing `order` map the cell onto itself
                 for g in autos[used:]:
                     if all(g[u] == u for u in order):
@@ -773,8 +774,13 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
                 sub_better = row < best_rows[i]
             order.append(v)
             rows.append(row)
+            child = colors
+            if not twin_class:
+                child = list(colors)
+                child[v] = -(i + 1)
+                child = _refine_colors(child, templates)
             before = best_rows
-            back = dfs(sub_better)
+            back = yield child, sub_better
             order.pop()
             rows.pop()
             pos[v] = -1
@@ -784,7 +790,17 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
                 return back
         return n
 
-    dfs(False)
+    # one-point types, ranked as the tuples of their loop facts: keys depend on it
+    ranks = {c: i for i, c in enumerate(sorted(set(codes)))}
+    stack = [node(_refine_colors([ranks[c] for c in codes], templates), False)]
+    back = None
+    while stack:
+        try:
+            stack.append(node(*stack[-1].send(back)))
+            back = None
+        except StopIteration as done:
+            stack.pop()
+            back = done.value
     assert best_rows is not None
     return tuple(best_rows), tuple(best_order)
 

@@ -171,6 +171,72 @@ def test_isomorphism_agrees_with_networkx():
             assert is_valid_embedding(a, b, w.map)
 
 
+def _path(n):
+    return undirected_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycles(*sizes):
+    edges, start = [], 0
+    for m in sizes:
+        edges += [(start + i, start + (i + 1) % m) for i in range(m)]
+        start += m
+    return undirected_graph(start, edges)
+
+
+def _cliques(*sizes):
+    edges, start = [], 0
+    for m in sizes:
+        edges += [(start + i, start + j) for i, j in _pairs(m)]
+        start += m
+    return undirected_graph(start, edges)
+
+
+def _bipartite(a, b):
+    return undirected_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _matching(n):
+    return undirected_graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+
+
+def _moved(g, gone, added):
+    """g's edges with one edge moved: as many edges, degrees changed."""
+    return g.tables["adj"] - {gone, gone[::-1]} | {added, added[::-1]}
+
+
+# Large symmetric inputs, each with the edge set of a non-isomorphic partner
+# on the same points; the partners of the empty and complete graphs differ
+# by one edge, the others have as many edges.
+LARGE = {
+    "empty300": (undirected_graph(300, []), {(0, 1), (1, 0)}),
+    "complete60": (_cliques(60), _cliques(60).tables["adj"] - {(0, 1), (1, 0)}),
+    "path200": (_path(200), _cycles(199).tables["adj"]),
+    "cycle60": (_cycles(60), _cycles(30, 30).tables["adj"]),
+    "K30,30": (_bipartite(30, 30), _moved(_bipartite(30, 30), (0, 30), (0, 1))),
+    "matching60": (_matching(60), _moved(_matching(60), (2, 3), (1, 2))),
+    "cliques5x20": (_cliques(*[20] * 5), _moved(_cliques(*[20] * 5), (0, 1), (0, 20))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_symmetric_inputs(name):
+    nx = pytest.importorskip("networkx")
+    g, partner_edges = LARGE[name]
+    rng = random.Random(name)
+    h, _perm = permuted_copy(rng, g)
+    assert canonical_key(h) == canonical_key(g)
+    _check_witness(g, h)
+    partner, _perm = permuted_copy(rng, FinStructure(g.vocab, g.size, {"adj": partner_edges}))
+    assert is_isomorphic(g, partner) is None
+    assert not nx.is_isomorphic(_nx_graph(nx, g), _nx_graph(nx, partner))
+
+
+def test_long_path_has_a_key():
+    # 1 100 points: deeper than Python's default recursion limit
+    key = canonical_key(_path(1100))
+    assert key.payload[0] == 1100 and len(key.payload[1]) == 1100
+
+
 if __name__ == "__main__":
     for label, s in golden_inputs():
         print(label, canonical_key(s).fingerprint)

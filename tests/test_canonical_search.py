@@ -2,10 +2,10 @@
 isomorphism witnesses checked against networkx.
 
 `tests/golden/canonical_keys.txt` holds `<label> <fingerprint>` for every
-input of `golden_inputs()`, as the search without automorphism pruning
-computed them.  A faster search must reproduce every line.  Key values
-set the order of `enum` output, so rewrite the file only when they change
-on purpose:
+input of `golden_inputs()`, as the search that refines each node from its
+parent's colouring and prunes twin points computes them.  A faster search
+must reproduce every line.  Key values set the order of `enum` output, so
+rewrite the file only when they change on purpose:
 
     PYTHONPATH=src python tests/test_canonical_search.py > tests/golden/canonical_keys.txt
 """

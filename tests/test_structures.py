@@ -392,7 +392,7 @@ def _stored_types():
 # from scratch, and the fingerprints of what it makes
 TYPE_ID_MAKERS = {
     "structure": (_structure_types,
-                  ["ae6b259e3ffddf13", "ca2c34fc0f3e307e", "2b48185da269532e"]),
+                  ["282b40926ea87250", "ca2c34fc0f3e307e", "2b48185da269532e"]),
     "tuple": (_tuple_types,
               ["202373424fa2f186", "5ae8054025887c35", "5699ef4a38da13c7", "106a0f4be86b5b67"]),
     "pair": (_pair_types,

@@ -453,7 +453,9 @@ def with_point(s: FinStructure, code: int, links: Sequence) -> FinStructure:
     bit = 1 << w
     rows = []
     for j, sym in enumerate(vocab.binary_symbols()):
-        out, inn = list(s.out_bits(sym)), list(s.in_bits(sym))
+        out = list(s.out_bits(sym))
+        # a symmetric symbol's rows stay one list while its new links are two-way
+        inn = out if s.in_bits(sym) is s.out_bits(sym) else list(s.in_bits(sym))
         row_out = row_in = bit if code & vocab.code_bit(sym) else 0
         for v, option in enumerate(links):
             to_w, from_w = option[j]
@@ -461,10 +463,15 @@ def with_point(s: FinStructure, code: int, links: Sequence) -> FinStructure:
                 out[v] |= bit
                 row_in |= 1 << v
             if from_w:
-                inn[v] |= bit
                 row_out |= 1 << v
+                if inn is not out:
+                    inn[v] |= bit
+        if inn is out and row_in != row_out:        # a one-way link parts them
+            out = [r | bit if row_in >> v & 1 else r for v, r in enumerate(s.out_bits(sym))]
+            inn = [r | bit if row_out >> v & 1 else r for v, r in enumerate(s.in_bits(sym))]
         out.append(row_out)
-        inn.append(row_in)
+        if inn is not out:
+            inn.append(row_in)
         rows.append((out, inn))
     new_bits = s.code_bits(code) | bit      # fills s._code_bits
     return FinStructure._trusted(vocab, w + 1, rows, point_codes(s) + (code,),

@@ -699,8 +699,9 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
     each node explores one child per orbit of the automorphisms found that
     fix the node's points.  Over a vocabulary of arity at most 2 the
     class's first point a is also joined to each twin v, a point for which
-    the transposition (a v) is an automorphism: equal point codes, and each
-    of v's out- and in-rows is a's with bits a and v swapped.
+    the transposition (a v) is an automorphism: each of v's out- and
+    in-rows is a's with bits a and v swapped (points of one class have one
+    point code).
 
     A child refines its parent's colouring with only the new point
     individualised, unless the class is all twins (a single point
@@ -729,8 +730,8 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
 
     def twins(a: int, v: int) -> bool:
         swap = 1 << a | 1 << v
-        return codes[a] == codes[v] and all(
-            (r[a] ^ swap if (r[a] >> a ^ r[a] >> v) & 1 else r[a]) == r[v] for r in bit_rows)
+        return all((r[a] ^ swap if (r[a] >> a ^ r[a] >> v) & 1 else r[a]) == r[v]
+                   for r in bit_rows)
 
     def row_for(v: int):
         hits: list[list[tuple[int, ...]]] = [[] for _ in range(nsym)]

@@ -214,24 +214,17 @@ def test_with_point_writes_what_link_reads(vocab, data):
     for sym in vocab.binary_symbols():
         assert s.in_bits(sym) == ref.in_bits(sym)
         assert (s.in_bits(sym) is s.out_bits(sym)) == (s.in_bits(sym) == s.out_bits(sym))
-    # each point added left the structures before it as they were
+    # each point added left the structures before it as they were; a
+    # symbol's in-rows are its out-rows tuple exactly while it is symmetric
     for k, earlier in enumerate(grown):
         sub, _ = induced_substructure(ref, range(k))
         assert earlier.size == k and earlier == sub and earlier.tables == sub.tables
+        for sym in vocab.binary_symbols():
+            assert earlier.in_bits(sym) == sub.in_bits(sym)
+            assert (earlier.in_bits(sym) is earlier.out_bits(sym)) == (
+                sub.in_bits(sym) == sub.out_bits(sym))
     with pytest.raises(InvalidElementError):
         with_point(s, 0, [PAIRS[:nbin]] * (n + 1))
-
-
-def test_with_point_keeps_a_symmetric_symbols_rows_in_one_tuple():
-    g = undirected_graph(3, [(0, 1), (1, 2)])
-    two_way = with_point(g, 0, [((1, 1),), ((0, 0),), ((1, 1),)])
-    assert two_way.in_bits("adj") is two_way.out_bits("adj")
-    assert two_way.out_bits("adj") == (0b1010, 0b0101, 0b1010, 0b0101)
-    # 0 -> 3 and 3 -> 2 only: the rows part
-    one_way = with_point(g, 0, [((1, 0),), ((0, 0),), ((0, 1),)])
-    assert one_way.out_bits("adj") == (0b1010, 0b0101, 0b0010, 0b0100)
-    assert one_way.in_bits("adj") == (0b0010, 0b0101, 0b1010, 0b0001)
-    assert g.in_bits("adj") is g.out_bits("adj") == (0b010, 0b101, 0b010)
 
 
 def test_undirected_graph_symmetrizes():

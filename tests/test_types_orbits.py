@@ -2,24 +2,28 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fraisse.amalgamation import graph_p2
+from fraisse.amalgamation import P2Spec, check_1_adequate, graph_p2
+from fraisse.doubled_cover import DoubledAclSource
 from fraisse.errors import InputError, InvalidElementError, SaturationError
 from fraisse.generic import (extension_at, grow_random, new_generic, saturate,
                              saturate_until_stable)
 from fraisse.reduct import from_structure
 from fraisse.structures import (FinStructure, graph_vocabulary, tuple_type,
                                 undirected_graph)
-from fraisse.types_orbits import (acl_approx, check_degenerate_dependence,
-                                  check_triviality, enumerate_types,
-                                  link_between, types_determined_by_pairs)
+from fraisse.types_orbits import (DegeneracyReport, DependenceWitness, TrivialityReport,
+                                  _AclEngine, acl_approx, as_acl_source,
+                                  check_degenerate_dependence, check_triviality,
+                                  enumerate_types, link_between, types_determined_by_pairs)
 
 from _naive import naive_induced, random_graph, random_mixed, type_desc
+from test_amalgamation import RED_ARC_PAIRS, RED_ARC_POINTS
+from test_sampling_golden import MARKED, marked_p2
 
 P3 = undirected_graph(3, [(0, 1), (1, 2)])
 
@@ -278,3 +282,152 @@ def test_verdict_key_matches_tuple_types():
                 same_type = (tuple_type(g, base + (c1,))
                              == tuple_type(g, base + (c2,)))
                 assert same_key == same_type
+
+
+# -- the two checks against per-point loops -------------------------------------
+
+
+def per_point_triviality(source, max_b, d=5, growth_budget=None):
+    """`check_triviality` as one `_AclEngine.verdict` call per point of the
+    universe per base."""
+    src = as_acl_source(source)
+    engine = _AclEngine(src, d, growth_budget)
+    prefix = src.saturated_prefix(max_b + 1)
+    checked = inconclusive = 0
+    for bsize in range(max_b + 1):
+        for base in combinations(range(prefix), bsize):
+            checked += 1
+            for a in range(src.size):
+                v = engine.verdict(base, a)
+                if v == "inconclusive":
+                    inconclusive += 1
+                elif v == "algebraic" and not any(
+                        engine.verdict((b,), a) == "algebraic" for b in base):
+                    return TrivialityReport("nontrivial", max_b, d, checked, inconclusive,
+                                            engine.added, (a, base))
+    return TrivialityReport("inconclusive" if inconclusive else "trivial", max_b, d,
+                            checked, inconclusive, engine.added)
+
+
+def per_point_degeneracy(source, rho, max_b, max_c, d=5, growth_budget=None):
+    """`check_degenerate_dependence` as one `_AclEngine.verdict` call per
+    point of the universe per (B, C) pair."""
+    src = as_acl_source(source)
+    engine = _AclEngine(src, d, growth_budget)
+    prefix = src.saturated_prefix(max_b + max_c + 1)
+    rep = DegeneracyReport("degenerate", rho, d, 0, 0, 0, 0)
+    c_bases = [c for k in range(max_c + 1) for c in combinations(range(prefix), k)]
+    b_bases = [b for k in range(1, max_b + 1) for b in combinations(range(prefix), k)]
+    for cb in c_bases:
+        for bb in b_bases:
+            if set(bb) <= set(cb):
+                continue
+            rep.pairs_checked += 1
+            union = tuple(sorted(set(bb) | set(cb)))
+            for a in range(src.size):
+                vu = engine.verdict(union, a)
+                vc = engine.verdict(cb, a) if vu == "algebraic" else None
+                if "inconclusive" in (vu, vc):
+                    rep.inconclusive += 1
+                if vu != "algebraic" or vc != "non-algebraic":
+                    continue
+                rep.dependencies += 1
+                found = next((b0 for k in range(rho) for b0 in combinations(bb, k)
+                              if engine.verdict(tuple(sorted(set(b0) | set(cb))), a)
+                              == "algebraic"), None)
+                if found is None:
+                    rep.verdict, rep.counterexample = "counterexample", (a, bb, cb)
+                    rep.added = engine.added
+                    return rep
+                if len(rep.witnesses) < 32:
+                    rep.witnesses.append(DependenceWitness(a, bb, cb, found))
+    rep.added = engine.added
+    if rep.inconclusive:
+        rep.verdict = "inconclusive"
+    return rep
+
+
+def _oracle(p2, seed, level):
+    def build():
+        o = new_generic(p2, seed)
+        grow_random(o, 4)
+        saturate(o, level)
+        return o
+    return build
+
+
+# (factory, triviality base sizes, degeneracy (max_b, max_c)); each factory
+# builds a fresh source, so both sides of a comparison grow the same one.
+# Marked seed 3 at level 5 needs 544 points to settle, so a budget of 500
+# binds there.
+PIN_SOURCES = [
+    pytest.param(_oracle(graph_p2(), 1, 4), (1, 2), (2, 1), id="graph-1"),
+    pytest.param(_oracle(graph_p2(), 2, 4), (1, 2), (2, 1), id="graph-2"),
+    pytest.param(_oracle(marked_p2(), 1, 4), (1, 2), (2, 1), id="marked-1"),
+    pytest.param(_oracle(marked_p2(), 3, 5), (4,), (2, 2), id="marked-3"),
+    pytest.param(lambda: DoubledAclSource(_oracle(graph_p2(), 2, 4)()), (1, 2), (2, 1),
+                 id="doubled-2"),
+    pytest.param(PairLockedSource, (1, 2), (2, 1), id="pair-locked"),
+]
+
+
+@pytest.mark.parametrize("budget", [None, 7, 500])
+@pytest.mark.parametrize("build,max_bs,_sizes", PIN_SOURCES)
+def test_triviality_matches_per_point_loop(build, max_bs, _sizes, budget):
+    for max_b in max_bs:
+        ref_src, src = build(), build()
+        want = per_point_triviality(ref_src, max_b, growth_budget=budget)
+        assert check_triviality(src, max_b, growth_budget=budget) == want, max_b
+        assert src.size == ref_src.size
+
+
+@pytest.mark.parametrize("budget", [None, 7, 500])
+@pytest.mark.parametrize("build,_max_bs,sizes", PIN_SOURCES)
+def test_degeneracy_matches_per_point_loop(build, _max_bs, sizes, budget):
+    for rho in (1, 2, 3):
+        ref_src, src = build(), build()
+        want = per_point_degeneracy(ref_src, rho, *sizes, growth_budget=budget)
+        got = check_degenerate_dependence(src, rho, *sizes, growth_budget=budget)
+        assert got == want, rho
+        assert src.size == ref_src.size
+
+
+# -- the paper's closure properties ----------------------------------------------
+
+
+def _red_arc_spec(keep) -> P2Spec:
+    return P2Spec([FinStructure(MARKED, 0)] + RED_ARC_POINTS
+                  + [RED_ARC_PAIRS[i] for i in sorted(keep)])
+
+
+SPECS = st.one_of(st.sampled_from([graph_p2(), marked_p2()]),
+                  st.sets(st.integers(0, len(RED_ARC_PAIRS) - 1)).map(_red_arc_spec))
+
+
+@settings(max_examples=12, deadline=None)
+@given(SPECS, st.integers(0, 2 ** 32 - 1), st.integers(2, 3))
+def test_p2spec_oracles_have_trivial_degenerate_closure(p2, seed, rho):
+    # a class given by permitted 1- and 2-point structures has free, hence
+    # disjoint, amalgamation: no point outside a base is algebraic over it
+    assume(check_1_adequate(p2).holds)
+    o = new_generic(p2, seed)
+    grow_random(o, 4)
+    saturate(o, 3)
+    assert check_triviality(o, 2).verdict == "trivial"
+    assert check_degenerate_dependence(o, rho, max_b=1, max_c=1).verdict == "degenerate"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_doubled_cover_closure_is_the_bonded_pair(seed):
+    def source():
+        o = new_generic(graph_p2(), seed)
+        grow_random(o, 6)
+        saturate(o, 4)
+        return DoubledAclSource(o)
+
+    for x in range(6):
+        assert acl_approx(source(), (x,)).closure == {x, x ^ 1}
+    triv = check_triviality(source(), 2)
+    assert (triv.verdict, triv.bases_checked) == ("trivial", 79)
+    deg = check_degenerate_dependence(source(), 2, max_b=1, max_c=2)
+    assert (deg.verdict, deg.dependencies) == ("degenerate", 1344)

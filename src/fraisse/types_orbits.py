@@ -8,7 +8,10 @@ demand before any verdict is settled.  Verdicts are monotone-sound:
 "non-algebraic" is witnessed by exhibited realizations, "algebraic" is
 issued only for equality-bound types or types the source certifies can
 never gain another realization, and anything the growth budget cuts off
-is flagged inconclusive rather than guessed.
+is flagged inconclusive rather than guessed.  A verdict belongs to the
+pattern a point realises over a base, so the triviality and degeneracy
+checks split the universe into pattern leaves once per base and settle
+each leaf on its first point.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Sequence
 
-from .errors import InputError, InvalidElementError, SaturationError
-from .generic import GenericOracle, extend_one_point, extension_at, realizer_bits
+from .errors import InputError, InvalidElementError, SaturationError, VocabularyError
+from .generic import (ExtensionType, GenericOracle, extend_one_point, extension_at,
+                      realizer_bits)
 from .reduct import TypedUniverse, pair_family_universe, partition_refines
-from .structures import FinStructure, TypeId, Vocabulary, tuple_type
+from .structures import FinStructure, TypeId, Vocabulary, point_codes, tuple_type
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,10 @@ class _AclEngine:
     source saying "no more realizations can exist" certifies that for
     the whole class, not just the present approximation.  Growth never
     changes the facts among existing points either, so the pattern a point
-    realises over a base is fixed and its verdict is memoised under both.
+    realises over a base is fixed and one verdict, memoised under (base,
+    pattern), serves every point that realises it.  `scan` splits the
+    points once per base into the leaves of those patterns and settles
+    each leaf on its first point.
     """
 
     def __init__(self, source, d: int, budget: int | None):
@@ -151,35 +158,80 @@ class _AclEngine:
         self.d = d
         self.remaining = budget          # None = unlimited
         self.added = 0
-        # (base, pattern) -> verdict, and (base, a) -> the verdict of a's pattern
+        # (base, dirs, point code) -> verdict
         self._verdicts: dict[tuple, str] = {}
+
+    def _settle(self, key: tuple, ref: int) -> str:
+        """The verdict on the pattern key = (base, dirs, point code), which
+        ref realises: memoised, or settled on the current snapshot by
+        growing realizations up to d."""
+        got = self._verdicts.get(key)
+        if got is not None:
+            return got
+        s = self.src.snapshot()
+        count = realizer_bits(s, ExtensionType(s.vocab, *key)).bit_count()
+        while count < self.d:
+            if self.remaining is not None and self.added >= self.remaining:
+                got = "inconclusive"
+                break
+            if not self.src.add_realization(key[0], ref):
+                got = "algebraic"
+                break
+            self.added += 1
+            count += 1
+        else:
+            got = "non-algebraic"
+        self._verdicts[key] = got
+        return got
 
     def verdict(self, base: tuple[int, ...], a: int) -> str:
         """"algebraic" | "non-algebraic" | "inconclusive" for a over base."""
         if a in base:
             return "algebraic"
-        got = self._verdicts.get((base, a))
-        if got is not None:
-            return got
+        tau = extension_at(self.src.snapshot(), base, a)
+        return self._settle((base, tau.dirs, tau.point), a)
+
+    def scan(self, base: tuple[int, ...], n: int):
+        """Yield (a, verdict), a ascending, for the points below n that are
+        algebraic or inconclusive over base, the base points included.
+
+        The points outside the base are split once into pattern leaves, by
+        point code, then by each base point's out- and in-row per binary
+        symbol.  A leaf is settled on its first point, and only the rest of
+        an algebraic or inconclusive leaf is visited, so growth comes in
+        the order that a walk over every point gives."""
         s = self.src.snapshot()
-        key = extension_at(s, base, a)
-        got = self._verdicts.get((base, key))
-        if got is None:
-            count = realizer_bits(s, key).bit_count()
-            while count < self.d:
-                if self.remaining is not None and self.added >= self.remaining:
-                    got = "inconclusive"
-                    break
-                if not self.src.add_realization(base, a):
-                    got = "algebraic"
-                    break
-                self.added += 1
-                count += 1
-            else:
-                got = "non-algebraic"
-            self._verdicts[base, key] = got
-        self._verdicts[base, a] = got
-        return got
+        if s.vocab.rho > 2:
+            raise VocabularyError("extension patterns need a binary vocabulary")
+        in_base = sum(1 << b for b in base)
+        leaves = [(mask, (), code) for code in set(point_codes(s)[:n])
+                  if (mask := s.code_bits(code) & ((1 << n) - 1) & ~in_base)]
+        rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
+        for b in base:
+            cuts = [((), -1)]           # link options to b, with their masks
+            for out, inn in rows:
+                o, i = out[b], inn[b]
+                cuts = [(opt + ((to, fr),), m & (o if to else ~o) & (i if fr else ~i))
+                        for opt, m in cuts for to in (0, 1) for fr in (0, 1)]
+            leaves = [(mask & m, dirs + (opt,), code) for mask, dirs, code in leaves
+                      for opt, m in cuts if mask & m]
+        first = {(leaf[0] & -leaf[0]).bit_length() - 1: leaf for leaf in leaves}
+        todo = in_base | sum(1 << a for a in first)
+        inconclusive = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            a = low.bit_length() - 1
+            if a not in first:
+                yield a, "inconclusive" if low & inconclusive else "algebraic"
+                continue
+            mask, dirs, code = first[a]
+            got = self._settle((base, dirs, code), a)
+            if got != "non-algebraic":
+                todo |= mask ^ low
+                if got == "inconclusive":
+                    inconclusive |= mask
+                yield a, got
 
     def count_realizations(self, base: tuple[int, ...], a: int,
                            cap: int | None = None) -> list[int]:
@@ -312,13 +364,9 @@ def check_triviality(source, max_b: int, d: int = 5,
     for bsize in range(0, max_b + 1):
         for base in combinations(range(prefix), bsize):
             bases_checked += 1
-            n_now = src.size
-            for a in range(n_now):
-                v = engine.verdict(base, a)
+            for a, v in engine.scan(base, src.size):
                 if v == "inconclusive":
                     inconclusive += 1
-                    continue
-                if v != "algebraic":
                     continue
                 covered = any(engine.verdict((b,), a) == "algebraic" for b in base)
                 if not covered:
@@ -383,13 +431,9 @@ def check_degenerate_dependence(source, rho: int, max_b: int = 3, max_c: int = 3
                 continue
             report.pairs_checked += 1
             union = tuple(sorted(set(bb) | cset))
-            n_now = src.size
-            for a in range(n_now):
-                vu = engine.verdict(union, a)
+            for a, vu in engine.scan(union, src.size):
                 if vu == "inconclusive":
                     report.inconclusive += 1
-                    continue
-                if vu != "algebraic":
                     continue
                 vc = engine.verdict(cb, a)
                 if vc == "inconclusive":

@@ -219,6 +219,14 @@ def naive_realizers(s: FinStructure, base, a: int) -> list[int]:
             if c not in base and type_desc(s, base + (c,)) == want]
 
 
+def naive_acl(s: FinStructure, base, d: int) -> list[int]:
+    """The points of s, ascending, that are in `base` or whose type over
+    it has fewer than d realizations in s: the closure that counting with
+    duplication bound d gives over a structure that never grows."""
+    base = tuple(base)
+    return [a for a in range(s.size) if a in base or len(naive_realizers(s, base, a)) < d]
+
+
 # ---------------------------------------------------------------------------
 # extension axioms
 

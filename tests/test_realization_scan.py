@@ -3,9 +3,11 @@ brute-force tuple types.
 
 `find_realization`, `realizer_bits` and `extension_at` read a point's
 code and the out- and in-rows of each binary symbol; the closure
-engine's `count_realizations` walks the same scan, and a symbol of arity
-above 2 fails at its first verdict.  Every case here is compared with
-`naive_realizers`, which compares full tuple types directly.
+engine's `count_realizations` walks the same scan, its per-base `scan`
+splits the points on the same rows, and a symbol of arity above 2 fails
+before the first verdict.  Every case here is compared with
+`naive_realizers`, which compares full tuple types directly, or with
+`naive_acl`, which counts them.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from hypothesis import strategies as st
 from fraisse.errors import InvalidElementError, VocabularyError
 from fraisse.generic import extension_at, find_realization, realizer_bits
 from fraisse.structures import FinStructure, Vocabulary
-from fraisse.types_orbits import _AclEngine
+from fraisse.types_orbits import _AclEngine, check_degenerate_dependence, check_triviality
 
-from _naive import naive_realizers, random_mixed
+from _naive import naive_acl, naive_realizers, random_mixed
 from test_sampling_golden import MARKED
 
 BONDED = Vocabulary([("adj", 2), ("bond", 2)])
@@ -135,6 +137,32 @@ def test_engine_rejects_symbols_above_arity_two(n, seed, k):
         engine.verdict(base, a)
     with pytest.raises(VocabularyError):
         engine.count_realizations(base, a)
+    # a scan over a base yields its points as algebraic unless it fails first
+    with pytest.raises(VocabularyError):
+        next(engine.scan(base, n))
+    with pytest.raises(VocabularyError):
+        check_triviality(StaticSource(s), max_b=min(k, n))
+    with pytest.raises(VocabularyError):
+        check_degenerate_dependence(StaticSource(s), 2, max_b=1, max_c=min(k, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(CASES, st.integers(min_value=1, max_value=4), st.sampled_from([0, None]))
+def test_engine_scan_and_verdicts_match_naive_acl(case, d, budget):
+    # with no growth allowed a short pattern is inconclusive; a source
+    # that can never grow certifies it algebraic
+    s, base, _a = _split(case)
+    closure = naive_acl(s, base, d)
+    short = "inconclusive" if budget == 0 else "algebraic"
+    want = [(a, "algebraic" if a in base else short) for a in closure]
+    verdicts = [dict(want).get(a, "non-algebraic") for a in range(s.size)]
+    scanned = _AclEngine(StaticSource(s), d, budget)
+    assert list(scanned.scan(base, s.size)) == want
+    assert [scanned.verdict(base, a) for a in range(s.size)] == verdicts
+    fresh = _AclEngine(StaticSource(s), d, budget)
+    assert [fresh.verdict(base, a) for a in range(s.size)] == verdicts
+    assert list(fresh.scan(base, s.size)) == want
+    assert scanned.added == fresh.added == 0
 
 
 def test_scan_tells_out_rows_from_in_rows():

@@ -1,18 +1,22 @@
 """Typed universes, partition refinement, and reduct checks."""
 from __future__ import annotations
 
+from dataclasses import astuple
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse.doubled_cover import build_double, build_expansion_star, quotient
-from fraisse.errors import InputError, InvalidElementError, ParseError
-from fraisse.reduct import (definable_as_union, from_quotient,
+from fraisse.doubled_cover import (build_double, build_expansion_star, quotient,
+                                   three_type_separation)
+from fraisse.errors import (ConfigurationNotFoundError, InputError,
+                            InvalidElementError, ParseError)
+from fraisse.reduct import (TypedUniverse, definable_as_union, from_quotient,
                             from_structure, is_reduct,
                             pair_family_universe, partition_refines)
-from fraisse.structures import TypeId, expand_with_marks, tuple_type, undirected_graph
+from fraisse.structures import (FinStructure, TypeId, Vocabulary, expand_with_marks,
+                                 tuple_type, undirected_graph)
 from fraisse.textio import parse_typed_universe, save_typed_universe
 from fraisse.types_orbits import types_determined_by_pairs
 
@@ -66,6 +70,30 @@ def test_arity_out_of_range_rejected():
         partition_refines(u, u, 3)
     with pytest.raises(InputError):
         partition_refines(u, u, 0)
+
+
+def _counted(u):
+    """Wrap a universe's type function on the instance; returns the list
+    of tuples it is called on."""
+    calls = []
+    fn = u._fn
+    u._fn = lambda tup: calls.append(tup) or fn(tup)
+    return calls
+
+
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_reduct_bounds_checked_before_any_scan(role):
+    u2, u3 = from_structure(P3, 2), from_structure(P3, 3)
+    source, target = (u2, u3) if role == "source" else (u3, u2)
+    calls = (_counted(source), _counted(target))
+    with pytest.raises(InputError, match=rf"^arity 3 is above the {role} universe's "
+                                         r"declared arity 2$"):
+        is_reduct(source, target, 3)
+    with pytest.raises(InputError, match="shared carrier"):
+        is_reduct(u3, from_structure(undirected_graph(2, []), 3), 1)
+    with pytest.raises(InputError, match="^arity 0 is below 1$"):
+        is_reduct(u3, u3, 0)
+    assert calls == ([], [])
 
 
 def test_typed_universe_validates_tuples():
@@ -186,8 +214,13 @@ def _typeid_refines(source_type, target_type, size, n):
     return "refines", checked, len(seen), None
 
 
-covers = st.integers(3, 7).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+def _covers(lo, hi):
+    """(n, bits): a base graph on lo..hi points, as `graph_of_bits` reads it."""
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+
+
+covers = _covers(3, 7)
 
 
 def _quotients(n, bits, marked):
@@ -201,9 +234,9 @@ def test_pair_matrix_and_interning_match_per_tuple_loops(cover, marked):
     n, bits = cover
     q2, q = _quotients(n, bits, marked)
     ref2, ref = _quotients(n, bits, marked)
-    family = pair_family_universe(q, 3)
-    types = from_quotient(q2, 3)
-    for k in (1, 2, 3):
+    family = pair_family_universe(q, 4)
+    types = from_quotient(q2, 4)
+    for k in range(1, 5 if n <= 5 else 4):
         for tup in product(range(n), repeat=k):
             t = family.type_of(tup)
             assert t == _per_pair_grid(ref, tup)
@@ -214,6 +247,99 @@ def test_pair_matrix_and_interning_match_per_tuple_loops(cover, marked):
             rep = partition_refines(source, target, k)
             assert ((rep.verdict, rep.tuples_checked, rep.classes, rep.counterexample)
                     == _typeid_refines(s_ref, t_ref, n, k))
+
+
+def _grid_class(grid, tup):
+    return tuple(grid[a][b] for a in tup for b in tup)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_covers(2, 6), st.booleans(), st.integers(1, 4))
+def test_pair_grid_classes_fix_types_and_bound_type_calls(cover, marked, k):
+    n, bits = cover
+    tuples = list(product(range(n), repeat=k))
+    q2, q = _quotients(n, bits, marked)
+    for u in (from_quotient(q2, 4), pair_family_universe(q, 4)):
+        type_of_class: dict = {}
+        for tup in tuples:
+            t = u.type_of(tup)
+            assert type_of_class.setdefault(_grid_class(u.grid, tup), t) == t
+    for family_is_source in (True, False):
+        types, family = from_quotient(q2, 4), pair_family_universe(q, 4)
+        classes = {_grid_class(types.grid, tup) for tup in tuples}
+        type_calls, family_calls = _counted(types), _counted(family)
+        if family_is_source:
+            partition_refines(family, types, k)
+        else:
+            partition_refines(types, family, k)
+        for calls in (type_calls, family_calls):
+            met = [_grid_class(types.grid, tup) for tup in calls]
+            assert len(set(met)) == len(met) <= len(classes)
+
+
+def _digraph_universes(n, bits):
+    """Tuple types of a directed graph with loops, as a universe with the
+    pair grid (equal?, arc?) and as one without a grid."""
+    arcs = {(g, h) for g in range(n) for h in range(n) if bits >> (g * n + h) & 1}
+    s = FinStructure(Vocabulary([("arc", 2)]), n, {"arc": arcs})
+    grid = [[(g == h, (g, h) in arcs) for h in range(n)] for g in range(n)]
+    return TypedUniverse(n, 4, lambda t: tuple_type(s, t), grid), from_structure(s, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n * n) - 1), st.integers(0, (1 << n * n) - 1))),
+       st.integers(1, 4))
+def test_asymmetric_grid_scan_matches_tuple_scan(case, k):
+    """Directed grids, where grid[g][h] and grid[h][g] differ: the class
+    scan reports what the tuple-by-tuple scan does."""
+    n, bits_a, bits_b = case
+    (a, a_plain), (b, b_plain) = _digraph_universes(n, bits_a), _digraph_universes(n, bits_b)
+    tuples = product(range(n), repeat=k)
+    classes = {_grid_class(a.grid, t) + _grid_class(b.grid, t) for t in tuples}
+    calls = _counted(a)
+    assert astuple(partition_refines(a, b, k)) == astuple(partition_refines(a_plain, b_plain, k))
+    assert len(calls) <= len(classes)
+    assert astuple(partition_refines(b, a, k)) == astuple(partition_refines(b_plain, a_plain, k))
+
+
+def _reduct_reference(source_type, target_type, size, n_max):
+    """`is_reduct`'s fields from per-tuple loops: (verdict, n_max, per-arity
+    report fields)."""
+    per_arity = []
+    for k in range(1, n_max + 1):
+        verdict, checked, classes, clash = _typeid_refines(source_type, target_type, size, k)
+        per_arity.append((verdict, k, checked, classes, clash))
+        if clash is not None:
+            return "fails", n_max, per_arity
+    return "holds", n_max, per_arity
+
+
+def _reduct_fields(rep):
+    return rep.verdict, rep.n_max, [astuple(r) for r in rep.per_arity]
+
+
+@settings(max_examples=20, deadline=None)
+@given(_covers(3, 8))
+def test_paper_b_pair_families_on_random_covers(cover):
+    """Result (b) on the cover quotient: the marked pair family refines the
+    quotient's types to arity 4; the plain one fails at arity 3 exactly
+    when a 3-type separation witness exists."""
+    n, bits = cover
+    q2, qstar = _quotients(n, bits, True)
+    ref2, refstar = _quotients(n, bits, True)
+    pos = is_reduct(pair_family_universe(qstar, 4), from_quotient(q2, 4), 4)
+    assert pos.holds
+    assert _reduct_fields(pos) == _reduct_reference(
+        lambda t: _per_pair_grid(refstar, t), ref2.pair_type, n, 4)
+    neg = is_reduct(pair_family_universe(q2, 3), from_quotient(q2, 3), 3)
+    try:
+        separates = three_type_separation(ref2).separates
+    except ConfigurationNotFoundError:
+        separates = False
+    assert (neg.verdict, neg.failing_arity) == (("fails", 3) if separates else ("holds", None))
+    assert _reduct_fields(neg) == _reduct_reference(
+        lambda t: _per_pair_grid(ref2, t), ref2.pair_type, n, 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,7 @@ they are read.  Saturation passes are semi-naive: a pass skips the
 bases that lie inside the prefix already saturated at its level, which
 the same argument makes exact.  Each remaining base is scanned once, on
 one structure, by splitting the candidate mask over the link options
-(`_missing`); `verify_saturation` stays a full, independent rescan.
+(`_missing`); `verify_saturation` runs that scan over every base.
 """
 
 from __future__ import annotations
@@ -291,18 +291,19 @@ def _missing(p2: P2Spec, s: FinStructure, base: tuple[int, ...]) -> list[Extensi
     s realises, in that order.  Per new-point code, the candidate mask is
     split base point by base point over the link options, so the AND for
     a prefix of choices is shared by every pattern that starts with it;
-    the leaves left empty are the missing patterns."""
+    the masks left empty, in `product` order, are the missing patterns."""
     codes = point_codes(s)
     clear = ~sum(1 << b for b in base)
     out = []
     for cw in p2.codes:
         option_lists = [p2.links(codes[b], cw) for b in base]
-        leaves = [(s.code_bits(cw) & clear, ())]
+        leaves = [s.code_bits(cw) & clear]
         for b, options in zip(base, option_lists):
-            split = [(option, s.link_rows(option)[b]) for option in options]
-            leaves = [(mask & row, dirs + (option,))
-                      for mask, dirs in leaves for option, row in split]
-        out.extend(ExtensionType(p2.vocab, base, dirs, cw) for mask, dirs in leaves if not mask)
+            rows = [s.link_rows(option)[b] for option in options]
+            leaves = [mask & row for mask in leaves for row in rows]
+        if 0 in leaves:
+            out.extend(ExtensionType(p2.vocab, base, dirs, cw)
+                       for mask, dirs in zip(leaves, product(*option_lists)) if not mask)
     return out
 
 
@@ -389,17 +390,17 @@ def verify_saturation(p2: P2Spec, s: FinStructure, k: int,
                       prefix: int | None = None) -> tuple[bool, list]:
     """Exhaustive post-scan on a frozen structure: does every subset of
     the prefix (default: everything) of size <= k realise every
-    compatible pattern?  Returns (ok, failures)."""
+    compatible pattern?  Returns (ok, failures), failures being each
+    subset's `_missing` patterns, subsets in `combinations` order by size;
+    `tests/_naive.naive_saturated` is the independent check."""
     prefix = s.size if prefix is None else prefix
-    if prefix > s.size:
-        raise InputError("prefix exceeds the universe")
-    codes = point_codes(s)
-    failures = []
-    for size in range(0, k + 1):
-        for subset in combinations(range(prefix), size):
-            for tau in one_point_extensions(p2, [codes[b] for b in subset], subset):
-                if find_realization(s, tau) is None:
-                    failures.append((subset, tau))
+    if k < 0 or not 0 <= prefix <= s.size:
+        raise InputError(f"need level >= 0 and prefix in 0..{s.size}, got {k} and {prefix}")
+    if p2.vocab != s.vocab:
+        raise VocabularyError("the permission set and the structure use different vocabularies")
+    failures = [(subset, tau) for size in range(k + 1)
+                for subset in combinations(range(prefix), size)
+                for tau in _missing(p2, s, subset)]
     return (not failures), failures
 
 

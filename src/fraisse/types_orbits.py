@@ -196,25 +196,21 @@ class _AclEngine:
         algebraic or inconclusive over base, the base points included.
 
         The points outside the base are split once into pattern leaves, by
-        point code, then by each base point's out- and in-row per binary
-        symbol.  A leaf is settled on its first point, and only the rest of
-        an algebraic or inconclusive leaf is visited, so growth comes in
-        the order that a walk over every point gives."""
+        point code, then by each base point's `FinStructure.link_rows` row
+        per link option.  A leaf is settled on its first point, and only the
+        rest of an algebraic or inconclusive leaf is visited, so growth comes
+        in the order that a walk over every point gives."""
         s = self.src.snapshot()
         if s.vocab.rho > 2:
             raise VocabularyError("extension patterns need a binary vocabulary")
         in_base = sum(1 << b for b in base)
         leaves = [(mask, (), code) for code in set(point_codes(s)[:n])
                   if (mask := s.code_bits(code) & ((1 << n) - 1) & ~in_base)]
-        rows = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
+        options = list(product(product((0, 1), repeat=2), repeat=len(s.vocab.binary_symbols())))
         for b in base:
-            cuts = [((), -1)]           # link options to b, with their masks
-            for out, inn in rows:
-                o, i = out[b], inn[b]
-                cuts = [(opt + ((to, fr),), m & (o if to else ~o) & (i if fr else ~i))
-                        for opt, m in cuts for to in (0, 1) for fr in (0, 1)]
-            leaves = [(mask & m, dirs + (opt,), code) for mask, dirs, code in leaves
-                      for opt, m in cuts if mask & m]
+            split = [(option, s.link_rows(option)[b]) for option in options]
+            leaves = [(mask & row, dirs + (option,), code) for mask, dirs, code in leaves
+                      for option, row in split if mask & row]
         first = {(leaf[0] & -leaf[0]).bit_length() - 1: leaf for leaf in leaves}
         todo = in_base | sum(1 << a for a in first)
         inconclusive = 0

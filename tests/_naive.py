@@ -231,6 +231,15 @@ def naive_acl(s: FinStructure, base, d: int) -> list[int]:
 # extension axioms
 
 
+def naive_code(s: FinStructure, v: int) -> int:
+    """v's point code from the tables: of the vocabulary's m symbols, the
+    i-th holds on (v, ..., v) exactly when bit m-1-i is set."""
+    c = 0
+    for name, arity in s.vocab.symbols:
+        c = c << 1 | (((v,) * arity) in s.tables[name])
+    return c
+
+
 def naive_axiom_holds(s: FinStructure, ax) -> bool:
     """Direct evaluation of an extension axiom: every ordered tuple of
     distinct points whose own facts match the base slots' codes admits a
@@ -242,12 +251,7 @@ def naive_axiom_holds(s: FinStructure, ax) -> bool:
     binary symbol.  Each point's code and each ordered pair's option are
     read off the tables once per call."""
     points = range(s.size)
-    code = {}
-    for v in points:
-        c = 0
-        for name, arity in s.vocab.symbols:
-            c = c << 1 | (((v,) * arity) in s.tables[name])
-        code[v] = c
+    code = {v: naive_code(s, v) for v in points}
     # a pair of bools compares equal to the option's pair of 0/1 ints
     tabs = [s.tables[name] for name, arity in s.vocab.symbols if arity == 2]
     link = {}
@@ -335,6 +339,44 @@ def naive_link_rows(s: FinStructure, option) -> list[int]:
     link from x is `option`."""
     return [sum(1 << c for c in range(s.size) if naive_link(s, x, c) == tuple(option))
             for x in range(s.size)]
+
+
+# ---------------------------------------------------------------------------
+# saturation
+
+
+def naive_saturated(members, s: FinStructure, k: int, prefix: int) -> set[tuple]:
+    """The failures of level-k saturation over the first `prefix` points
+    of s, as (base, new point code, links) triples: a base of at most k of
+    those points, ascending, and a compatible one-point extension pattern
+    over it that no point of s outside the base realises.  Empty exactly
+    when every such base realises every compatible pattern.
+
+    Compatibility is read off the members' own tables: the new point has
+    the code of a one-point member, and its link to base point b, per
+    binary symbol the (b -> new, new -> b) pair, is the link between the
+    two points of a two-point member, read in either order, whose points
+    have b's code and the new point's code.  Every point outside a base is
+    compared with every pattern over it."""
+    codes = {naive_code(m, 0) for m in members if m.size == 1}
+    options: dict[tuple[int, int], set] = {}
+    for m in members:
+        if m.size == 2:
+            for u, v in ((0, 1), (1, 0)):
+                options.setdefault((naive_code(m, u), naive_code(m, v)), set()).add(
+                    naive_link(m, u, v))
+    code = [naive_code(s, v) for v in range(s.size)]
+    link = {(b, w): naive_link(s, b, w) for b in range(prefix) for w in range(s.size)}
+    failures = set()
+    for size in range(k + 1):
+        for base in combinations(range(prefix), size):
+            realised = {(code[w], tuple(link[b, w] for b in base))
+                        for w in range(s.size) if w not in base}
+            for cw in codes:
+                for links in product(*[options.get((code[b], cw), ()) for b in base]):
+                    if (cw, links) not in realised:
+                        failures.add((base, cw, links))
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from fraisse.amalgamation import P2Spec, graph_p2, in_rp2
 from fraisse.errors import AdequacyError, ExtensionError, InputError, VocabularyError
-from fraisse.generic import (ExtensionType, back_and_forth, extend_one_point,
+from fraisse.generic import (ExtensionType, _missing, back_and_forth, extend_one_point,
                              find_realization, graph_extension,
                              grow_random, homogeneity_probe, mix64,
                              new_generic, one_point_extensions, saturate,
                              saturate_until_stable, verify_saturation)
 from fraisse.structures import FinStructure, Vocabulary, point_codes, undirected_graph
+from fraisse.zero_one import axiom_holds, full_extension_axioms, sample_uniform
 
-from _naive import (MIXED, naive_is_isomorphic, permuted_copy, random_graph, random_mixed,
-                    type_desc)
+from _naive import (MIXED, naive_is_isomorphic, naive_saturated, permuted_copy, random_graph,
+                    random_mixed, type_desc)
+from test_amalgamation import RED_ARC_PAIRS, RED_ARC_POINTS
 from test_sampling_golden import MARKED, marked_p2
 
 
@@ -208,6 +210,113 @@ def test_negative_budget_rejected():
         with pytest.raises(InputError, match="new_point_budget must be >= 0, got -1"):
             call(o, 2, -1)
     assert o.size == 4 and len(o.log) == 4
+
+
+@pytest.mark.parametrize("k, prefix", [(-1, None), (2, -1), (0, -2)])
+def test_verify_saturation_rejects_negative_level_and_prefix(k, prefix):
+    o = fresh(3, 4)
+    with pytest.raises(InputError, match=r"need level >= 0 and prefix in 0\.\.4, got"):
+        verify_saturation(o.p2, o.current, k, prefix)
+
+
+def test_verify_saturation_rejects_another_vocabulary():
+    o = new_generic(marked_p2(), 3)
+    grow_random(o, 6)
+    with pytest.raises(VocabularyError):
+        verify_saturation(graph_p2(), o.current, 2)
+
+
+# -- saturation against the table-only referee and the extension axioms ------
+
+
+def _agrees_with_referee(p2, s, k, prefixes=()):
+    """`verify_saturation`, over each prefix and the whole universe, and
+    `_missing` over every base of at most k points find exactly the
+    failures of `naive_saturated`."""
+    for prefix in {*prefixes, s.size}:
+        ok, failures = verify_saturation(p2, s, k, prefix)
+        want = naive_saturated(p2.members, s, k, prefix)
+        got = [(base, tau.point, tau.dirs) for base, tau in failures]
+        assert set(got) == want and len(got) == len(want) and ok == (not want)
+    missing = {(base, tau.point, tau.dirs) for size in range(k + 1)
+               for base in combinations(range(s.size), size) for tau in _missing(p2, s, base)}
+    assert missing == naive_saturated(p2.members, s, k, s.size)
+
+
+def random_marked(rng, n):
+    """A structure over MARKED on n points, in the class of no spec in
+    particular: red marks, arcs and the rarer loops drawn independently."""
+    return FinStructure(MARKED, n, {
+        "red": [(v,) for v in range(n) if rng.random() < 0.5],
+        "arc": [(u, v) for u in range(n) for v in range(n)
+                if rng.random() < (0.15 if u == v else 0.4)]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, len(RED_ARC_PAIRS) - 1)), st.integers(0, 2**30),
+       st.integers(0, 7), st.integers(0, 3))
+def test_saturation_scans_match_referee_on_red_arc_specs(keep, seed, n, k):
+    # adequacy is not required, so some code pairs admit no link at all
+    p2 = P2Spec([FinStructure(MARKED, 0)] + RED_ARC_POINTS
+                + [RED_ARC_PAIRS[i] for i in sorted(keep)])
+    _agrees_with_referee(p2, random_marked(random.Random(seed), n), k, {n // 2})
+    try:
+        s = sample_uniform(p2, n, seed)
+    except AdequacyError:
+        return
+    _agrees_with_referee(p2, s, k, {n // 2})
+
+
+@pytest.mark.parametrize("spec", [graph_p2, marked_p2])
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_saturation_scans_match_referee_on_uniform_samples(spec, n):
+    p2 = spec()
+    for seed in range(5):
+        _agrees_with_referee(p2, sample_uniform(p2, n, seed), 2, {n - 1})
+
+
+@pytest.mark.parametrize("spec, seed", [(graph_p2, 4), (graph_p2, 21),
+                                        (marked_p2, 3), (marked_p2, 8)])
+def test_saturation_scans_match_referee_on_oracle_snapshots(spec, seed):
+    # budgeted level-2 passes: on the marked spec each runs out and records
+    # nothing; on the graph spec the later ones cover a prefix below the
+    # universe, which the referee must find saturated
+    o = new_generic(spec(), seed)
+    grow_random(o, 4)
+    while o.size < 36:
+        saturate(o, 2, 9)
+        assert not naive_saturated(o.p2.members, o.current, 2, o.saturated_prefix(2))
+        _agrees_with_referee(o.p2, o.current, 2, {o.saturated_prefix(2), o.size // 2})
+        if o.saturated_prefix(2) == o.size:
+            break
+
+
+def _axioms_hold(p2, s, k):
+    return all(axiom_holds(s, ax) for j in range(k + 1) for ax in full_extension_axioms(p2, j))
+
+
+def test_saturation_is_the_extension_axioms_on_samples():
+    # saturated to level k over the whole universe exactly when every
+    # extension axiom of at most k slots holds
+    verdicts = set()
+    for p2 in (graph_p2(), marked_p2()):
+        for n in (3, 5, 8, 12):
+            for seed in range(10):
+                s = sample_uniform(p2, n, seed)
+                for k in range(3):
+                    ok = verify_saturation(p2, s, k)[0]
+                    assert ok == _axioms_hold(p2, s, k), (n, seed, k)
+                    verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(21, 27))
+def test_saturation_is_the_extension_axioms_on_stable_oracles(seed):
+    o = fresh(seed, 8)
+    assert saturate_until_stable(o, 2).stable
+    for k in range(3):
+        assert verify_saturation(o.p2, o.current, k) == (True, [])
+        assert _axioms_hold(o.p2, o.current, k)
 
 
 def test_two_stable_oracles_are_2_equivalent():

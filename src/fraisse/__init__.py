@@ -36,7 +36,6 @@ from .amalgamation import (
     HPReport,
     P2Spec,
     age,
-    assemble_pair,
     check_1_adequate,
     check_ap,
     check_hp,

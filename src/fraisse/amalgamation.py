@@ -34,10 +34,11 @@ class P2Spec:
     """Permitted structures of size <= 2 over one binary vocabulary.
 
     A point is named by its code (`point_codes`); `codes` lists the
-    permitted ones in `one_types()` order.  The cross-link options of
-    each ordered pair of point codes are read off the two-point members,
-    in both orders, into one table, which `permitted_links` and the
-    class operations below all read.
+    permitted ones, sorted by their one-point members' canonical keys.  No
+    one-point structure is kept.  The cross-link options of each ordered
+    pair of point codes are read off the two-point members, in both
+    orders, into one table, which `permitted_links` and the class
+    operations below all read.
     """
 
     def __init__(self, members: Iterable[FinStructure],
@@ -59,12 +60,8 @@ class P2Spec:
         self.members = members
         self.size_bound = int(size_bound)
         self._keys = frozenset(canonical_key(m) for m in members)
-        ones: dict[TypeId, FinStructure] = {}
-        for m in members:
-            if m.size == 1:
-                ones.setdefault(canonical_key(m), m)
-        self._ones = [ones[k] for k in sorted(ones)]
-        self.codes = tuple(point_codes(m)[0] for m in self._ones)
+        ones = {canonical_key(m): point_codes(m)[0] for m in members if m.size == 1}
+        self.codes = tuple(ones[k] for k in sorted(ones))
         links: dict[tuple[int, int], set] = {}
         for m in members:
             if m.size == 2:
@@ -77,10 +74,6 @@ class P2Spec:
         """Membership of a structure of size <= 2, up to isomorphism."""
         return s.vocab == self.vocab and s.size <= 2 and canonical_key(s) in self._keys
 
-    def one_types(self) -> list[FinStructure]:
-        """One representative per permitted one-point type, sorted."""
-        return list(self._ones)
-
     def permitted_links(self, t0: FinStructure, t1: FinStructure) -> tuple[tuple, ...]:
         """Cross-link options for an ordered pair of one-point types.
 
@@ -89,7 +82,10 @@ class P2Spec:
         assembled two-point structure is permitted.  Sorted, so option 0
         is a deterministic choice.
         """
-        _check_halves(t0, t1)
+        if t1.vocab != t0.vocab:
+            raise VocabularyError("pair halves use different vocabularies")
+        if t0.size != 1 or t1.size != 1:
+            raise InvalidElementError("pair halves must be one-point structures")
         if t0.vocab != self.vocab:
             return ()
         return self.links(point_codes(t0)[0], point_codes(t1)[0])
@@ -106,20 +102,6 @@ class P2Spec:
                    for option in self.links(cu, cv)}
         return tuple(all(option[j][0] == option[j][1] for option in options)
                      for j in range(len(self.vocab.binary_symbols())))
-
-
-def _check_halves(t0: FinStructure, t1: FinStructure) -> None:
-    if t1.vocab != t0.vocab:
-        raise VocabularyError("pair halves use different vocabularies")
-    if t0.size != 1 or t1.size != 1:
-        raise InvalidElementError("pair halves must be one-point structures")
-
-
-def assemble_pair(t0: FinStructure, t1: FinStructure, dirs) -> FinStructure:
-    """The two-point structure with point 0 like t0, point 1 like t1,
-    and cross links given per binary symbol as (0->1, 1->0) bits."""
-    _check_halves(t0, t1)
-    return with_point(t0, point_codes(t1)[0], [dirs])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +195,7 @@ class AdequacyReport:
     has_empty: bool
     has_two_structure: bool
     hp_counterexample: tuple | None
-    missing_pairs: list[tuple[FinStructure, FinStructure]]
+    missing_pairs: list[tuple[int, int]]          # pairs of point codes
     witnesses: dict[tuple[int, int], int]
     notes: list[str] = field(default_factory=list)
 
@@ -243,8 +225,7 @@ def check_1_adequate(p2: P2Spec) -> AdequacyReport:
     for i, m in enumerate(p2.members):
         if m.size == 2:
             witnesses.setdefault(tuple(sorted(point_codes(m))), i)
-    ones = list(zip(p2.codes, p2.one_types()))
-    missing = [(t0, t1) for i, (c0, t0) in enumerate(ones) for c1, t1 in ones[i:]
+    missing = [(c0, c1) for i, c0 in enumerate(p2.codes) for c1 in p2.codes[i:]
                if not p2.links(c0, c1)]
     if missing:
         notes.append(f"{len(missing)} pair(s) of one-point types have no joint "

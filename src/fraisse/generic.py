@@ -212,9 +212,7 @@ def _extend_detail(vocab: Vocabulary, w: int, tau: ExtensionType, drawn) -> str:
             f"{v}[{','.join(f'{sym}:{a:d}{b:d}' for sym, (a, b) in zip(bsyms, dirs)) or '-'}]"
             for v, dirs in pairs) or "-"
 
-    marks = [name for name, arity in vocab.symbols
-             if arity == 1 and tau.point & vocab.code_bit(name)]
-    return (f"new={w} marks={','.join(marks) or '-'} "
+    return (f"new={w} marks={','.join(vocab.mark_tokens(tau.point)) or '-'} "
             f"base {links(zip(tau.base, tau.dirs))} drawn {links(drawn)}")
 
 

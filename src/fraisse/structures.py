@@ -19,13 +19,15 @@ from functools import cached_property
 from itertools import chain, compress, count, product, repeat
 from typing import Iterable, Sequence
 
-from .errors import InvalidElementError, VocabularyError
+from .errors import InvalidElementError, ParseError, VocabularyError
 
 
 class Vocabulary:
-    """An ordered list of relation symbols with arities."""
+    """An ordered list of relation symbols with arities.  It defines the
+    layout of its structures' point codes and link options."""
 
-    __slots__ = ("symbols", "_arity", "_hash", "_names", "_binary", "_code_bit", "_rho")
+    __slots__ = ("symbols", "_arity", "_hash", "_names", "_binary", "_code_bit", "_rho",
+                 "_options")
 
     def __init__(self, symbols: Iterable[tuple[str, int]]):
         syms = []
@@ -48,6 +50,7 @@ class Vocabulary:
         self._binary = tuple(name for name, a in syms if a == 2)
         self._code_bit = {name: 1 << (len(syms) - 1 - i) for i, (name, _) in enumerate(syms)}
         self._rho = max((a for _, a in syms), default=0)
+        self._options: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     def names(self) -> tuple[str, ...]:
         return self._names
@@ -81,6 +84,30 @@ class Vocabulary:
             return self._code_bit[name]
         except KeyError:
             raise VocabularyError(f"unknown symbol {name!r}") from None
+
+    def link_options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every link option (`FinStructure.link`), in `product` order:
+        per binary symbol, a (u -> v, v -> u) pair of bits."""
+        if self._options is None:
+            self._options = tuple(product(product((0, 1), repeat=2), repeat=len(self._binary)))
+        return self._options
+
+    def mark_tokens(self, code: int) -> list[str]:
+        """The marks of a point code: its unary symbols, then 'loop:sym'
+        for each binary symbol holding on (v, v)."""
+        held = [(name, arity) for name, arity in self.symbols if code & self._code_bit[name]]
+        return ([name for name, arity in held if arity == 1]
+                + [f"loop:{name}" for name, arity in held if arity == 2])
+
+    def mark_code(self, text: str) -> int:
+        """The point code of a comma-separated list of `mark_tokens`."""
+        code = 0
+        for tok in (t.strip() for t in text.split(",") if t.strip()):
+            name, arity = (tok[5:], 2) if tok.startswith("loop:") else (tok, 1)
+            if self._arity.get(name) != arity:
+                raise ParseError(f"unknown mark {tok!r}")
+            code |= self._code_bit[name]
+        return code
 
     def extended(self, extra: Iterable[tuple[str, int]]) -> "Vocabulary":
         return Vocabulary(list(self.symbols) + list(extra))
@@ -211,11 +238,14 @@ class FinStructure:
 
     def link_rows(self, option) -> tuple[int, ...]:
         """Per point x, the bitmask of the points c with link(x, c) == option
-        (c = x included)."""
+        (c = x included).  An option outside `Vocabulary.link_options`
+        raises InvalidElementError."""
         if self._bits is None:
             self._bits = {}
         rows = self._bits.get(option)
         if rows is None:
+            if option not in self.vocab.link_options():
+                raise InvalidElementError(f"{option!r} is not a link option of {self.vocab!r}")
             full = (1 << self.size) - 1
             masks = [full] * self.size
             for sym, (to_c, from_c) in zip(self.vocab.binary_symbols(), option):
@@ -448,6 +478,9 @@ def with_point(s: FinStructure, code: int, links: Sequence) -> FinStructure:
     vocab, w = s.vocab, s.size
     if not vocab.binary:
         raise VocabularyError("with_point needs a binary vocabulary")
+    top = 1 << len(vocab.symbols)
+    if not 0 <= code < top:
+        raise InvalidElementError(f"point code {code} is not in 0..{top - 1}")
     if len(links) != w:
         raise InvalidElementError(f"{len(links)} links given for a new point after {w} points")
     bit = 1 << w

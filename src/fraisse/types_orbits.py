@@ -206,7 +206,7 @@ class _AclEngine:
         in_base = sum(1 << b for b in base)
         leaves = [(mask, (), code) for code in set(point_codes(s)[:n])
                   if (mask := s.code_bits(code) & ((1 << n) - 1) & ~in_base)]
-        options = list(product(product((0, 1), repeat=2), repeat=len(s.vocab.binary_symbols())))
+        options = s.vocab.link_options()
         for b in base:
             split = [(option, s.link_rows(option)[b]) for option in options]
             leaves = [(mask & row, dirs + (option,), code) for mask, dirs, code in leaves

@@ -4,12 +4,13 @@ An extension axiom says: for every ordered tuple of k distinct points
 whose point codes match the axiom's base slots, some further point has
 the axiom's point code and realises the prescribed link with each of
 them.  Axioms use the oracle's encoding (`generic.ExtensionType`): a
-point is its code (`structures.point_codes`) and a link is a
-`P2Spec.links` option, so only binary vocabularies have axioms.  One
-evaluator reads every axiom on row bitmasks.  Sampling draws structures
-uniformly in the labelled sense: each point's code uniform over the
-permitted ones, each unordered pair's cross links uniform over the
-permitted options for the chosen endpoint codes, all independently."""
+point is its code (`structures.point_codes`), written in labels as its
+`Vocabulary.mark_tokens`, and a link is one of `Vocabulary.link_options`,
+so only binary vocabularies have axioms.  One evaluator reads every
+axiom on row bitmasks.  Sampling draws structures uniformly in the
+labelled sense: each point's code uniform over the permitted ones, each
+unordered pair's cross links uniform over the permitted options for the
+chosen endpoint codes, all independently."""
 
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _ARROWS = {(1, 1): "", (1, 0): ">", (0, 1): "<"}     # link pair -> token suffix
 _LINK_OF = {arrow: pair for pair, arrow in _ARROWS.items()}
 
@@ -66,9 +66,8 @@ class AxiomSpec:
         self.k = len(self.slots)
         if len(self.dirs) != self.k:
             raise InputError("one link option per base slot is required")
-        nbin = len(vocab.binary_symbols())
         for option in self.dirs:
-            if len(option) != nbin or not all(pair in _PAIRS for pair in option):
+            if option not in vocab.link_options():
                 raise InputError(f"link option {option} needs one (0/1, 0/1) pair "
                                  "per binary symbol")
         top = 1 << len(vocab.symbols)
@@ -94,13 +93,13 @@ class AxiomSpec:
         vocab = self.vocab
         segs = []
         for slot, option in zip(self.slots, self.dirs):
-            marks = _mark_tokens(vocab, slot)
+            marks = vocab.mark_tokens(slot)
             toks = [sym + _ARROWS[pair]
                     for sym, pair in zip(vocab.binary_symbols(), option) if any(pair)]
             segs.append((f"[{','.join(marks)}] " if marks else "")
                         + (",".join(toks) or "-"))
         text = f"ext {self.k}: " + " | ".join(segs) if segs else f"ext 0:"
-        marks = _mark_tokens(vocab, self.point)
+        marks = vocab.mark_tokens(self.point)
         if marks:
             text += " @ " + ",".join(marks)
         return text
@@ -122,25 +121,6 @@ def _link_key(vocab: Vocabulary, slot: int, option, point: int) -> tuple:
         facts = (on_base, *next(pairs), on_new) if arity == 2 else (on_base, on_new)
         key.append(tuple(j for j, f in enumerate(facts) if f))
     return tuple(key)
-
-
-def _mark_tokens(vocab: Vocabulary, code: int) -> list[str]:
-    """The marks of a point code: its unary symbols, then 'loop:sym' for
-    each binary symbol holding on (v, v)."""
-    held = [(name, arity) for name, arity in vocab.symbols if code & vocab.code_bit(name)]
-    return ([name for name, arity in held if arity == 1]
-            + [f"loop:{name}" for name, arity in held if arity == 2])
-
-
-def _mark_code(vocab: Vocabulary, text: str) -> int:
-    """The point code of a comma-separated list of marks."""
-    code = 0
-    for tok in (t.strip() for t in text.split(",") if t.strip()):
-        name, arity = (tok[5:], 2) if tok.startswith("loop:") else (tok, 1)
-        if name not in vocab or vocab.arity(name) != arity:
-            raise ParseError(f"unknown mark {tok!r} in axiom")
-        code |= vocab.code_bit(name)
-    return code
 
 
 def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:
@@ -175,7 +155,7 @@ def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:
             marks, sep, seg = seg[1:].partition("]")
             if not sep:
                 raise ParseError(f"unclosed slot marks in {text!r}")
-            slot, seg = _mark_code(vocab, marks), seg.strip()
+            slot, seg = vocab.mark_code(marks), seg.strip()
         option = dict.fromkeys(bsyms, (0, 0))
         if seg != "-":
             for tok in (t.strip() for t in seg.split(",") if t.strip()):
@@ -186,7 +166,7 @@ def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:
                 option[sym] = (option[sym][0] | pair[0], option[sym][1] | pair[1])
         slots.append(slot)
         dirs.append(tuple(option.values()))
-    return AxiomSpec(vocab, slots, dirs, _mark_code(vocab, markpart))
+    return AxiomSpec(vocab, slots, dirs, vocab.mark_code(markpart))
 
 
 def full_extension_axioms(p2: P2Spec, k: int) -> list[AxiomSpec]:

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraisse import amalgamation
-from fraisse.amalgamation import (P2Spec, age, assemble_pair,
+from fraisse.amalgamation import (P2Spec, age,
                                   check_1_adequate, check_ap, check_hp,
                                   enumerate_rp2, graph_p2, in_rp2, require_adequate)
 from fraisse.errors import AdequacyError, InputError, InvalidElementError
 from fraisse.structures import (Embedding, FinStructure, Vocabulary, canonical_key,
-                                find_embeddings, point_codes, undirected_graph)
+                                find_embeddings, point_codes, undirected_graph, with_point)
 
 from _naive import (all_graphs, graph_of_bits, naive_adequacy, naive_in_rp2,
                     naive_is_isomorphic)
@@ -85,11 +85,11 @@ def test_age_lists_nonempty_substructures():
     assert got == [(1, 0), (2, 0), (2, 1)]
 
 
-def test_assemble_pair_directions():
+def test_with_point_pair_directions():
     p2 = graph_p2()
     t0 = undirected_graph(1, [])
     links = p2.permitted_links(t0, t0)
-    sizes = {len(assemble_pair(t0, t0, d).tables["adj"]) for d in links}
+    sizes = {len(with_point(t0, 0, [d]).tables["adj"]) for d in links}
     assert sizes == {0, 2}
 
 
@@ -268,7 +268,7 @@ def pool_amalgam(p2: P2Spec, bound: int):
 
 DIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 RED_ARC_POINTS = [FinStructure(MARKED, 1), FinStructure(MARKED, 1, {"red": [(0,)]})]
-RED_ARC_PAIRS = [assemble_pair(t0, t1, (d,))
+RED_ARC_PAIRS = [with_point(t0, point_codes(t1)[0], [(d,)])
                  for t0 in RED_ARC_POINTS for t1 in RED_ARC_POINTS for d in DIRS]
 
 
@@ -318,7 +318,7 @@ def two_arcs_members() -> list[FinStructure]:
             both = bool(t0.tables["a"]) and bool(t1.tables["a"])
             for da, db in product(DIRS, repeat=2):
                 if all(a >= b for a, b in zip(da, db)) and (not both or da == (1, 1)):
-                    members.append(assemble_pair(t0, t1, (da, db)))
+                    members.append(with_point(t0, point_codes(t1)[0], [(da, db)]))
     return members
 
 
@@ -397,5 +397,5 @@ def test_permitted_links_match_assembled_members(which, drops):
     for t0 in _all_points(vocab):
         for t1 in _all_points(vocab):
             want = tuple(d for d in product(DIRS, repeat=nbin)
-                         if p2.is_member(assemble_pair(t0, t1, d)))
+                         if p2.is_member(with_point(t0, point_codes(t1)[0], [d])))
             assert p2.permitted_links(t0, t1) == want

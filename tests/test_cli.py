@@ -12,6 +12,7 @@ from fraisse.structures import FinStructure, Vocabulary, undirected_graph
 from fraisse.textio import p2_document, parse_document, structure_document
 
 from _naive import naive_is_isomorphic
+from test_sampling_golden import marked_p2
 
 
 def run(argv, capsys):
@@ -146,6 +147,23 @@ def test_env_seed_is_honoured(p2file, capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_env_seed_must_be_an_integer(p2file, capsys, monkeypatch):
+    monkeypatch.setenv("FRAISSE_SEED", "x")
+    code, out, err = run(["gen", "--p2", p2file, "--points", "6"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: FRAISSE_SEED is not an integer: 'x'\n"
+
+
+def test_gen_transcript_lists_unary_and_loop_marks(tmp_path, capsys):
+    path = tmp_path / "marked.p2"
+    path.write_text(p2_document(marked_p2()))
+    code, out, _ = run(["gen", "--p2", str(path), "--seed", "2", "--points", "4"], capsys)
+    assert code == 0
+    marks = [line.split()[3] for line in out.splitlines() if line.startswith("#   extend")]
+    assert marks == ["marks=red,loop:arc"] * 2 + ["marks=loop:arc"] * 2
+    assert "\nred: 0; 1\narc: 0 0; 0 1; 1 0; 1 1; 2 1; 2 2; 3 2; 3 3\n" in out
+
+
 def test_types_table_and_csv(tmp_path, capsys):
     sfile = tmp_path / "p3.txt"
     sfile.write_text(structure_document(undirected_graph(3, [(0, 1), (1, 2)])))
@@ -226,6 +244,16 @@ def test_zeroone_subcommand(p2file, capsys):
     assert code == 0
     assert "axioms: 6" in out
     assert "joint" in out
+
+
+def test_zeroone_axiom_option_reports_a_drop(p2file, capsys):
+    # the 2-slot axiom holds vacuously on one point (50/50) and 5/50 times on four
+    code, out, _ = run(["zeroone", "--p2", p2file, "--axiom", "ext 2: adj | adj",
+                        "--sizes", "1,4", "--trials", "50"], capsys)
+    assert code == 0
+    assert "\naxioms: 1\n" in out and "\naxiom 0: ext 2: adj | adj\n" in out
+    assert out.endswith("\nnon-monotonic: axiom 0 drops beyond interval overlap "
+                        "at sizes [(1, 4)]\n")
 
 
 def test_usage_errors_exit_2(p2file, capsys, tmp_path):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraisse.amalgamation import P2Spec, graph_p2, in_rp2
-from fraisse.errors import AdequacyError, ExtensionError, InputError, VocabularyError
+from fraisse.errors import (AdequacyError, ExtensionError, InputError, SaturationError,
+                            VocabularyError)
 from fraisse.generic import (ExtensionType, _missing, back_and_forth, extend_one_point,
                              find_realization, graph_extension,
                              grow_random, homogeneity_probe, mix64,
@@ -371,6 +372,12 @@ def test_homogeneity_probe_on_stable_oracle():
     saturate_until_stable(o, 2)
     rep = homogeneity_probe(o, 2, 30)
     assert rep.successes == rep.trials
+
+
+def test_homogeneity_probe_refuses_an_unsaturated_oracle():
+    o = fresh(13, 5)
+    with pytest.raises(SaturationError, match="needs saturation level 2 over at least 2 points"):
+        homogeneity_probe(o, 2, 1)
 
 
 @pytest.mark.parametrize("m, trials", [(-1, 5), (2, -3)])

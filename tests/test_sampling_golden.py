@@ -40,9 +40,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fraisse.amalgamation import P2Spec, assemble_pair, graph_p2
+from fraisse.amalgamation import P2Spec, graph_p2
 from fraisse.cli import main
-from fraisse.structures import FinStructure, Vocabulary
+from fraisse.structures import FinStructure, Vocabulary, point_codes, with_point
 from fraisse.textio import p2_document
 from fraisse.zero_one import _randrange_batch, sample_uniform
 
@@ -70,7 +70,7 @@ def marked_p2() -> P2Spec:
                     continue                # two reds: both arcs
                 if red0 != red1 and d[1]:
                     continue                # no arc from a red point's partner back
-                members.append(assemble_pair(t0, t1, (d,)))
+                members.append(with_point(t0, point_codes(t1)[0], [(d,)]))
     return P2Spec(members)
 
 
@@ -160,9 +160,8 @@ def test_samples_match_recorded_digests():
 
 def test_marked_spec_has_several_point_types():
     p2 = marked_p2()
-    types = p2.one_types()
-    assert len(types) == 4
-    counts = {len(p2.permitted_links(a, b)) for a in types for b in types}
+    assert len(p2.codes) == 4
+    counts = {len(p2.links(a, b)) for a in p2.codes for b in p2.codes}
     assert counts == {1, 2, 4}
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraisse.doubled_cover import build_double, quotient
-from fraisse.errors import InvalidElementError, VocabularyError
+from fraisse.errors import InvalidElementError, ParseError, VocabularyError
 from fraisse.reduct import pair_family_universe
 from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
                                 canonical_key, expand_with_marks,
@@ -225,6 +225,38 @@ def test_with_point_writes_what_link_reads(vocab, data):
                 sub.in_bits(sym) == sub.out_bits(sym))
     with pytest.raises(InvalidElementError):
         with_point(s, 0, [PAIRS[:nbin]] * (n + 1))
+
+
+def test_link_options_and_marks_are_defined_once_per_vocabulary():
+    for vocab in LINK_VOCABS:
+        assert vocab.link_options() == tuple(product(PAIRS, repeat=len(vocab.binary_symbols())))
+        assert vocab.link_options() is vocab.link_options()
+    for vocab in LINK_VOCABS[:2]:
+        for code in range(1 << len(vocab.symbols)):
+            assert vocab.mark_code(", ".join(vocab.mark_tokens(code))) == code
+    marked = LINK_VOCABS[0]
+    assert marked.mark_tokens(3) == ["red", "loop:arc"] and marked.mark_tokens(0) == []
+    for bad in ("arc", "loop:red", "blue"):
+        with pytest.raises(ParseError, match=f"unknown mark '{bad}'"):
+            marked.mark_code(bad)
+
+
+def test_link_rows_rejects_malformed_options():
+    g = undirected_graph(4, [(0, 1), (1, 2)])
+    # over one binary symbol, () would read every point and a second pair
+    # would be cut off by zip
+    for option in ((), ((1, 1), (0, 0)), ((2, 0),), ((1,),)):
+        with pytest.raises(InvalidElementError, match="not a link option"):
+            g.link_rows(option)
+    assert g.link_rows(((1, 1),)) == (0b0010, 0b0101, 0b0010, 0)
+
+
+def test_with_point_rejects_codes_outside_the_vocabulary():
+    g = undirected_graph(4, [(0, 1), (1, 2)])
+    for code in (99, 2, -1):
+        with pytest.raises(InvalidElementError, match=f"point code {code} is not in 0..1"):
+            with_point(g, code, [((0, 0),)] * 4)
+    assert point_codes(with_point(g, 1, [((0, 0),)] * 4)) == (0, 0, 0, 0, 1)
 
 
 def test_undirected_graph_symmetrizes():

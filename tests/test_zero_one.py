@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse.amalgamation import P2Spec, assemble_pair, graph_p2, in_rp2
+from fraisse.amalgamation import P2Spec, graph_p2, in_rp2
 from fraisse.cli import main
 from fraisse.errors import AdequacyError, InputError, ParseError, VocabularyError
-from fraisse.structures import (FinStructure, Vocabulary, expand_with_marks,
-                                undirected_graph)
+from fraisse.structures import (FinStructure, Vocabulary, expand_with_marks, point_codes,
+                                undirected_graph, with_point)
 from fraisse.textio import load_p2
 from fraisse.zero_one import (AxiomSpec, axiom_compatible, axiom_holds,
                               convergence_report, estimate_probability,
@@ -65,7 +65,7 @@ def test_full_axiom_counts():
 def bonded_p2() -> P2Spec:
     """Symmetric loop-free adj/2 beside a directed bond/2 that may loop."""
     points = [FinStructure(BONDED, 1, {"bond": loop}) for loop in ((), {(0, 0)})]
-    pairs = [assemble_pair(a, b, (adj, bond)) for a in points for b in points
+    pairs = [with_point(a, point_codes(b)[0], [(adj, bond)]) for a in points for b in points
              for adj in ((0, 0), (1, 1)) for bond in ((0, 0), (0, 1), (1, 0), (1, 1))]
     return P2Spec([FinStructure(BONDED, 0)] + points + pairs)
 
@@ -338,14 +338,14 @@ def _two_colour_p2():
     """Plain and red points; two red points admit no link at all."""
     vocab = Vocabulary([("red", 1), ("adj", 2)])
     plain, red = (FinStructure(vocab, 1, {"red": r}) for r in ((), {(0,)}))
-    pairs = [assemble_pair(a, b, (d,)) for a, b in ((plain, plain), (plain, red))
+    pairs = [with_point(a, point_codes(b)[0], [(d,)]) for a, b in ((plain, plain), (plain, red))
              for d in ((0, 0), (1, 1))]
     return P2Spec([FinStructure(vocab, 0), plain, red] + pairs), red
 
 
 def test_sample_raises_only_when_a_drawn_pair_has_no_link():
     p2, red = _two_colour_p2()
-    red_index = p2.one_types().index(red)
+    red_index = p2.codes.index(point_codes(red)[0])
     assert p2.permitted_links(red, red) == ()
     raised = kept = 0
     for seed in range(40):
@@ -368,7 +368,7 @@ def oriented_p2() -> P2Spec:
     so a pair's draw is not read off one bit of its word."""
     point = FinStructure(ARC, 1)
     return P2Spec([FinStructure(ARC, 0), point]
-                  + [assemble_pair(point, point, (d,)) for d in ((0, 0), (0, 1), (1, 0))])
+                  + [with_point(point, 0, [(d,)]) for d in ((0, 0), (0, 1), (1, 0))])
 
 
 SAMPLED = {"graph": P2, "marked": marked_p2(), "bonded": bonded_p2(), "oriented": oriented_p2()}
@@ -428,6 +428,17 @@ def test_convergence_report_shape():
     assert [e.n for e in rep.estimates] == [8, 16]
     assert rep.incompatible == []
     assert rep.clean or rep.non_monotonic    # flags are consistent
+
+
+def test_convergence_flags_a_drop_beyond_interval_overlap():
+    # vacuous on one point, 5 of 50 on four: the intervals [0.93, 1] and
+    # [0.04, 0.21] do not overlap
+    ax = parse_axiom(P2.vocab, "ext 2: adj | adj")
+    rep = convergence_report(P2, ax, [4, 1], 50)
+    assert rep.sizes == [1, 4]
+    assert [est.per_axiom for est in rep.estimates] == [[50], [5]]
+    assert rep.non_monotonic == {0: [(1, 4)]}
+    assert rep.incompatible == [] and not rep.clean
 
 
 def test_convergence_flags_incompatible_axiom():

@@ -195,7 +195,7 @@ def test_semi_naive_passes_match_the_full_rescan(spec, seed, points, ops):
 
 
 # sha256 of the report below its `# input` line, which names the input path
-MARKED_414_SHA256 = "74128034247d8f734038129ec792814bf84e614574b762460db52c73c1622c26"
+MARKED_414_SHA256 = "af5dd6de0a3eefeae74ccaa8d4d9013be567a2c79cba54b4f02359f94700f222"
 
 
 def test_marked_level_2_stabilisation_report_is_pinned(tmp_path, capsys):

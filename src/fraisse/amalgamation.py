@@ -34,11 +34,10 @@ class P2Spec:
     """Permitted structures of size <= 2 over one binary vocabulary.
 
     A point is named by its code (`point_codes`); `codes` lists the
-    permitted ones, sorted by their one-point members' canonical keys.  No
-    one-point structure is kept.  The cross-link options of each ordered
-    pair of point codes are read off the two-point members, in both
-    orders, into one table, which `permitted_links` and the class
-    operations below all read.
+    permitted ones, sorted by their one-point members' canonical keys.
+    The cross-link options of each ordered pair of point codes are read
+    off the two-point members, in both orders, into one table, which
+    `permitted_links` and the class operations below all read.
     """
 
     def __init__(self, members: Iterable[FinStructure],

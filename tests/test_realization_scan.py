@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraisse.errors import InvalidElementError, VocabularyError
-from fraisse.generic import ExtensionType, extension_at, find_realization, realizer_bits
-from fraisse.structures import FinStructure, Vocabulary, undirected_graph
+from fraisse.generic import extension_at, find_realization, realizer_bits
+from fraisse.structures import FinStructure, Vocabulary
 from fraisse.types_orbits import _AclEngine, check_degenerate_dependence, check_triviality
 
 from _naive import naive_acl, naive_realizers, random_mixed
@@ -177,12 +177,3 @@ def test_extension_at_rejects_a_base_point():
     s = marked_arcs(3, 0, 0)
     with pytest.raises(InvalidElementError):
         extension_at(s, (0, 1), 1)
-
-
-def test_scan_rejects_malformed_link_options():
-    # () once read as "any link", so point 1 realised a link of no shape to 0
-    g = undirected_graph(4, [(0, 1), (1, 2)])
-    for dirs in ((), ((1, 1), (0, 0))):
-        with pytest.raises(InvalidElementError, match="not a link option"):
-            find_realization(g, ExtensionType(g.vocab, (0,), [dirs], 0))
-    assert find_realization(g, ExtensionType(g.vocab, (0,), [((1, 1),)], 0)) == 1

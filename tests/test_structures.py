@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fraisse.doubled_cover import build_double, quotient
 from fraisse.errors import InvalidElementError, ParseError, VocabularyError
+from fraisse.generic import ExtensionType, find_realization
 from fraisse.reduct import pair_family_universe
 from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
                                 canonical_key, expand_with_marks,
@@ -243,12 +244,15 @@ def test_link_options_and_marks_are_defined_once_per_vocabulary():
 
 def test_link_rows_rejects_malformed_options():
     g = undirected_graph(4, [(0, 1), (1, 2)])
-    # over one binary symbol, () would read every point and a second pair
-    # would be cut off by zip
+    # over one binary symbol, () read every point and zip cut a second pair
+    # off, so find_realization took point 1 for a link of no shape to 0
     for option in ((), ((1, 1), (0, 0)), ((2, 0),), ((1,),)):
         with pytest.raises(InvalidElementError, match="not a link option"):
             g.link_rows(option)
+        with pytest.raises(InvalidElementError, match="not a link option"):
+            find_realization(g, ExtensionType(g.vocab, (0,), [option], 0))
     assert g.link_rows(((1, 1),)) == (0b0010, 0b0101, 0b0010, 0)
+    assert find_realization(g, ExtensionType(g.vocab, (0,), [((1, 1),)], 0)) == 1
 
 
 def test_with_point_rejects_codes_outside_the_vocabulary():

@@ -85,6 +85,11 @@ class Vocabulary:
         except KeyError:
             raise VocabularyError(f"unknown symbol {name!r}") from None
 
+    def check_code(self, code: int, error: type[Exception]) -> None:
+        """Raise `error` unless code is in 0..2^m - 1 for m symbols (`point_codes`)."""
+        if not 0 <= code < 1 << len(self.symbols):
+            raise error(f"point code {code} is not in 0..{(1 << len(self.symbols)) - 1}")
+
     def link_options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Every link option (`FinStructure.link`), in `product` order:
         per binary symbol, a (u -> v, v -> u) pair of bits."""
@@ -167,7 +172,7 @@ class FinStructure:
         self._binary_rows: tuple[tuple[int, ...], ...] | None = None
         self._hash: int | None = None
         self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
-        # out- and in-rows keyed (symbol, converse); link rows keyed by option
+        # out- and in-rows keyed (symbol, converse); link rows keyed (option,)
         self._bits: dict[tuple, tuple[int, ...]] | None = None
         self._codes: tuple[int, ...] | None = None
         self._code_bits: dict[int, int] | None = None
@@ -242,7 +247,7 @@ class FinStructure:
         raises InvalidElementError."""
         if self._bits is None:
             self._bits = {}
-        rows = self._bits.get(option)
+        rows = self._bits.get((option,))
         if rows is None:
             if option not in self.vocab.link_options():
                 raise InvalidElementError(f"{option!r} is not a link option of {self.vocab!r}")
@@ -252,7 +257,7 @@ class FinStructure:
                 out, inn = self.out_bits(sym), self.in_bits(sym)
                 masks = [m & (o if to_c else ~o) & (i if from_c else ~i)
                          for m, o, i in zip(masks, out, inn)]
-            rows = self._bits[option] = tuple(masks)
+            rows = self._bits[(option,)] = tuple(masks)
         return rows
 
     def code_bits(self, code: int) -> int:
@@ -478,9 +483,7 @@ def with_point(s: FinStructure, code: int, links: Sequence) -> FinStructure:
     vocab, w = s.vocab, s.size
     if not vocab.binary:
         raise VocabularyError("with_point needs a binary vocabulary")
-    top = 1 << len(vocab.symbols)
-    if not 0 <= code < top:
-        raise InvalidElementError(f"point code {code} is not in 0..{top - 1}")
+    vocab.check_code(code, InvalidElementError)
     if len(links) != w:
         raise InvalidElementError(f"{len(links)} links given for a new point after {w} points")
     bit = 1 << w

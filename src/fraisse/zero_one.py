@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from math import sqrt
-from operator import add, rshift
+from operator import add, lshift, or_
 from typing import Sequence
 
 from .amalgamation import P2Spec
@@ -70,10 +70,8 @@ class AxiomSpec:
             if option not in vocab.link_options():
                 raise InputError(f"link option {option} needs one (0/1, 0/1) pair "
                                  "per binary symbol")
-        top = 1 << len(vocab.symbols)
         for code in self.slots + (point,):
-            if not 0 <= code < top:
-                raise InputError(f"point code {code} is not in 0..{top - 1}")
+            vocab.check_code(code, InputError)
         self._sort_key = (self.k, point, tuple(
             _link_key(vocab, slot, option, point)
             for slot, option in zip(self.slots, self.dirs)))
@@ -239,8 +237,14 @@ def axiom_holds(s: FinStructure, ax: AxiomSpec) -> bool:
 # sampling
 
 
-def _randrange_batch(rng: random.Random, bounds: Sequence[int]) -> list[int]:
-    """`[rng.randrange(b) for b in bounds]`, leaving rng in the same state.
+_BYTES = bytes(range(256))
+_SHIFTED = [bytes(x >> s for x in _BYTES) for s in range(9)]    # x -> x >> s
+
+
+def _randrange_batch(rng: random.Random, bounds: Sequence[int]) -> tuple[Sequence[int], int]:
+    """The draws of `[rng.randrange(b) for b in bounds]`, leaving rng in
+    the same state, as (values, width): width is the widest bound's bit
+    length, and draw i is `values[i] >> (width - bounds[i].bit_length())`.
 
     `randrange(b)` reads the top `b.bit_length()` bits of one 32-bit word
     per try and tries again while they read b or more.  For b below 256
@@ -249,22 +253,28 @@ def _randrange_batch(rng: random.Random, bounds: Sequence[int]) -> list[int]:
     When every bound has one limit, the words kept do not depend on the
     bounds: a batch takes m words, m the draws still to make, so never
     one too many (`getrandbits(32 * m)` returns them least significant
-    first), and drops the top bytes at or above the limit in one
-    `translate`; draw i is the i-th byte kept, shifted down to its
-    bound's bits.  Other bounds go through `randrange` itself."""
-    distinct = set(bounds)
+    first), and drops the top bytes at or above the limit and shifts the
+    rest down to width bits in one `translate`.  Other bounds go through
+    `randrange` itself."""
+    distinct = set(_BYTES.translate(None, _BYTES.translate(None, bounds))
+                   if type(bounds) is bytes else bounds)   # bytes: the values not absent
+    width = max(distinct, default=0).bit_length()
     limits = {b << (8 - b.bit_length()) if 0 < b < 256 else None for b in distinct}
     if len(limits) != 1 or None in limits:
-        return [rng.randrange(b) for b in bounds]
-    rejected = bytes(range(limits.pop(), 256))
-    kept = bytearray()
-    while len(kept) < len(bounds):
-        m = len(bounds) - len(kept)
-        kept += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(None, rejected)
-    shift = {b: 8 - b.bit_length() for b in distinct}
-    if len(shift) == 1:
-        return list(kept.translate(bytes(x >> shift[bounds[0]] for x in range(256))))
-    return list(map(rshift, kept, map(shift.__getitem__, bounds)))
+        return [rng.randrange(b) << width - b.bit_length() for b in bounds], width
+    shift, rejected = _SHIFTED[8 - width], _BYTES[limits.pop():]
+    values = b""
+    while len(values) < len(bounds):
+        m = len(bounds) - len(values)
+        values += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(shift, rejected)
+    return values, width
+
+
+def _through(table: Sequence[int], seq: Sequence[int]) -> Sequence[int]:
+    """`table[x]` for each x of seq: a `translate` if both fit bytes, else a list."""
+    if type(seq) is bytes and len(table) <= 256 and max(table, default=0) < 256:
+        return seq.translate(bytes(table).ljust(256, b"\0"))
+    return list(map(table.__getitem__, seq))
 
 
 # a pair's bits in one binary symbol, 2 * (u -> v) + (v -> u), to one
@@ -277,34 +287,43 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
     """One uniform labelled sample on n points: point codes uniform over
     the permitted ones, pair links uniform over the permitted options
     for the endpoints, all independent.  The draws are those of one
-    `randrange` per point and then per pair u < v, in order; the links
-    go straight into out- and in-rows."""
+    `randrange` per point and then per pair u < v, in order.  Per pair, in
+    draw order, the code-index pair p, its bound and its key `p << width | y`
+    (y from `_randrange_batch`) are bytes made by `translate`s and one
+    integer OR; one table per binary symbol maps keys to the drawn option's
+    bits for the out- and in-rows.  What does not fit a byte takes `map`."""
     rng = random.Random(seed)
-    vocab = p2.vocab
-    codes = p2.codes
+    vocab, codes = p2.vocab, p2.codes
     if not codes:
         raise AdequacyError("no permitted one-point types to sample from")
     k = len(codes)
-    chosen = _randrange_batch(rng, [k] * n)        # each point's code, by index
-    # the options of code-index pair (a, b) sit at a * k + b, numbered in
-    # one run, so a pair of points drawing r from them takes first[a * k + b] + r
+    chosen, _ = _randrange_batch(rng, [k] * n)     # each point's code index
+    # the options of code-index pair p = a * k + b sit from first[p] on, in one run
     links = [p2.links(c0, c1) for c0 in codes for c1 in codes]
     count = [len(options) for options in links]
     first = list(accumulate(count, initial=0))
     options = list(chain.from_iterable(links))
-    pairs: list[int] = []                          # per pair u < v, in draw order
-    for u in range(n):
-        pairs += map(add, repeat(k * chosen[u]), chosen[u + 1:])
-    bounds = list(map(count.__getitem__, pairs))
+    ahead = [_through(range(k * a, k * a + k), chosen) for a in range(k)]   # pair index a * k + b
+    pairs = [ahead[a][u + 1:] for u, a in enumerate(chosen)]
+    pairs = b"".join(pairs) if k * k <= 256 else list(chain.from_iterable(pairs))
+    bounds = _through(count, pairs)
     if 0 in bounds:
         raise AdequacyError("a pair of permitted point types admits no permitted link")
-    picked = list(map(add, map(first.__getitem__, pairs), _randrange_batch(rng, bounds)))
+    ys, width = _randrange_batch(rng, bounds)
+    if type(pairs) is type(ys) is bytes and k * k << width <= 256:   # no field overflows its bits
+        key = (int.from_bytes(pairs, "little") << width
+               | int.from_bytes(ys, "little")).to_bytes(len(ys), "little")
+    else:
+        key = list(map(or_, map(lshift, pairs, repeat(width)), ys))
+    # per key p << width | y, the option it draws; len(options) where no draw can
+    picks = [first[p] + r if r < c else len(options) for p, c in enumerate(count)
+             for r in (y >> max(0, width - c.bit_length()) for y in range(1 << width))]
     point = [codes[a] for a in chosen]
     rows = []
     for j, (sym, symmetric) in enumerate(zip(vocab.binary_symbols(), p2.symmetric())):
         # grid[u * n + v] for u < v: the pair's bits in sym
-        bits = [2 * option[j][0] + option[j][1] for option in options]
-        drawn = bytes(map(bits.__getitem__, picked))
+        bits = [2 * option[j][0] + option[j][1] for option in options] + [0]
+        drawn = _through([bits[i] for i in picks], key)
         grid = bytearray(n * n)
         start = 0
         for u in range(n):
@@ -368,14 +387,9 @@ def estimate_probability(p2: P2Spec, ax, n: int, trials: int,
     joint = 0
     for t in range(trials):
         s = sample_uniform(p2, n, mix64(seed, 0x5A4B7E, n, t))
-        all_hold = True
-        for i, a in enumerate(axioms):
-            if axiom_holds(s, a):
-                per_axiom[i] += 1
-            else:
-                all_hold = False
-        if all_hold:
-            joint += 1
+        held = [axiom_holds(s, a) for a in axioms]
+        per_axiom = list(map(add, per_axiom, held))
+        joint += all(held)
     return ProbEstimate(n, trials, seed, axioms, per_axiom, joint)
 
 
@@ -410,13 +424,9 @@ def convergence_report(p2: P2Spec, ax, sizes, trials: int,
     incompatible = [i for i, ax in enumerate(axioms) if not axiom_compatible(p2, ax)]
     non_monotonic: dict[int, list[tuple[int, int]]] = {}
     for i in range(len(axioms)):
-        drops = []
-        for a in range(len(sizes)):
-            lo_a, _ = estimates[a].interval(i)
-            for b in range(a + 1, len(sizes)):
-                _, hi_b = estimates[b].interval(i)
-                if lo_a > hi_b:
-                    drops.append((sizes[a], sizes[b]))
+        wilson = [est.interval(i) for est in estimates]
+        drops = [(sizes[a], sizes[b]) for a, b in combinations(range(len(sizes)), 2)
+                 if wilson[a][0] > wilson[b][1]]
         if drops:
             non_monotonic[i] = drops
     return ConvergenceReport(sizes, trials, axioms, estimates,

@@ -6,6 +6,7 @@ plainly, so agreement with the fast paths is meaningful.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
 from fraisse.structures import FinStructure, Vocabulary, graph_vocabulary
@@ -332,6 +333,38 @@ def naive_link(s: FinStructure, u: int, v: int) -> tuple:
     (v, u) is a fact, as a pair of 0/1 ints."""
     return tuple((int((u, v) in s.tables[name]), int((v, u) in s.tables[name]))
                  for name, arity in s.vocab.symbols if arity == 2)
+
+
+def naive_sample(members, codes, n: int, seed: int) -> FinStructure:
+    """A uniform labelled sample, drawn from `random.Random(seed)` one
+    value at a time: `randrange(len(codes))` per point picks its code,
+    then per pair u < v, in order, one `randrange` picks among the sorted
+    links (`naive_link`, read from the first point to the second) that the
+    two-point members show between a point of u's code and one of v's.
+    Facts are written into fresh tables one by one."""
+    vocab = members[0].vocab
+    options: dict[tuple[int, int], set] = {}
+    for m in members:
+        if m.size == 2:
+            for x, y in ((0, 1), (1, 0)):
+                options.setdefault((naive_code(m, x), naive_code(m, y)), set()).add(
+                    naive_link(m, x, y))
+    rng = random.Random(seed)
+    point = [codes[rng.randrange(len(codes))] for _ in range(n)]
+    tables = {name: set() for name in vocab.names()}
+    for v, c in enumerate(point):
+        for i, (name, arity) in enumerate(vocab.symbols):
+            if c >> (len(vocab.symbols) - 1 - i) & 1:
+                tables[name].add((v,) * arity)
+    binary = [name for name, arity in vocab.symbols if arity == 2]
+    for u, v in combinations(range(n), 2):
+        links = sorted(options[point[u], point[v]])
+        for name, (forward, backward) in zip(binary, links[rng.randrange(len(links))]):
+            if forward:
+                tables[name].add((u, v))
+            if backward:
+                tables[name].add((v, u))
+    return FinStructure(vocab, n, tables)
 
 
 def naive_link_rows(s: FinStructure, option) -> list[int]:

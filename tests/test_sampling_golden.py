@@ -22,9 +22,13 @@ when sampling changes on purpose:
 
 The sampler draws its choices in batches (`zero_one._randrange_batch`)
 that rely on how `random.Random.randrange` consumes the generator's
-words.  `stream_mismatches` compares the batches with one `randrange`
-call per bound on the running interpreter, values and final state; it
-needs only the standard library, so it also runs without pytest:
+words.  A batch comes back as (values, width): the draw for bound b is
+its value shifted right by width - b.bit_length(), and no value is wider
+than width, the widest bound's bit length, since the sampler packs each
+value beside a pair index in one key.  `stream_mismatches` reads the
+draws that way and compares them with one `randrange` call per bound on
+the running interpreter, values and final state, and checks the width;
+it needs only the standard library, so it also runs without pytest:
 
     PYTHONPATH=src python tests/test_sampling_golden.py stream
 """
@@ -134,15 +138,23 @@ def stream_cases():
 
 def stream_mismatches() -> list[str]:
     """The cases of `stream_cases` where `_randrange_batch` and per-call
-    `randrange` differ in values or in the generator's final state."""
+    `randrange` differ in values or in the generator's final state, or
+    where the batch's width is not the widest bound's bit length or a
+    value is wider."""
     bad = []
     for seed, bounds in stream_cases():
-        batch, single = random.Random(seed), random.Random(seed)
-        values = _randrange_batch(batch, bounds)
-        if values != [single.randrange(b) for b in bounds]:
-            bad.append(f"seed {seed}, {len(bounds)} bounds {sorted(set(bounds))}: values differ")
-        elif batch.getstate() != single.getstate():
-            bad.append(f"seed {seed}, {len(bounds)} bounds {sorted(set(bounds))}: final state differs")
+        # the sampler passes bounds below 256 as bytes: each such case runs in both forms
+        for form in [bounds] + ([bytes(bounds)] if max(bounds, default=0) < 256 else []):
+            batch, single = random.Random(seed), random.Random(seed)
+            values, width = _randrange_batch(batch, form)
+            draws = [y >> width - b.bit_length() for y, b in zip(values, bounds)]
+            case = f"seed {seed}, {len(bounds)} bounds {sorted(set(bounds))} as {type(form).__name__}"
+            if (len(values), draws) != (len(bounds), [single.randrange(b) for b in bounds]):
+                bad.append(f"{case}: values differ")
+            elif width != max(bounds, default=0).bit_length() or max(values, default=0) >> width:
+                bad.append(f"{case}: width {width} is not the widest bound's or a value is wider")
+            elif batch.getstate() != single.getstate():
+                bad.append(f"{case}: final state differs")
     return bad
 
 

@@ -255,6 +255,21 @@ def test_link_rows_rejects_malformed_options():
     assert find_realization(g, ExtensionType(g.vocab, (0,), [((1, 1),)], 0)) == 1
 
 
+def test_link_rows_cache_keeps_options_apart_from_symbol_rows():
+    # option rows share a cache with the (symbol, converse) rows: an
+    # option spelt like such a key must still be rejected, in either order
+    for rows_first in (True, False):
+        g = undirected_graph(3, [(0, 1)])
+        if rows_first:
+            assert g.out_bits("adj") == (2, 1, 0)
+        for option in (("adj", False), ("adj", True)):
+            with pytest.raises(InvalidElementError, match="not a link option"):
+                g.link_rows(option)
+        assert g.out_bits("adj") == g.in_bits("adj") == (2, 1, 0)
+        assert g.link_rows(((1, 1),)) == (2, 1, 0)
+        assert g.link_rows(((0, 0),)) == (5, 6, 7)
+
+
 def test_with_point_rejects_codes_outside_the_vocabulary():
     g = undirected_graph(4, [(0, 1), (1, 2)])
     for code in (99, 2, -1):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from fraisse.amalgamation import P2Spec, graph_p2, in_rp2
 from fraisse.cli import main
-from fraisse.errors import AdequacyError, InputError, ParseError, VocabularyError
+from fraisse.errors import (AdequacyError, InputError, InvalidElementError, ParseError,
+                            VocabularyError)
 from fraisse.structures import (FinStructure, Vocabulary, expand_with_marks, point_codes,
                                 undirected_graph, with_point)
 from fraisse.textio import load_p2
@@ -18,7 +20,8 @@ from fraisse.zero_one import (AxiomSpec, axiom_compatible, axiom_holds,
                               full_extension_axioms, parse_axiom, sample_uniform,
                               wilson_interval)
 
-from _naive import MIXED, all_graphs, graph_of_bits, naive_axiom_holds, random_graph
+from _naive import (MIXED, all_graphs, graph_of_bits, naive_axiom_holds, naive_sample,
+                    random_graph)
 from test_incremental_oracle import assert_same_snapshot
 from test_realization_scan import BONDED, bonded, marked_arcs, marks_only
 from test_sampling_golden import MARKED, marked_p2
@@ -116,6 +119,27 @@ def test_axiom_spec_validates():
     AxiomSpec(MARKED, [3], [((0, 1),)], 3)
     with pytest.raises(InputError):
         AxiomSpec(MARKED, [4], [((0, 1),)], 3)
+
+
+def test_point_code_range_is_one_vocabulary_check():
+    # AxiomSpec and with_point reject the same codes with the same message,
+    # each with its own exception type
+    empty = FinStructure(MARKED, 0)
+    for code in (-1, 4, 99):
+        message = f"point code {code} is not in 0..3"
+        with pytest.raises(InputError, match=message):
+            AxiomSpec(MARKED, [code], [((0, 0),)], 0)
+        with pytest.raises(InputError, match=message):
+            AxiomSpec(MARKED, [], [], code)
+        with pytest.raises(InvalidElementError, match=message):
+            with_point(empty, code, [])
+        for error in (InputError, InvalidElementError):
+            with pytest.raises(error, match=message):
+                MARKED.check_code(code, error)
+    for code in range(4):
+        MARKED.check_code(code, InputError)
+        assert AxiomSpec(MARKED, [code], [((0, 0),)], code).point == code
+        assert point_codes(with_point(empty, code, [])) == (code,)
 
 
 # a permission set over a ternary symbol; its p2 block opens on line 10
@@ -383,6 +407,67 @@ def test_row_built_samples_match_the_checked_constructor(spec, n, seed):
     s = sample_uniform(p2, n, seed)
     assert_same_snapshot(p2, s, FinStructure(p2.vocab, n, sample_uniform(p2, n, seed).tables))
     assert in_rp2(p2, s)
+
+
+def marks_p2(marks: str, count: int) -> P2Spec:
+    """The first `count` combinations of the unary `marks` beside a
+    loop-free adj/2: two points with the last mark are adjacent, any other
+    pair may be or not.  With 16 codes a pair's code-index pair alone fills
+    a byte; with 17 it needs more."""
+    vocab = Vocabulary([(name, 1) for name in marks] + [("adj", 2)])
+    points = [FinStructure(vocab, 1, {name: {(0,)} for name, bit in zip(marks, bits) if bit})
+              for bits in list(product((0, 1), repeat=len(marks)))[:count]]
+    last = vocab.code_bit(marks[-1])
+    pairs = [with_point(x, point_codes(y)[0], [(d,)])
+             for i, x in enumerate(points) for y in points[i:] for d in ((0, 0), (1, 1))
+             if d == (1, 1) or not point_codes(x)[0] & point_codes(y)[0] & last]
+    return P2Spec([FinStructure(vocab, 0)] + points + pairs)
+
+
+def two_three_p2() -> P2Spec:
+    """Plain and red points over a loop-free arc/2: two plain points admit
+    three options (no arc, either one), any pair with a red point two (no
+    arc, both), so the pair bounds 2 and 3 keep different words."""
+    plain, red = (FinStructure(MARKED, 1, {"red": r}) for r in ((), {(0,)}))
+    pairs = ([with_point(plain, 0, [(d,)]) for d in ((0, 0), (0, 1), (1, 0))]
+             + [with_point(x, point_codes(red)[0], [(d,)])
+                for x in (plain, red) for d in ((0, 0), (1, 1))])
+    return P2Spec([FinStructure(MARKED, 0), plain, red] + pairs)
+
+
+REFEREED = {**SAMPLED, "sixteen": marks_p2("abcd", 16), "seventeen": marks_p2("abcde", 17),
+            "two-three": two_three_p2()}
+
+
+def test_refereed_specs_cover_every_draw_shape():
+    two_three = REFEREED["two-three"]
+    for spec, k in (("sixteen", 16), ("seventeen", 17)):
+        p2 = REFEREED[spec]
+        assert len(p2.codes) == k
+        assert {len(p2.links(a, b)) for a in p2.codes for b in p2.codes} == {1, 2}
+    assert {len(two_three.links(a, b)) for a in two_three.codes for b in two_three.codes} == {2, 3}
+    assert len(REFEREED["oriented"].links(0, 0)) == 3
+
+
+def _assert_sample_matches_naive(spec: str, n: int, seed: int):
+    p2 = REFEREED[spec]
+    s = sample_uniform(p2, n, seed)
+    naive = naive_sample(p2.members, p2.codes, n, seed)
+    assert s.tables == naive.tables and s == naive
+
+
+@pytest.mark.parametrize("spec", sorted(REFEREED))
+def test_sample_uniform_matches_naive_draws_on_small_sizes(spec):
+    for n in (0, 1, 2, 3):
+        for seed in range(6):
+            _assert_sample_matches_naive(spec, n, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(REFEREED)), n=st.integers(min_value=0, max_value=60),
+       seed=st.integers(min_value=0, max_value=1 << 32))
+def test_sample_uniform_matches_naive_draws(spec, n, seed):
+    _assert_sample_matches_naive(spec, n, seed)
 
 
 def test_sample_density_at_size_50():

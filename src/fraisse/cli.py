@@ -264,7 +264,8 @@ def _grown_oracle(args, seed: int, need_level: int):
 def cmd_acl(args) -> int:
     seed = _resolve_seed(args)
     _check_bounds(args.d)
-    _check_base_points(args.base)
+    # the budget is strict, so no run grows past points + budget
+    _check_base_points(args.base, args.points + args.budget)
     oracle = _grown_oracle(args, seed, len(args.base) + 1)
     rep = acl_approx(oracle, args.base, d=args.d, growth_budget=args.growth_budget)
     r = Report("acl", [args.p2], seed=seed)

@@ -19,6 +19,8 @@ bases that lie inside the prefix already saturated at its level, which
 the same argument makes exact.  Each remaining base is scanned once, on
 one structure, by splitting the candidate mask over the link options
 (`_missing`); `verify_saturation` runs that scan over every base.
+`back_and_forth` classes a tuple's one-point extensions by the same
+kind of split, over an index of each symbol's facts by position pattern.
 """
 
 from __future__ import annotations
@@ -431,8 +433,14 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
     witnesses agree: at every stage, the set of patterns realised over
     the chosen points must be the same on both sides.  Equivalence is
     decided by classing positions level by level, so the verdict is exact
-    for the given k.  A losing line starts at the least round count that
-    tells the two structures apart, and its replies are distinct points."""
+    for the given k.  Level 0 classes a tuple by its fact class and the set
+    of its one-point extensions' fact classes, as in the k-variable games
+    of Immerman and Lander.  Each symbol's pattern index maps a fact, with
+    None wherever one of its points c stands, to the mask of those c.  The
+    points outside the tuple are split by the index row of each position
+    pattern over range(m) that holds m - 1; each leaf is one extension
+    class.  A losing line starts at the least round count that tells the
+    two structures apart, and its replies are distinct points."""
     if a.vocab != b.vocab:
         raise InputError("game endpoints use different vocabularies")
     if k < 0:
@@ -451,44 +459,48 @@ def back_and_forth(a: FinStructure, b: FinStructure, k: int) -> BackAndForthRepo
                  for tup in product(range(s.size), repeat=arity)]
         ends.append(len(keys))
 
-    # news[si][m]: (table, getter) for each position pattern over range(m)
-    # that holds m - 1; a one-position getter slices, so it too gives a tuple
-    news = [[[(s.tables[name], itemgetter(*pos) if arity > 1 else itemgetter(slice(m - 1, m)))
-              for name, arity in s.vocab.symbols for pos in product(range(m), repeat=arity)
-              if m - 1 in pos] for m in range(k + 2)] for s in sides]
-    ids: dict[tuple, int] = {}
-    facts: dict[tuple[int, tuple], int] = {}    # stored for arity <= k
+    # patterns[si][m]: (index, getter) per symbol and position pattern over
+    # range(m); a one-position getter slices, so it too gives a tuple
+    patterns = []
+    for s in sides:
+        index = {name: {} for name, _ in s.vocab.symbols}
+        for name, masks in index.items():
+            for f in s.tables[name]:
+                for c in set(f):
+                    key = tuple(None if v == c else v for v in f)
+                    masks[key] = masks.get(key, 0) | 1 << c
+        patterns.append([[(index[name], itemgetter(*pos) if arity > 1 else itemgetter(slice(m - 1, m)))
+                          for name, arity in s.vocab.symbols for pos in product(range(m), repeat=arity)
+                          if m - 1 in pos] for m in range(k + 2)])
 
-    def fact(key: tuple[int, tuple]) -> int:
-        """A tuple's fact class, from its prefix's stored class and the
-        position its last point repeats, else the facts that hold its last
-        position: this parts tuples as their full facts do, at any arity."""
-        si, tup = key
-        if not tup:
-            return -1
-        pre, c = tup[:-1], tup[-1]
-        new = pre.index(c) if c in pre else tuple([get(tup) in tab for tab, get in news[si][len(tup)]])
-        return ids.setdefault((facts[si, pre], new), len(ids))
+    # a fact class is (prefix's class, repeated position or pattern bits)
+    ids, level_ids, level = {}, {}, {}
+    facts = {(0, ()): -1, (1, ()): -1}
+    for si, tup in keys:
+        cls, ext = facts[si, tup], tup + (None,)
+        outside = (1 << sides[si].size) - 1 & ~sum(1 << c for c in set(tup))
+        leaves = [(outside, 0)] if outside else []
+        for bit, (masks, get) in enumerate(patterns[si][len(ext)]):
+            row = masks.get(get(ext), 0)
+            if row & outside:
+                leaves = ([(part, bits | 1 << bit) for mask, bits in leaves if (part := mask & row)]
+                          + [(part, bits) for mask, bits in leaves if (part := mask & ~row)])
+        found = frozenset(ids.setdefault((cls, bits), len(ids)) for _, bits in leaves)
+        level[si, tup] = level_ids.setdefault((cls, found), len(level_ids))
+        for mask, bits in leaves + [(1 << c, ~tup.index(c)) for c in tup] if len(tup) < k else ():
+            facts.update(((si, tup + (c,)), ids.setdefault((cls, bits), len(ids)))
+                         for c, one in enumerate(bin(mask)[:1:-1]) if one == "1")
 
-    for key in keys:
-        facts[key] = fact(key)
-
-    # levels[r][(side, tup)]: the class of tup with r rounds left, for arity
-    # <= k - r, from its class one level down and the classes of its
-    # extensions by a point outside tup (an extension by a point of tup is
-    # fixed by tup's own class); ids go in first-seen order, since only
-    # their equality is read
-    levels: list[dict[tuple[int, tuple], int]] = []
-    down = fact
-    for r in range(k + 1):
-        level_ids: dict[tuple, int] = {}
-        level = {}
+    # levels[r][(side, tup)]: tup's class with r rounds left (arity <= k - r);
+    # ids go in first-seen order, since only their equality is read
+    levels = [level]
+    for r in range(1, k + 1):
+        down, level_ids, level = levels[-1], {}, {}
         for si, tup in keys[:ends[k - r]]:
-            raw = (down((si, tup)), frozenset(down((si, tup + (c,)))
-                                              for c in range(sides[si].size) if c not in tup))
+            raw = (down[si, tup], frozenset(down[si, tup + (c,)]
+                                            for c in range(sides[si].size) if c not in tup))
             level[si, tup] = level_ids.setdefault(raw, len(level_ids))
         levels.append(level)
-        down = level.__getitem__
 
     if levels[k][0, ()] == levels[k][1, ()]:
         return BackAndForthReport(k, True)

@@ -268,6 +268,13 @@ class FinStructure:
                 self._code_bits[c] = self._code_bits.get(c, 0) | 1 << v
         return self._code_bits.get(code, 0)
 
+    def _table_rows(self, symbol: str, converse: bool) -> tuple[int, ...]:
+        """A binary symbol's out-rows (in-rows if converse), built from its table."""
+        rows = [0] * self.size
+        for f in self.tables[symbol]:
+            rows[f[converse]] |= 1 << f[not converse]
+        return tuple(rows)
+
     def _rows(self, symbol: str, converse: bool) -> tuple[int, ...]:
         if self._bits is None:
             self._bits = {}
@@ -275,12 +282,7 @@ class FinStructure:
         if key not in self._bits:
             if self.vocab.arity(symbol) != 2:
                 raise VocabularyError(f"{symbol!r} is not binary")
-            rows = [0] * self.size
-            for (v, u) in self.tables[symbol]:
-                if converse:
-                    v, u = u, v
-                rows[v] |= 1 << u
-            rows = tuple(rows)
+            rows = self._table_rows(symbol, converse)
             if converse and rows == self.out_bits(symbol):
                 rows = self.out_bits(symbol)        # symmetric: one shared tuple
             self._bits[key] = rows
@@ -754,9 +756,11 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
     nsym = len(s.vocab.symbols)
     codes = point_codes(s)
     binary = s.vocab.binary
-    # each binary symbol's out- and in-rows, one tuple when it is symmetric
+    # each binary symbol's out- and in-rows, one tuple when it is symmetric;
+    # rows that s does not hold yet are built here and not stored on s
+    held = s._bits or {}
     bit_rows = [r for sym in s.vocab.binary_symbols() if binary
-                for r in {s.out_bits(sym), s.in_bits(sym)}]
+                for r in {held.get((sym, c)) or s._table_rows(sym, c) for c in (False, True)}]
     pos = [-1] * n
     order: list[int] = []
     rows: list = []

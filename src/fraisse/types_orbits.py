@@ -258,20 +258,18 @@ def _check_degeneracy_bounds(rho: int, max_b: int, max_c: int, d: int) -> None:
     _check_bounds(d)
 
 
-def _check_base_points(base: Sequence[int]) -> tuple[int, ...]:
-    """The checks on a base that need no source: distinct, non-negative points."""
+def _check_base_points(base: Sequence[int], size: int) -> tuple[int, ...]:
+    """The checks on a base that need no source: distinct points of range(size)."""
     base = tuple(int(b) for b in base)
     if len(set(base)) != len(base):
         raise InputError(f"base {base} repeats a point")
-    if any(b < 0 for b in base):
+    if any(b < 0 or b >= size for b in base):
         raise InvalidElementError(f"base {base} leaves the universe")
     return base
 
 
 def _check_base(source, base: Sequence[int]) -> tuple[int, ...]:
-    base = _check_base_points(base)
-    if any(b >= source.size for b in base):
-        raise InvalidElementError(f"base {base} leaves the universe")
+    base = _check_base_points(base, source.size)
     prefix = source.saturated_prefix(len(base) + 1)
     need = max(base) + 1 if base else 0
     if prefix < need:

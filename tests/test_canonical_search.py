@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,24 @@ def test_twins_need_equal_in_rows():
     for _ in range(8):
         h, _perm = permuted_copy(rng, s)
         assert canonical_key(h) == canonical_key(s)
+
+
+def test_keying_stores_no_rows_on_a_table_built_structure():
+    """The twin test builds the rows of a structure made from tables
+    locally, so a keyed structure does not keep them for its lifetime; a
+    structure that already holds rows is keyed from them, as its equal
+    table-built copy is."""
+    vocab = Vocabulary([("arc", 2)])
+    arcs = {(0, 1), (0, 2), (1, 2), (2, 1), (3, 3), (4, 3), (5, 3)}
+    s = FinStructure(vocab, 6, {"arc": arcs})
+    key = canonical_key(s)
+    assert s._bits is None
+    held = FinStructure(vocab, 6, {"arc": arcs})
+    held.out_bits("arc"), held.in_bits("arc")
+    rows = dict(held._bits)
+    with mock.patch.object(FinStructure, "_table_rows", side_effect=AssertionError):
+        assert canonical_key(held) == key
+    assert held._bits == rows
 
 
 def _nx_graph(nx, g):

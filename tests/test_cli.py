@@ -288,6 +288,10 @@ REJECTED_BOUNDS = [
     (["acl", "--p2", "P2", "--d", "0"], "the duplication bound d must be >= 1, got 0"),
     (["acl", "--p2", "P2", "--base", "0,0"], "base (0, 0) repeats a point"),
     (["acl", "--p2", "P2", "--base", "2,-1"], "base (2, -1) leaves the universe"),
+    # no run grows past --points + --budget points (16 + 512 by default)
+    (["acl", "--p2", "P2", "--base", "0,1,528"], "base (0, 1, 528) leaves the universe"),
+    (["acl", "--p2", "P2", "--points", "40", "--budget", "9", "--base", "49,0"],
+     "base (49, 0) leaves the universe"),
     (["triviality", "--p2", "P2", "--max-b", "-1"], "max_b must be >= 0, got -1"),
     (["triviality", "--p2", "P2", "--d", "0"], "the duplication bound d must be >= 1, got 0"),
     (["degenerate", "--p2", "P2", "--rho", "0"], "rho must be >= 1, got 0"),

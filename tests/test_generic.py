@@ -539,3 +539,68 @@ def test_game_matches_reference_on_regular_graphs(k):
             moves = [(m.side, m.point, m.reply) for m in rep.moves]
             assert (rep.equivalent, moves) == reference_game(a, b, k)
             assert len(moves) == (2 if k >= 2 and a is not b else 0)
+
+
+# The game reads each symbol through an index of its facts by position
+# pattern.  These structures put most facts on repeated positions: loops of
+# two directed symbols, and triples such as (x, x, y), (y, x, x) and
+# (x, y, x) of MIXED's ternary symbol.
+DIGRAPHS = Vocabulary([("r", 2), ("s", 2)])
+
+
+def repeated_structure(rng, vocab, n):
+    """Random facts over vocab on n points, each drawing its entries from
+    one to three points, so most facts repeat a position."""
+    tables = {}
+    for name, arity in vocab.symbols:
+        pools = [rng.sample(range(n), rng.randint(1, min(n, 3)))
+                 for _ in range(rng.randint(0, 2 * n))]
+        tables[name] = {tuple(rng.choice(pool) for _ in range(arity)) for pool in pools}
+    return FinStructure(vocab, n, tables)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([DIGRAPHS, MIXED]), st.integers(0, 2**30), st.integers(0, 8),
+       st.sampled_from(["copy", "tweak", "draw"]), st.integers(0, 8), st.integers(0, 3))
+def test_game_matches_reference_on_repeated_positions(vocab, seed, n, how, drawn, k):
+    rng = random.Random(seed)
+    a = repeated_structure(rng, vocab, n)
+    # a relabelled copy, one fact flipped, or an independent draw of any
+    # size, 0 included
+    b = {"copy": lambda: permuted_copy(rng, a)[0],
+         "tweak": lambda: tweaked_copy(rng, a) if n else a,
+         "draw": lambda: repeated_structure(rng, vocab, drawn)}[how]()
+    rep = back_and_forth(a, b, k)
+    assert (rep.equivalent, [(m.side, m.point, m.reply) for m in rep.moves]) \
+        == reference_game(a, b, k)
+
+
+@pytest.mark.parametrize("left, right", [
+    ({"arc": {(0, 0)}}, {"arc": {(0, 1)}}),
+    ({"arc": {(0, 1), (1, 1)}}, {"arc": {(0, 1), (0, 0)}}),
+    ({"tri": {(0, 0, 1)}}, {"tri": {(1, 0, 0)}}),
+    ({"tri": {(0, 1, 0)}}, {"tri": {(0, 0, 1)}}),
+    ({"tri": {(0, 1, 2), (1, 2, 0)}}, {"tri": {(0, 1, 2), (2, 1, 0)}}),
+    ({"tri": {(0, 1, 2), (0, 2, 1)}}, {"tri": {(0, 1, 2)}}),
+])
+def test_each_repeated_position_pattern_is_its_own_fact(left, right):
+    # the two sides differ in which positions of a fact repeat, or in the
+    # order of its points, and two rounds tell them apart
+    a, b = FinStructure(MIXED, 3, left), FinStructure(MIXED, 3, right)
+    for k in range(4):
+        rep = back_and_forth(a, b, k)
+        assert (rep.equivalent, [(m.side, m.point, m.reply) for m in rep.moves]) \
+            == reference_game(a, b, k)
+    assert not back_and_forth(a, b, 2).equivalent
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_game_counts_points_a_tuple_leaves_outside(n):
+    # factless sides of n and n + 1 points: a tuple of all n points has no
+    # extension by a point outside it, so n rounds tell the sides apart
+    a, b = FinStructure(DIGRAPHS, n), FinStructure(DIGRAPHS, n + 1)
+    for k in range(n + 2):
+        rep = back_and_forth(a, b, k)
+        assert (rep.equivalent, [(m.side, m.point, m.reply) for m in rep.moves]) \
+            == reference_game(a, b, k)
+        assert rep.equivalent == (k < n)

@@ -34,7 +34,8 @@ class P2Spec:
     """Permitted structures of size <= 2 over one binary vocabulary.
 
     A point is named by its code (`point_codes`); `codes` lists the
-    permitted ones, sorted by their one-point members' canonical keys.
+    permitted ones in descending order, so codes that hold earlier symbols
+    come first.
     The cross-link options of each ordered pair of point codes are read
     off the two-point members, in both orders, into one table, which
     `permitted_links` and the class operations below all read.
@@ -59,8 +60,8 @@ class P2Spec:
         self.members = members
         self.size_bound = int(size_bound)
         self._keys = frozenset(canonical_key(m) for m in members)
-        ones = {canonical_key(m): point_codes(m)[0] for m in members if m.size == 1}
-        self.codes = tuple(ones[k] for k in sorted(ones))
+        self.codes = tuple(sorted({point_codes(m)[0] for m in members if m.size == 1},
+                                  reverse=True))
         links: dict[tuple[int, int], set] = {}
         for m in members:
             if m.size == 2:

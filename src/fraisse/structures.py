@@ -4,11 +4,11 @@ Universes are always {0, ..., n-1}.  Relation tables are sets of index
 tuples; nothing is assumed about symmetry or irreflexivity unless a caller
 builds it in.  Structures are value objects: `==` is literal equality of
 vocabulary, size, and tables, while `canonical_key` identifies structures
-up to isomorphism (colour refinement plus backtracking over a minimum
-encoding, pruned by the automorphisms the search finds, so no external
-graph-canonicalisation dependency is needed at the sizes this package
-targets).  `is_isomorphic` reads its witness off the canonical orders of
-its two arguments.
+up to isomorphism: a backtracking search for the least encoding over bit
+rows, whose ordered partitions a queue of splitter cells refines and
+which the automorphisms it finds prune, so no external canonicalisation
+dependency is needed.  `is_isomorphic` reads its witness off the
+canonical orders of its two arguments.
 """
 
 from __future__ import annotations
@@ -219,10 +219,8 @@ class FinStructure:
                 bit = self.vocab.code_bit(name)
                 tables[name] = frozenset((v,) for v, c in enumerate(self._codes) if c & bit)
             else:
-                # row v's binary digits, lowest first, select the points u of (v, u)
                 tables[name] = frozenset(chain.from_iterable(
-                    zip(repeat(v), compress(count(), bin(row)[:1:-1].encode().translate(_DIGIT)))
-                    for v, row in enumerate(self._bits[name, False])))
+                    zip(repeat(v), _points(row)) for v, row in enumerate(self._bits[name, False])))
         return tables
 
     def out_bits(self, symbol: str) -> tuple[int, ...]:
@@ -311,6 +309,14 @@ class FinStructure:
 
 
 _DIGIT = bytes.maketrans(b"01", b"\0\1")
+_SMALL_POINTS = tuple(tuple(v for v in range(10) if m >> v & 1) for m in range(1024))
+
+
+def _points(mask: int):
+    """The points of a mask, lowest first (read from a table below 2^10)."""
+    if mask < 1024:
+        return _SMALL_POINTS[mask]
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT))
 
 
 def _clean_rows(rows, arity: int, size: int) -> bool:
@@ -628,85 +634,57 @@ def is_isomorphic(a: FinStructure, b: FinStructure) -> Embedding | None:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms: colour refinement + backtracking minimum encoding
+# canonical forms: splitter refinement + backtracking minimum encoding
 
 
-def _incidences(s: FinStructure) -> list[list[tuple[int, tuple[int, ...]]]]:
-    inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(s.size)]
-    for si, (name, _arity) in enumerate(s.vocab.symbols):
-        for t in s.tables[name]:
-            for v in set(t):
-                inc[v].append((si, t))
-    return inc
+def _refine(pairs, cells: list[int], cell_of: list[int], queue: list[int]) -> None:
+    """Refine an ordered partition in place until no cell splits.
 
-
-def _templates(s: FinStructure, inc: list[list[tuple[int, tuple[int, ...]]]]):
-    """Each point's incidences as integer codes, built once per structure.
-
-    Refinement describes an incidence (si, t) of v by (si, x), where x[j]
-    is -1 where t[j] is v and the current colour of t[j] elsewhere.  The
-    code of (si, x) is si * M**R + sum over j of (x[j] + n + 1) * M**(r-1-j),
-    with r the arity, R the largest arity and M = 2n + 1.  Colours lie in
-    [-n, n), so every digit lies in [0, M) and codes sort and compare
-    exactly as the pairs do.  Per point this returns the codes that no
-    colour changes, the (constant, weight, point) triples of incidences
-    with one other point, and (constant, ((weight, point), ...)) for the
-    rest.
-    """
-    n = s.size
-    m = 2 * n + 1
-    top = m ** s.vocab.rho
-    fixed: list[list[int]] = [[] for _ in range(n)]
-    single: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    multi: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(n)]
-    weights = {arity: [m ** (arity - 1 - j) for j in range(arity)]
-               for _name, arity in s.vocab.symbols}
-    for v in range(n):
-        for si, t in inc[v]:
-            const = si * top
-            var = []
-            for w, u in zip(weights[len(t)], t):
-                if u == v:
-                    const += n * w
-                else:
-                    const += (n + 1) * w
-                    var.append((w, u))
-            if not var:
-                fixed[v].append(const)
-            elif len(var) == 1:
-                single[v].append((const, *var[0]))
-            else:
-                multi[v].append((const, tuple(var)))
-    return fixed, single, multi
-
-
-def _refine_colors(colors: list[int], templates) -> list[int]:
-    """Refine until no class splits; colours are ranks of (colour, sorted
-    incidence codes).  A point alone in its class keeps an empty profile:
-    its colour already sets its rank."""
-    fixed, single, multi = templates
-    n = len(colors)
-    count = len(set(colors))
-    while True:
-        sizes: dict[int, int] = {}
-        for c in colors:
-            sizes[c] = sizes.get(c, 0) + 1
-        sigs = []
-        for v in range(n):
-            c = colors[v]
-            if sizes[c] == 1:
-                sigs.append((c, ()))
+    `cells[k]` is the point mask of the cell that starts at index k (0
+    where none starts) and `cell_of[v]` the start of v's cell, which is
+    v's colour.  `pairs` holds (row, converse row) pairs of bit rows and
+    `queue` the starts of the splitter cells.  A splitter S re-profiles
+    only the points that meet it, the OR of its converse rows: v's profile
+    counts, per row r, the points of S in r[v].  A touched cell splits
+    into fragments in profile order, and each fragment but the first
+    largest joins the queue, all of them if the cell is still queued:
+    counts into the one left out are the cell's counts less the others'
+    (Hopcroft's trick; Berkholz, Bonsma and Grohe, arXiv:1509.08251)."""
+    queued = set(queue)
+    splits = len(cells) - sum(map(bool, cells))     # left before every cell is one point
+    while queue and splits:
+        k = queue.pop()
+        queued.discard(k)
+        S = cells[k]
+        touched = 0
+        for _row, conv in pairs:
+            for u in _points(S):
+                touched |= conv[u]
+        hit: dict[int, int] = {}
+        for v in _points(touched):
+            hit[cell_of[v]] = hit.get(cell_of[v], 0) | 1 << v
+        for c in sorted(hit):
+            cell = cells[c]
+            groups: dict[tuple, int] = {}
+            for v in _points(hit[c]):
+                key = tuple([(row[v] & S).bit_count() for row, _conv in pairs])
+                groups[key] = groups.get(key, 0) | 1 << v
+            parts = [m for m in [cell & ~hit[c], *map(groups.get, sorted(groups))] if m]
+            if len(parts) == 1:
                 continue
-            codes = fixed[v] + [k + w * colors[u] for k, w, u in single[v]]
-            for k, ws in multi[v]:
-                codes.append(k + sum(w * colors[u] for w, u in ws))
-            codes.sort()
-            sigs.append((c, tuple(codes)))
-        ranks = {g: i for i, g in enumerate(sorted(set(sigs)))}
-        if len(ranks) == count:
-            return [ranks[g] for g in sigs]
-        count = len(ranks)
-        colors = [ranks[g] for g in sigs]
+            splits -= len(parts) - 1
+            sizes = [m.bit_count() for m in parts]
+            skip = -1 if c in queued else sizes.index(max(sizes))
+            start = c
+            for j, m in enumerate(parts):
+                cells[start] = m
+                if start != c:
+                    for v in _points(m):
+                        cell_of[v] = start
+                if j != skip and start not in queued:
+                    queue.append(start)
+                    queued.add(start)
+                start += sizes[j]
 
 
 def _join_orbits(root: dict[int, int], g: list[int]) -> None:
@@ -728,40 +706,55 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
     """The least row sequence over the leaves of the search tree, and an
     order of the points whose rows it is.
 
-    A node is an order of some points and a colouring.  Its children place
-    one more point, taken from the least colour class left unplaced.  A
-    point's row lists the facts it shares with points placed before it, by
-    position.  Subtrees whose rows already exceed the best are cut.  A leaf
-    whose rows equal the best yields an automorphism (best order to this
-    order); the search then returns to where the two orders part, and at
-    each node explores one child per orbit of the automorphisms found that
-    fix the node's points.  Over a vocabulary of arity at most 2 the
-    class's first point a is also joined to each twin v, a point for which
-    the transposition (a v) is an automorphism: each of v's out- and
-    in-rows is a's with bits a and v swapped (points of one class have one
-    point code).
+    A node is an order of some points and an ordered partition
+    (`_refine`); its children place one more point, taken from the first
+    cell with a point left unplaced.  A point's row is its point code, the
+    masks of the placed points' positions in its out- and in-row of each
+    binary symbol, and the sorted position tuples of its facts of higher
+    arity over placed points.  Subtrees whose rows already exceed the best
+    are cut.  A leaf whose rows equal the best yields an automorphism (best
+    order to this order); the search then returns to where the two orders
+    part, and at each node explores one child per orbit of the
+    automorphisms found that fix the node's points.  Over a vocabulary of
+    arity at most 2 the cell's first point a is also joined to each twin
+    v, whose rows are a's with bits a and v swapped, so that (a v) is an
+    automorphism.
 
-    A child refines its parent's colouring with only the new point
-    individualised, unless the class is all twins (a single point
-    included): then no other class splits, and the child keeps its
-    parent's colouring.  Cut and skipped subtrees hold no smaller leaf.
-    The nodes are generators on an explicit stack, so no input is too
-    deep for Python's recursion limit.
+    Refinement reads per binary symbol its out-rows, then its in-rows
+    unless they are equal, and per symbol of higher arity the rows (j, l):
+    bit u of row v is set when a fact has v at position j and u at l.  The
+    root refines the point codes' cells, in code order, all of them
+    splitters.  A child splits its point off the end of its cell and
+    refines from that point alone, unless the cell is all twins: then no
+    other cell splits, and the child keeps its parent's partition.  The
+    nodes are generators on an explicit stack, so no input is too deep
+    for Python's recursion limit.
     """
     n = s.size
     if n == 0:
         return (), ()
-    inc = _incidences(s)
-    templates = _templates(s, inc)
-    nsym = len(s.vocab.symbols)
     codes = point_codes(s)
-    binary = s.vocab.binary
-    # each binary symbol's out- and in-rows, one tuple when it is symmetric;
     # rows that s does not hold yet are built here and not stored on s
     held = s._bits or {}
-    bit_rows = [r for sym in s.vocab.binary_symbols() if binary
-                for r in {held.get((sym, c)) or s._table_rows(sym, c) for c in (False, True)}]
-    pos = [-1] * n
+    links = []                      # per binary symbol (out-rows, in-rows)
+    for sym in s.vocab.binary_symbols():
+        out, inn = (held.get((sym, c)) or s._table_rows(sym, c) for c in (False, True))
+        links.append((out, out if inn == out else inn))
+    # row -> converse rows; equal rows have equal converses, so one entry serves
+    converse = {r: c for out, inn in links for r, c in ((out, inn), (inn, out))}
+    wide = [(name, arity) for name, arity in s.vocab.symbols if arity > 2]
+    inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)] if wide else []
+    for wi, (name, arity) in enumerate(wide):
+        grid = {(j, l): [0] * n for j in range(arity) for l in range(arity) if j != l}
+        for t in s.tables[name]:
+            for v in set(t):
+                inc[v].append((wi, t))
+            for (j, l), row in grid.items():
+                row[t[j]] |= 1 << t[l]
+        converse.update({tuple(row): tuple(grid[l, j]) for (j, l), row in grid.items()})
+    pairs = list(converse.items())
+    bit_at = [0] * n                # 1 << v's position in `order`
+    placed = 0                      # mask of the points in `order`
     order: list[int] = []
     rows: list = []
     best_rows: list | None = None
@@ -771,22 +764,27 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
     def twins(a: int, v: int) -> bool:
         swap = 1 << a | 1 << v
         return all((r[a] ^ swap if (r[a] >> a ^ r[a] >> v) & 1 else r[a]) == r[v]
-                   for r in bit_rows)
+                   for r in converse)
 
-    def row_for(v: int):
-        hits: list[list[tuple[int, ...]]] = [[] for _ in range(nsym)]
-        at = pos.__getitem__
-        for si, t in inc[v]:
-            p = tuple(map(at, t))
-            if -1 not in p:
-                hits[si].append(p)
-        return tuple(tuple(sorted(h)) for h in hits)
+    def row_for(v: int) -> tuple:
+        at = bit_at.__getitem__
+        row = [codes[v]]
+        for out, inn in links:
+            m = sum(map(at, _points(out[v] & placed)))
+            row += (m, m if inn is out else sum(map(at, _points(inn[v] & placed))))
+        if wide:
+            hits: list[list[tuple[int, ...]]] = [[] for _ in wide]
+            for wi, t in inc[v]:
+                if all(placed >> x & 1 for x in t):
+                    hits[wi].append(tuple(bit_at[x].bit_length() - 1 for x in t))
+            row += [tuple(sorted(h)) for h in hits]
+        return tuple(row)
 
-    def node(colors: list[int], better: bool):
-        """Explore below `order`, yielding each child's (colouring, better)
-        and being sent the depth its subtree resumes at; return the depth
-        to resume at."""
-        nonlocal best_rows, best_order
+    def node(cells: list[int], cell_of: list[int], first: int, better: bool):
+        """Explore below `order`, yielding each child's arguments and being
+        sent the depth its subtree resumes at; return the depth to resume
+        at.  No cell that starts before `first` has a point left unplaced."""
+        nonlocal best_rows, best_order, placed
         i = len(order)
         if i == n:
             if best_rows is None or better:
@@ -795,13 +793,14 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
             # the automorphism sends best_order[k] to order[k]; resume where they part
             autos.append([y for _x, y in sorted(zip(best_order, order))])
             return next(j for j, (x, y) in enumerate(zip(best_order, order)) if x != y)
-        free = [v for v in range(n) if pos[v] < 0]
-        target = min(map(colors.__getitem__, free))
-        cell = [v for v in free if colors[v] == target]
+        while not cells[first] & ~placed:
+            first += 1
+        cell = list(_points(cells[first] & ~placed))
         # join each twin of cell[0] to it: their transposition is an automorphism
-        root = {v: cell[0] if v != cell[0] and binary and twins(cell[0], v) else v
+        root = {v: cell[0] if v != cell[0] and not wide and twins(cell[0], v) else v
                 for v in cell}
         twin_class = all(root[v] == cell[0] for v in cell)
+        last = first + cells[first].bit_count() - 1
         used = 0
         for v in cell:
             if v != cell[0]:
@@ -812,35 +811,42 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
                 used = len(autos)
                 if root[v] != v:
                     continue
-            pos[v] = i
+            bit_at[v] = 1 << i
+            placed |= 1 << v
             row = row_for(v)
             sub_better = better
             if not better and best_rows is not None:
                 if row > best_rows[i]:
-                    pos[v] = -1
+                    placed &= ~(1 << v)
                     continue
                 sub_better = row < best_rows[i]
             order.append(v)
             rows.append(row)
-            child = colors
+            child = cells, cell_of
             if not twin_class:
-                child = list(colors)
-                child[v] = -(i + 1)
-                child = _refine_colors(child, templates)
+                child = list(cells), list(cell_of)
+                child[0][first] &= ~(1 << v)
+                child[0][last], child[1][v] = 1 << v, last
+                _refine(pairs, *child, [last])
             before = best_rows
-            back = yield child, sub_better
+            back = yield (*child, first, sub_better)
             order.pop()
             rows.pop()
-            pos[v] = -1
+            placed &= ~(1 << v)
             if best_rows is not before:
                 better = False
             if back < i:
                 return back
         return n
 
-    # one-point types, ranked as the tuples of their loop facts: keys depend on it
-    ranks = {c: i for i, c in enumerate(sorted(set(codes)))}
-    stack = [node(_refine_colors([ranks[c] for c in codes], templates), False)]
+    # the root cells are the point codes' classes, in code order
+    first_at = {c: k for k, c in reversed(list(enumerate(sorted(codes))))}
+    cell_of = [first_at[c] for c in codes]
+    cells = [0] * n
+    for v, k in enumerate(cell_of):
+        cells[k] |= 1 << v
+    _refine(pairs, cells, cell_of, [k for k in range(n) if cells[k]])
+    stack = [node(cells, cell_of, 0, False)]
     back = None
     while stack:
         try:

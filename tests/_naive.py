@@ -416,16 +416,12 @@ def naive_saturated(members, s: FinStructure, k: int, prefix: int) -> set[tuple]
 # canonical search reference
 
 
-def reference_canonical(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
-    """The canonical search as it stood before incremental refinement and
-    twin pruning, reading only `s.tables`: (least row sequence, an order
-    of the points whose rows it is).  Every node refines from the root
-    colouring with all placed points individualised, and pruning uses only
-    the automorphisms found at leaves, so two structures have equal rows
-    exactly when they are isomorphic.  Recursive, so keep inputs small."""
+def naive_refine(s: FinStructure, colors: list[int]) -> list[int]:
+    """Colour refinement from `colors`, reading only `s.tables`: every
+    round re-profiles every point not alone in its class by the sorted
+    codes of its incidences, and colours are the ranks of (colour,
+    profile), until no class splits."""
     n = s.size
-    if n == 0:
-        return (), ()
     symbols = s.vocab.symbols
     inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for si, (name, _arity) in enumerate(symbols):
@@ -455,29 +451,46 @@ def reference_canonical(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
                 single[v].append((const, *var[0]))
             else:
                 multi[v].append((const, tuple(var)))
+    count = len(set(colors))
+    while True:
+        sizes: dict[int, int] = {}
+        for c in colors:
+            sizes[c] = sizes.get(c, 0) + 1
+        sigs = []
+        for v in range(n):
+            c = colors[v]
+            if sizes[c] == 1:
+                sigs.append((c, ()))
+                continue
+            codes = fixed[v] + [k + w * colors[u] for k, w, u in single[v]]
+            for k, ws in multi[v]:
+                codes.append(k + sum(w * colors[u] for w, u in ws))
+            codes.sort()
+            sigs.append((c, tuple(codes)))
+        ranks = {g: i for i, g in enumerate(sorted(set(sigs)))}
+        if len(ranks) == count:
+            return [ranks[g] for g in sigs]
+        count = len(ranks)
+        colors = [ranks[g] for g in sigs]
 
-    def refine(colors: list[int]) -> list[int]:
-        count = len(set(colors))
-        while True:
-            sizes: dict[int, int] = {}
-            for c in colors:
-                sizes[c] = sizes.get(c, 0) + 1
-            sigs = []
-            for v in range(n):
-                c = colors[v]
-                if sizes[c] == 1:
-                    sigs.append((c, ()))
-                    continue
-                codes = fixed[v] + [k + w * colors[u] for k, w, u in single[v]]
-                for k, ws in multi[v]:
-                    codes.append(k + sum(w * colors[u] for w, u in ws))
-                codes.sort()
-                sigs.append((c, tuple(codes)))
-            ranks = {g: i for i, g in enumerate(sorted(set(sigs)))}
-            if len(ranks) == count:
-                return [ranks[g] for g in sigs]
-            count = len(ranks)
-            colors = [ranks[g] for g in sigs]
+
+def reference_canonical(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
+    """The canonical search as it stood before incremental refinement and
+    twin pruning, reading only `s.tables`: (least row sequence, an order
+    of the points whose rows it is).  Every node refines from the root
+    colouring with all placed points individualised (`naive_refine`), and
+    pruning uses only the automorphisms found at leaves, so two structures
+    have equal rows exactly when they are isomorphic.  Recursive, so keep
+    inputs small."""
+    n = s.size
+    if n == 0:
+        return (), ()
+    symbols = s.vocab.symbols
+    inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+    for si, (name, _arity) in enumerate(symbols):
+        for t in s.tables[name]:
+            for v in set(t):
+                inc[v].append((si, t))
 
     def join_orbits(root: dict[int, int], g: list[int]) -> None:
         def find(x: int) -> int:
@@ -494,7 +507,7 @@ def reference_canonical(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
     loops = [tuple((v,) * arity in s.tables[name] for name, arity in symbols)
              for v in range(n)]
     loop_rank = {c: i for i, c in enumerate(sorted(set(loops)))}
-    base = refine([loop_rank[c] for c in loops])
+    base = naive_refine(s, [loop_rank[c] for c in loops])
     pos = [-1] * n
     order: list[int] = []
     rows: list = []
@@ -532,7 +545,7 @@ def reference_canonical(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
             if order:
                 for p, u in enumerate(order):
                     colors[u] = -(p + 1)
-                colors = refine(colors)
+                colors = naive_refine(s, colors)
             target = min(colors[v] for v in range(n) if pos[v] < 0)
             cell = [v for v in range(n) if pos[v] < 0 and colors[v] == target]
         root: dict[int, int] = {}

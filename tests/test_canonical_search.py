@@ -19,11 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraisse import structures
 from fraisse.structures import (FinStructure, Vocabulary, canonical_key, is_isomorphic,
                                 reduct_to, undirected_graph)
 
-from _naive import (graph_of_bits, is_valid_embedding, naive_is_isomorphic,
-                    permuted_copy, random_graph, random_mixed, reference_canonical)
+from _naive import (graph_of_bits, is_valid_embedding, naive_code, naive_is_isomorphic,
+                    naive_refine, permuted_copy, random_graph, random_mixed,
+                    reference_canonical)
 
 GOLDEN = Path(__file__).parent / "golden" / "canonical_keys.txt"
 
@@ -142,6 +144,45 @@ def test_keys_agree_with_reference_search(n, p, binary, rng):
         assert (w is not None) == same
         if w is not None:
             assert is_valid_embedding(s, other, w.map)
+
+
+def _classes(masks):
+    return {frozenset(v for v in range(m.bit_length()) if m >> v & 1) for m in masks if m}
+
+
+def _color_classes(colors):
+    return _classes([sum(1 << v for v, c in enumerate(colors) if c == x) for x in set(colors)])
+
+
+@pytest.mark.parametrize("kind", ["graph", "digraph", "marked"])
+def test_refinement_matches_naive_refine(kind):
+    """The search's splitter refinement ends in the classes of
+    `naive_refine`, the coarsest equitable ones: at the root, from the
+    point codes, and after each point is split off its root cell alone,
+    as a child of the root splits it.  Digraphs carry loops."""
+    rng = random.Random(kind)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        if kind == "graph":
+            s = random_graph(rng, n)
+        else:
+            s = reduct_to(random_mixed(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8])),
+                          ["arc"] if kind == "digraph" else ["mark", "arc"])
+        with mock.patch.object(structures, "_refine", wraps=structures._refine) as spy:
+            canonical_key(s)
+        rows, cells, cell_of, _queue = spy.call_args_list[0].args
+        root = naive_refine(s, [naive_code(s, v) for v in range(n)])
+        assert _classes(cells) == _color_classes(root)
+        for v in range(n):
+            child, child_of = list(cells), list(cell_of)
+            start = cell_of[v]
+            last = start + cells[start].bit_count() - 1
+            child[start] &= ~(1 << v)
+            child[last], child_of[v] = 1 << v, last
+            structures._refine(rows, child, child_of, [last])
+            colors = list(root)
+            colors[v] = -1
+            assert _classes(child) == _color_classes(naive_refine(s, colors)), v
 
 
 def test_twins_need_equal_in_rows():
@@ -280,9 +321,12 @@ def test_large_symmetric_inputs(name):
 
 
 def test_long_path_has_a_key():
-    # 1 100 points: deeper than Python's default recursion limit
-    key = canonical_key(_path(1100))
-    assert key.payload[0] == 1100 and len(key.payload[1]) == 1100
+    # 1 100 points: deeper than Python's default recursion limit; the
+    # directed path's in-rows differ from its out-rows
+    arcs = {(i, i + 1) for i in range(1099)}
+    for g in (_path(1100), FinStructure(Vocabulary([("arc", 2)]), 1100, {"arc": arcs})):
+        key = canonical_key(g)
+        assert key.payload[0] == 1100 and len(key.payload[1]) == 1100
 
 
 if __name__ == "__main__":

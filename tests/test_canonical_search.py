@@ -2,8 +2,9 @@
 isomorphism witnesses checked against networkx.
 
 `tests/golden/canonical_keys.txt` holds `<label> <fingerprint>` for every
-input of `golden_inputs()`, as the search that refines each node from its
-parent's colouring and prunes twin points computes them.  A faster search
+input of `golden_inputs()`, as the search over bit rows that refines each
+node's ordered partition from its parent's with a queue of splitter cells
+and prunes twin points computes them.  A faster search
 must reproduce every line.  Key values set the order of `enum` output, so
 rewrite the file only when they change on purpose:
 

@@ -270,7 +270,7 @@ def cmd_acl(args) -> int:
     rep = acl_approx(oracle, args.base, d=args.d, growth_budget=args.growth_budget)
     r = Report("acl", [args.p2], seed=seed)
     r.add(f"base: {list(rep.base)}", f"duplication bound d: {rep.d}",
-          f"points added while probing: {rep.added}",
+          f"growth budget: {args.growth_budget}", f"points added while probing: {rep.added}",
           f"inconclusive entries: {rep.inconclusive}")
     rows = [[str(e.element), e.verdict, str(e.count)] for e in rep.entries]
     r.table(["element", "verdict", "realizations"], rows, args.format)
@@ -288,7 +288,7 @@ def cmd_triviality(args) -> int:
     r = Report("triviality", [args.p2], seed=seed)
     r.add(f"max base size: {args.max_b}", f"duplication bound d: {args.d}",
           f"bases checked: {rep.bases_checked}",
-          f"points added while probing: {rep.added}",
+          f"growth budget: {args.growth_budget}", f"points added while probing: {rep.added}",
           f"inconclusive entries: {rep.inconclusive}",
           f"verdict: {rep.verdict}")
     if rep.counterexample:
@@ -310,6 +310,7 @@ def cmd_degenerate(args) -> int:
     r.add(f"rho: {args.rho}", f"max |B|: {args.max_b}", f"max |C|: {args.max_c}",
           f"dependencies examined: {rep.dependencies}",
           f"witnesses recorded: {len(rep.witnesses)}",
+          f"growth budget: {args.growth_budget}", f"points added while probing: {rep.added}",
           f"inconclusive entries: {rep.inconclusive}",
           f"verdict: {rep.verdict}")
     if rep.counterexample:

@@ -123,12 +123,8 @@ def in_rp2(p2: P2Spec, s: FinStructure) -> bool:
     if s.vocab != p2.vocab:
         raise VocabularyError("structure and permission set use different vocabularies")
     codes = point_codes(s)
-    if not set(codes).issubset(p2.codes):
-        return False
-    for u, v in combinations(range(s.size), 2):
-        if s.link(u, v) not in p2.links(codes[u], codes[v]):
-            return False
-    return True
+    return set(codes).issubset(p2.codes) and all(
+        s.link(u, v) in p2.links(codes[u], codes[v]) for u, v in combinations(range(s.size), 2))
 
 
 def enumerate_rp2(p2: P2Spec, n: int) -> list[FinStructure]:
@@ -286,19 +282,6 @@ class APReport:
 _SAMPLE_WITNESSES = 16
 
 
-def _orbit_reps(a: FinStructure, b: FinStructure, auts: list[Embedding]) -> list[Embedding]:
-    """One embedding of a into b per orbit under post-composition with
-    b's automorphisms `auts`."""
-    seen = set()
-    reps = []
-    for f in find_embeddings(a, b):
-        key = min(tuple(h.map[x] for x in f.map) for h in auts)
-        if key not in seen:
-            seen.add(key)
-            reps.append(f)
-    return reps
-
-
 def _amalgam(p2: P2Spec, b: FinStructure, c: FinStructure, f: Embedding,
              g: Embedding, bound: int) -> tuple[tuple[int, ...], int] | None:
     """Whether b and c have an amalgam over the common base with at most
@@ -351,6 +334,24 @@ def _amalgam(p2: P2Spec, b: FinStructure, c: FinStructure, f: Embedding,
     return place(0, b.size)
 
 
+def _free_fits(p2: P2Spec, b: FinStructure, c: FinStructure, f: Embedding,
+               g: Embedding, bound: int, memo: dict) -> bool:
+    """Whether the free amalgam of the triple, the first leaf of
+    `_amalgam`'s search, has at most `bound` points and a permitted link
+    between each point of b outside f's image and each of c outside g's.
+    `memo` keeps the codes outside each image and the verdict per pair."""
+    if b.size + c.size - len(f.map) > bound:
+        return False
+    sides = ((point_codes(b), f.map), (point_codes(c), g.map))
+    for codes, image in sides:
+        if (codes, image) not in memo:
+            memo[codes, image] = frozenset(x for u, x in enumerate(codes) if u not in image)
+    key = (memo[sides[0]], memo[sides[1]])
+    if key not in memo:
+        memo[key] = all(p2.links(cu, cv) for cu in key[0] for cv in key[1])
+    return memo[key]
+
+
 def _glue(p2: P2Spec, b: FinStructure, c: FinStructure,
           found: tuple[tuple[int, ...], int]) -> tuple[FinStructure, Embedding, Embedding]:
     """The amalgam `_amalgam` found, with b on its first points and c
@@ -379,7 +380,9 @@ def check_ap(p2: P2Spec, amalgam_bound: int,
     A triple with no amalgam of size <= amalgam_bound counts as a failure
     when the bound admits the free size |left| + |right| - |base|, and as
     inconclusive otherwise.  Every triple with an amalgam is counted;
-    only the first `_SAMPLE_WITNESSES` amalgams are built.
+    only the first `_SAMPLE_WITNESSES` amalgams are built.  Each (left,
+    right) pair walks the bases the two share; `_amalgam` searches only the
+    triples whose free amalgam does not fit (`_free_fits`), and those kept.
     """
     if triple_bound is None:
         triple_bound = p2.size_bound
@@ -392,43 +395,42 @@ def check_ap(p2: P2Spec, amalgam_bound: int,
     reps = [r for level in _levels(p2, triple_bound) for r in level]
 
     report = APReport("holds", amalgam_bound, triple_bound)
-    auts = [find_embeddings(r, r) for r in reps]
-    orbits: dict[tuple[int, int], list[Embedding]] = {}
-
-    def orbit_reps(i: int, j: int) -> list[Embedding]:
-        if (i, j) not in orbits:
-            orbits[i, j] = _orbit_reps(reps[i], reps[j], auts[j])
-        return orbits[i, j]
-
-    for ib, b in enumerate(reps):
-        for ic, c in enumerate(reps):
-            for ia, a in enumerate(reps):
-                if a.size > min(b.size, c.size):
+    witnesses = report.sample_witnesses
+    # per representative, base index -> the first embedding of each orbit
+    bases: list[dict[int, list[Embedding]]] = []
+    for r in reps:
+        auts = find_embeddings(r, r)
+        orbits: dict[int, dict[tuple[int, ...], Embedding]] = {}
+        for ia, a in enumerate(reps):
+            for f in find_embeddings(a, r) if a.size <= r.size else ():
+                key = min(tuple(h.map[x] for x in f.map) for h in auts)
+                orbits.setdefault(ia, {}).setdefault(key, f)
+        bases.append({ia: list(fs.values()) for ia, fs in orbits.items()})
+    memo: dict = {}
+    for b, into_b in zip(reps, bases):
+        for c, into_c in zip(reps, bases):
+            for ia, fs in into_b.items():
+                gs = into_c.get(ia)
+                if gs is None:
                     continue
-                fs = orbit_reps(ia, ib)
-                if not fs:
-                    continue
-                gs = orbit_reps(ia, ic)
-                if not gs:
-                    continue
+                a = reps[ia]
                 for f in fs:
                     for g in gs:
                         report.triples_checked += 1
-                        found = _amalgam(p2, b, c, f, g, amalgam_bound)
-                        if found is not None:
-                            report.witness_count += 1
-                            if len(report.sample_witnesses) < _SAMPLE_WITNESSES:
+                        keep = len(witnesses) < _SAMPLE_WITNESSES
+                        if keep or not _free_fits(p2, b, c, f, g, amalgam_bound, memo):
+                            found = _amalgam(p2, b, c, f, g, amalgam_bound)
+                            if found is None and amalgam_bound < b.size + c.size - a.size:
+                                report.inconclusive_count += 1
+                                continue
+                            if found is None:
+                                report.verdict = "fails"
+                                report.counterexample = APCounterexample(a, b, c, f, g)
+                                return report
+                            if keep:
                                 d, beta, gamma = _glue(p2, b, c, found)
-                                report.sample_witnesses.append(
-                                    AmalgamWitness(a, b, c, d, f, g, beta, gamma))
-                            continue
-                        free_size = b.size + c.size - a.size
-                        if amalgam_bound < free_size:
-                            report.inconclusive_count += 1
-                        else:
-                            report.verdict = "fails"
-                            report.counterexample = APCounterexample(a, b, c, f, g)
-                            return report
+                                witnesses.append(AmalgamWitness(a, b, c, d, f, g, beta, gamma))
+                        report.witness_count += 1
     if report.inconclusive_count:
         report.verdict = "inconclusive"
     return report

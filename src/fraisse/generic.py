@@ -39,7 +39,14 @@ from .errors import (
     SaturationError,
     VocabularyError,
 )
-from .structures import FinStructure, Vocabulary, point_codes, with_point
+from .structures import (
+    FinStructure,
+    Vocabulary,
+    find_embeddings,
+    induced_substructure,
+    point_codes,
+    with_point,
+)
 
 M64 = (1 << 64) - 1
 
@@ -562,8 +569,6 @@ def homogeneity_probe(o: GenericOracle, m: int, trials: int) -> ProbeReport:
     """Sample isomorphic m-point substructures with an isomorphism between
     them and try to extend it by one more point inside the current
     universe.  Refuses to run below saturation level m."""
-    from .structures import find_embeddings, induced_substructure
-
     if m < 0 or trials < 0:
         raise InputError(f"homogeneity probes need m >= 0 points and a "
                          f"non-negative trial count, got {m} and {trials}")

@@ -359,8 +359,7 @@ class Embedding:
             fwd = {tuple(m[x] for x in t) for t in self.source.tables[name]}
             back = {t for t in self.target.tables[name] if set(t) <= image}
             if fwd != back:
-                raise InvalidElementError(
-                    f"map is not strong on symbol {name!r}")
+                raise InvalidElementError(f"map is not strong on symbol {name!r}")
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -541,18 +540,15 @@ def point_codes(s: FinStructure) -> tuple[int, ...]:
 # embeddings and isomorphism
 
 
-def _degree_vectors(s: FinStructure) -> list[tuple[int, ...]]:
-    degs = [[0] * len(s.vocab.symbols) for _ in range(s.size)]
-    for si, (name, _arity) in enumerate(s.vocab.symbols):
-        for t in s.tables[name]:
-            for v in set(t):
-                degs[v][si] += 1
-    return [tuple(d) for d in degs]
-
-
 def find_embeddings(a: FinStructure, b: FinStructure,
                     limit: int | None = None) -> list[Embedding]:
-    """All strong injective maps a -> b, lexicographically by map tuple."""
+    """All strong injective maps a -> b, lexicographically by map tuple.
+
+    Point i's next image is the lowest bit of its candidate mask: b's
+    points with i's code, less the images used, ANDed for each placed j
+    with the row of j's image in `b.link_rows(a.link(j, i))` (Ullmann's
+    refinement on bit rows).  Only the facts of symbols of arity above 2
+    are checked position by position."""
     if a.vocab != b.vocab:
         raise VocabularyError("embedding endpoints use different vocabularies")
     if limit is not None and limit <= 0:
@@ -561,49 +557,48 @@ def find_embeddings(a: FinStructure, b: FinStructure,
         return [Embedding(a, b, (), check=False)]
     if a.size > b.size:
         return []
-    deg_a = _degree_vectors(a)
-    deg_b = _degree_vectors(b)
-    symbols = a.vocab.symbols
+    codes = point_codes(a)
     out: list[Embedding] = []
-    mapping = [-1] * a.size
-    used = [False] * b.size
+    mapping: list[int] = []
+    used = 0
+    # per level i: b's rows of a.link(j, i) for each j < i; per position tuple
+    # over 0..i holding i of a symbol of arity above 2, a's fact?, b's table
+    rows: list[list[tuple[int, ...]]] = []
+    checks: list[list[tuple[tuple[int, ...], bool, frozenset]]] = []
 
-    # level i -> (each position tuple over 0..i holding i, fact of a?, b's table)
-    checks: dict[int, list[tuple[tuple[int, ...], bool, frozenset]]] = {}
+    def candidates(i: int) -> int:
+        if i == len(rows):
+            rows.append([b.link_rows(a.link(j, i)) for j in range(i)])
+            checks.append([(pos, pos in a.tables[name], b.tables[name])
+                           for name, arity in a.vocab.symbols if arity > 2
+                           for j in range(arity) for head in product(range(i), repeat=j)
+                           for tail in product(range(i + 1), repeat=arity - 1 - j)
+                           for pos in (head + (i,) + tail,)])
+        mask = b.code_bits(codes[i]) & ~used
+        for w, row in zip(mapping, rows[i]):
+            mask &= row[w]
+        return mask
 
-    def consistent(i: int) -> bool:
-        if i not in checks:
-            checks[i] = [(pos, pos in a.tables[name], b.tables[name])
-                         for name, arity in symbols for j in range(arity)
-                         for head in product(range(i), repeat=j)
-                         for tail in product(range(i + 1), repeat=arity - 1 - j)
-                         for pos in (head + (i,) + tail,)]
-        at = mapping.__getitem__
-        return all((tuple(map(at, pos)) in tb) == fact for pos, fact, tb in checks[i])
-
-    def candidates(i: int):
-        need = deg_a[i]
-        return (w for w in range(b.size) if not used[w]
-                and all(dw >= k for dw, k in zip(deg_b[w], need)))
-
-    # depth-first over an explicit stack of per-level candidate iterators,
+    # depth-first over an explicit stack of per-level candidate masks,
     # so the search depth is not bounded by Python's recursion limit
     stack = [candidates(0)]
     while stack:
         i = len(stack) - 1
-        if mapping[i] >= 0:
-            used[mapping[i]] = False
-            mapping[i] = -1
-        for w in stack[i]:
-            mapping[i] = w
-            used[w] = True
-            if consistent(i):
+        if len(mapping) > i:
+            used ^= 1 << mapping.pop()
+        mask = stack[i]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            mapping.append(low.bit_length() - 1)
+            if all((tuple(mapping[x] for x in pos) in tb) == fact for pos, fact, tb in checks[i]):
                 break
-            used[w] = False
-            mapping[i] = -1
+            mapping.pop()
         else:
             stack.pop()
             continue
+        stack[i] = mask
+        used |= low
         if i + 1 < a.size:
             stack.append(candidates(i + 1))
             continue
@@ -627,9 +622,7 @@ def is_isomorphic(a: FinStructure, b: FinStructure) -> Embedding | None:
         return None
     if canonical_key(a) != canonical_key(b):
         return None
-    mapping = [0] * a.size
-    for x, y in zip(a._canon[1], b._canon[1]):
-        mapping[x] = y
+    mapping = [y for _x, y in sorted(zip(a._canon[1], b._canon[1]))]
     return Embedding(a, b, mapping, check=True)
 
 

@@ -192,10 +192,13 @@ def test_ap_witnesses_are_amalgams(run):
 
 
 def test_ap_builds_only_the_kept_witnesses():
-    with mock.patch.object(amalgamation, "_glue", wraps=amalgamation._glue) as glue:
+    # every free amalgam fits 8 points, so only the kept witnesses are searched
+    with mock.patch.object(amalgamation, "_glue", wraps=amalgamation._glue) as glue, \
+            mock.patch.object(amalgamation, "_amalgam", wraps=amalgamation._amalgam) as search:
         rep = check_ap(graph_p2(), 8, 4)
     assert rep.witness_count == 2787
     assert glue.call_count == len(rep.sample_witnesses) == amalgamation._SAMPLE_WITNESSES
+    assert search.call_count == amalgamation._SAMPLE_WITNESSES
 
 
 def test_ap_rejects_bounds_before_enumerating():
@@ -293,10 +296,33 @@ def test_ap_matches_pool_search_on_random_specs(keep, bounds):
         gmap = tuple(back[w] if w in back else b.size + fresh.index(w) for w in gamma.map)
         return gmap, b.size + len(fresh)
 
-    with mock.patch.object(amalgamation, "_amalgam", reference):
+    # the free-first test refuses every triple, so the pool search decides all
+    with mock.patch.object(amalgamation, "_free_fits", return_value=False), \
+            mock.patch.object(amalgamation, "_amalgam", reference):
         ref = check_ap(p2, *bounds)
-    assert (rep.verdict, rep.triples_checked, rep.witness_count, rep.inconclusive_count) == \
-        (ref.verdict, ref.triples_checked, ref.witness_count, ref.inconclusive_count)
+    counts = (rep.verdict, rep.triples_checked, rep.witness_count, rep.inconclusive_count)
+    assert counts == (ref.verdict, ref.triples_checked, ref.witness_count, ref.inconclusive_count)
+
+    free_fits = amalgamation._free_fits
+
+    def checked(p2_, b, c, f, g, bound, memo):
+        # an accepted triple's search returns the free amalgam: the base
+        # where f puts it, the other points of c fresh in index order
+        fits = free_fits(p2_, b, c, f, g, bound, memo)
+        if fits:
+            base = {y: f.map[x] for x, y in enumerate(g.map)}
+            fresh = iter(range(b.size, bound + 1))
+            free = tuple(base[v] if v in base else next(fresh) for v in range(c.size))
+            assert amalgamation._amalgam(p2_, b, c, f, g, bound) == \
+                (free, b.size + c.size - len(f.map))
+        return fits
+
+    # with no witness kept, every triple meets the free-first test first
+    with mock.patch.object(amalgamation, "_SAMPLE_WITNESSES", 0), \
+            mock.patch.object(amalgamation, "_free_fits", checked):
+        bare = check_ap(p2, *bounds)
+    assert (bare.verdict, bare.triples_checked, bare.witness_count,
+            bare.inconclusive_count) == counts
 
 
 def test_p2_rejects_oversized_members():

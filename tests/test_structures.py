@@ -23,7 +23,8 @@ from fraisse.textio import parse_typed_universe
 
 from _naive import (all_graphs, graph_of_bits, is_valid_embedding,
                     naive_embeddings, naive_is_isomorphic, naive_link,
-                    naive_link_rows, permuted_copy, random_graph, type_desc)
+                    naive_link_rows, permuted_copy, random_graph, random_mixed,
+                    type_desc)
 
 graphs = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.tuples(st.just(n),
@@ -320,6 +321,24 @@ def test_embeddings_match_naive_small():
         b = random_graph(rng, rng.randrange(0, 6))
         got = {e.map for e in find_embeddings(a, b)}
         assert got == naive_embeddings(a, b)
+
+
+def test_embeddings_over_a_ternary_symbol_match_naive():
+    # codes and links decide `mark` and `arc`; facts of `tri` such as
+    # (v, v, u) are left to the positional check
+    rng = random.Random(31)
+    for _ in range(80):
+        b = random_mixed(rng, rng.randrange(0, 6))
+        if b.size and rng.random() < 0.7:
+            a, _ = induced_substructure(b, rng.sample(range(b.size), rng.randrange(1, b.size + 1)))
+            a, _ = permuted_copy(rng, a)
+        else:
+            a = random_mixed(rng, rng.randrange(0, 4))
+        maps = [e.map for e in find_embeddings(a, b)]
+        assert maps == sorted(naive_embeddings(a, b))
+        # homogeneity_probe draws from the first 64 maps
+        for k in (1, 2, 64):
+            assert [e.map for e in find_embeddings(a, b, limit=k)] == maps[:k]
 
 
 def test_embedding_limit():

@@ -39,6 +39,7 @@ from .structures import (
     FinStructure,
     TypeId,
     expand_with_marks,
+    point_codes,
 )
 
 
@@ -76,14 +77,15 @@ def build_double(f: FinStructure, f_saturation: dict[int, int] | None = None
     if len(f.vocab.symbols) != 1 or f.vocab.rho != 2:
         raise InputError("doubling expects exactly one binary symbol")
     symbol = f.vocab.symbols[0][0]
-    table = f.tables[symbol]
-    for (a, b) in table:
-        if a == b:
+    bits, conv = f.out_bits(symbol), f.in_bits(symbol)
+    for a, (code, row, col) in enumerate(zip(point_codes(f), bits, conv)):
+        if code:
             raise InputError(f"base structure has a loop at {a}")
-        if (b, a) not in table:
+        extra = row & ~col      # the b with (a, b) but not (b, a)
+        if extra:
+            b = (extra & -extra).bit_length() - 1
             raise InputError(f"base structure is not symmetric at ({a}, {b})")
     n = f.size
-    bits = f.out_bits(symbol)
     rows = set()
     for a in range(n):
         rows.add((2 * a, 2 * a + 1))
@@ -291,15 +293,17 @@ class QuotientGeometry:
         InputError."""
         d = self.double
         amb = self.ambient
-        if amb is d.m or (amb.vocab == d.m.vocab and amb.tables == d.m.tables):
+        if amb == d.m:
             return "cover"
         names = dict(amb.vocab.symbols)
         if (len(names) == 2 and names.get(d.symbol) == 2
-                and amb.tables.get(d.symbol) == d.m.tables[d.symbol]):
+                and amb.out_bits(d.symbol) == d.m.out_bits(d.symbol)):
             (unary,) = [n for n, a in amb.vocab.symbols if n != d.symbol]
             if names[unary] == 1:
-                marked = {t[0] for t in amb.tables[unary]}
-                if marked in (set(d.level_points(0)), set(d.level_points(1))):
+                # the cover has no loops, so a marked point's code is the mark's bit
+                marked = amb.code_bits(amb.vocab.code_bit(unary))
+                level0 = sum(1 << v for v in d.level_points(0))
+                if marked in (level0, level0 << 1):
                     return "marked"
         raise InputError("the quotient reads the cover or the cover marked on one level")
 

@@ -1,21 +1,24 @@
 """Finite relational structures over finite relational vocabularies.
 
-Universes are always {0, ..., n-1}.  Relation tables are sets of index
-tuples; nothing is assumed about symmetry or irreflexivity unless a caller
-builds it in.  Structures are value objects: `==` is literal equality of
-vocabulary, size, and tables, while `canonical_key` identifies structures
-up to isomorphism: a backtracking search for the least encoding over bit
-rows, whose ordered partitions a queue of splitter cells refines and
-which the automorphisms it finds prune, so no external canonicalisation
-dependency is needed.  `is_isomorphic` reads its witness off the
-canonical orders of its two arguments.
+Universes are always {0, ..., n-1}.  A structure holds its facts as point
+codes and, per binary symbol, out- and in-rows of bits; its relation
+tables, sets of index tuples, are decoded from these when read, unless a
+symbol of arity above 2 makes it keep them.  Nothing is assumed about
+symmetry or irreflexivity unless a caller builds it in.  Structures are
+value objects: `==` is literal equality of vocabulary, size, and facts,
+while `canonical_key` identifies structures up to isomorphism: a
+backtracking search for the least encoding over bit rows, whose ordered
+partitions a queue of splitter cells refines and which the automorphisms
+it finds prune, so no external canonicalisation dependency is needed.
+`is_isomorphic` reads its witness off the canonical orders of its two
+arguments.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, compress, count, product, repeat
 from typing import Iterable, Sequence
 
@@ -129,13 +132,15 @@ class Vocabulary:
 
 
 class FinStructure:
-    """A finite structure: a vocabulary, a size, and one table per symbol.
+    """A finite structure: a vocabulary, a size, and its facts.
 
-    `FinStructure(vocab, size, tables)` checks and freezes the tables.
-    Library code that builds a binary structure from valid indices (the
-    sampler, `with_point`) goes through `_trusted` instead and hands over
-    bit rows and point codes; such a structure decodes `tables` from them
-    on first read."""
+    `FinStructure(vocab, size, tables)` checks the tables, then holds the
+    facts as `_trusted` does: the point codes and, per binary symbol, the
+    out- and in-rows.  Library code that builds a binary structure from
+    valid indices (the sampler, `with_point`) hands those over to
+    `_trusted` directly.  Over a binary vocabulary `tables` is decoded from
+    them on first read; a vocabulary with a symbol of arity above 2 keeps
+    its tables beside them."""
 
     __slots__ = ("vocab", "size", "_tables", "_hash", "_canon", "_bits", "_codes",
                  "_code_bits", "_binary_rows")
@@ -145,8 +150,6 @@ class FinStructure:
         size = int(size)
         if size < 0:
             raise InvalidElementError(f"size {size} is negative")
-        self.vocab = vocab
-        self.size = size
         clean: dict[str, frozenset[tuple[int, ...]]] = {}
         tables = dict(tables or {})
         for name in tables:
@@ -168,41 +171,60 @@ class FinStructure:
                         f"tuple {t} for {name!r} is outside universe 0..{size - 1}")
                 rows.add(t)
             clean[name] = frozenset(rows)
-        self._tables = clean
-        self._binary_rows: tuple[tuple[int, ...], ...] | None = None
-        self._hash: int | None = None
-        self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
-        # out- and in-rows keyed (symbol, converse); link rows keyed (option,)
-        self._bits: dict[tuple, tuple[int, ...]] | None = None
-        self._codes: tuple[int, ...] | None = None
-        self._code_bits: dict[int, int] | None = None
+        # the facts as `_setup` holds them: each point's code, and per
+        # binary symbol the out- and in-rows
+        codes = [0] * size
+        bit_rows = []
+        for name, arity in vocab.symbols:
+            if arity == 2:
+                out, inn = [0] * size, [0] * size
+                for u, v in clean[name]:
+                    out[u] |= 1 << v
+                    inn[v] |= 1 << u
+                bit_rows.append((out, inn))
+                loops = [v for v in range(size) if out[v] >> v & 1]
+            else:
+                loops = [t[0] for t in clean[name] if t.count(t[0]) == arity]
+            for v in loops:
+                codes[v] |= vocab.code_bit(name)
+        self._setup(vocab, size, bit_rows, codes)
+        if not vocab.binary:
+            self._tables = clean
 
     @classmethod
     def _trusted(cls, vocab: Vocabulary, size: int,
                  rows: Iterable[tuple[Sequence[int], Sequence[int]]],
-                 codes: Sequence[int], code_bits: dict[int, int]) -> "FinStructure":
+                 codes: Sequence[int]) -> "FinStructure":
         """A binary structure that library code builds from valid indices,
-        made without `__init__`'s checks: `rows` holds the out- and in-rows
-        of each binary symbol, in vocabulary order, loops included; `codes`
-        and `code_bits` what `point_codes` and `code_bits` read.  The tables
-        are decoded from these on first read.  Everything is copied, so the
-        caller may go on growing its own state."""
+        made without `__init__`'s checks from what `_setup` takes.  The
+        tables are decoded on first read."""
         s = cls.__new__(cls)
-        s.vocab = vocab
-        s.size = size
-        s._tables = None
-        s._hash = None
-        s._canon = None
-        s._bits = {}
+        s._setup(vocab, size, rows, codes)
+        return s
+
+    def _setup(self, vocab: Vocabulary, size: int,
+               rows: Iterable[tuple[Sequence[int], Sequence[int]]], codes: Sequence[int]) -> None:
+        """Hold `rows`, the out- and in-rows of each binary symbol in
+        vocabulary order, loops included, and `codes`, what `point_codes`
+        reads.  Everything is copied, so the caller may go on growing its
+        own state.  No tables are held yet."""
+        self.vocab = vocab
+        self.size = size
+        self._tables: dict[str, frozenset[tuple[int, ...]]] | None = None
+        self._hash: int | None = None
+        self._canon: tuple[TypeId, tuple[int, ...]] | None = None  # key, order
+        # out- and in-rows keyed (symbol, converse); link rows keyed (option,)
+        self._bits: dict[tuple, tuple[int, ...]] = {}
         for sym, (out, inn) in zip(vocab.binary_symbols(), rows):
             out_t = tuple(out)
             inn_t = out_t if inn is out else tuple(inn)
-            s._bits[sym, False] = out_t
-            s._bits[sym, True] = out_t if inn_t == out_t else inn_t   # symmetric: one shared tuple
-        s._binary_rows = tuple(s._bits[sym, False] for sym in vocab.binary_symbols())
-        s._codes = tuple(codes)
-        s._code_bits = dict(code_bits)
-        return s
+            self._bits[sym, False] = out_t
+            self._bits[sym, True] = out_t if inn_t == out_t else inn_t   # symmetric: one shared tuple
+        self._binary_rows = tuple(self._bits[sym, False] for sym in vocab.binary_symbols())
+        self._codes = tuple(codes)
+        self._code_bits: dict[int, int] = {}
+        for v, c in enumerate(self._codes):
+            self._code_bits[c] = self._code_bits.get(c, 0) | 1 << v
 
     @property
     def tables(self) -> dict[str, frozenset[tuple[int, ...]]]:
@@ -212,7 +234,7 @@ class FinStructure:
         return self._tables
 
     def _decode(self) -> dict[str, frozenset[tuple[int, ...]]]:
-        """The tables of a `_trusted` structure, from its codes and out-rows."""
+        """The tables of a binary structure, from its codes and out-rows."""
         tables = {}
         for name, arity in self.vocab.symbols:
             if arity == 1:
@@ -225,26 +247,27 @@ class FinStructure:
 
     def out_bits(self, symbol: str) -> tuple[int, ...]:
         """Row bitmasks for a binary symbol: bit u of row v set iff (v, u) holds."""
-        return self._rows(symbol, False)
+        return self._bits[self._binary_symbol(symbol), False]
 
     def in_bits(self, symbol: str) -> tuple[int, ...]:
         """Row bitmasks of the converse: bit u of row v set iff (u, v) holds.
         For a symmetric relation this is the out_bits tuple itself."""
-        return self._rows(symbol, True)
+        return self._bits[self._binary_symbol(symbol), True]
+
+    def _binary_symbol(self, symbol: str) -> str:
+        if self.vocab.arity(symbol) != 2:
+            raise VocabularyError(f"{symbol!r} is not binary")
+        return symbol
 
     def link(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
         """The link option from u to v, in `P2Spec.links` format: per
         binary symbol, the (u -> v, v -> u) bits as a pair."""
-        if self._binary_rows is None:
-            self._binary_rows = tuple(self.out_bits(sym) for sym in self.vocab.binary_symbols())
         return tuple([(out[u] >> v & 1, out[v] >> u & 1) for out in self._binary_rows])
 
     def link_rows(self, option) -> tuple[int, ...]:
         """Per point x, the bitmask of the points c with link(x, c) == option
         (c = x included).  An option outside `Vocabulary.link_options`
         raises InvalidElementError."""
-        if self._bits is None:
-            self._bits = {}
         rows = self._bits.get((option,))
         if rows is None:
             if option not in self.vocab.link_options():
@@ -260,39 +283,14 @@ class FinStructure:
 
     def code_bits(self, code: int) -> int:
         """Bitmask of the points whose code (`point_codes`) is `code`."""
-        if self._code_bits is None:
-            self._code_bits = {}
-            for v, c in enumerate(point_codes(self)):
-                self._code_bits[c] = self._code_bits.get(c, 0) | 1 << v
         return self._code_bits.get(code, 0)
-
-    def _table_rows(self, symbol: str, converse: bool) -> tuple[int, ...]:
-        """A binary symbol's out-rows (in-rows if converse), built from its table."""
-        rows = [0] * self.size
-        for f in self.tables[symbol]:
-            rows[f[converse]] |= 1 << f[not converse]
-        return tuple(rows)
-
-    def _rows(self, symbol: str, converse: bool) -> tuple[int, ...]:
-        if self._bits is None:
-            self._bits = {}
-        key = (symbol, converse)
-        if key not in self._bits:
-            if self.vocab.arity(symbol) != 2:
-                raise VocabularyError(f"{symbol!r} is not binary")
-            rows = self._table_rows(symbol, converse)
-            if converse and rows == self.out_bits(symbol):
-                rows = self.out_bits(symbol)        # symmetric: one shared tuple
-            self._bits[key] = rows
-        return self._bits[key]
 
     def _content(self) -> tuple:
         """What `==` and `hash` read: for a binary vocabulary the point
-        codes and each binary symbol's out-rows, which a `_trusted`
-        structure holds without decoding its tables; else the tables."""
+        codes and each binary symbol's out-rows; else the tables."""
         if self.vocab.binary:
-            return point_codes(self), tuple(self.out_bits(sym) for sym in self.vocab.binary_symbols())
-        return tuple(self.tables[n] for n in self.vocab.names())
+            return self._codes, self._binary_rows
+        return tuple(self._tables[n] for n in self.vocab.names())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FinStructure) and self.vocab == other.vocab
@@ -516,23 +514,14 @@ def with_point(s: FinStructure, code: int, links: Sequence) -> FinStructure:
         if inn is not out:
             inn.append(row_in)
         rows.append((out, inn))
-    new_bits = s.code_bits(code) | bit      # fills s._code_bits
-    return FinStructure._trusted(vocab, w + 1, rows, point_codes(s) + (code,),
-                                 {**s._code_bits, code: new_bits})
+    return FinStructure._trusted(vocab, w + 1, rows, point_codes(s) + (code,))
 
 
 def point_codes(s: FinStructure) -> tuple[int, ...]:
     """The one-point type of each point as an int: each symbol holding on
     (v, ..., v) sets its `Vocabulary.code_bit`.  Two points have equal
     codes exactly when their one-point induced substructures are equal,
-    and codes sort as the tuples of those facts.  Computed once per
-    structure."""
-    if s._codes is None:
-        codes = [0] * s.size
-        for name, arity in s.vocab.symbols:
-            tab, bit = s.tables[name], s.vocab.code_bit(name)
-            codes = [c | bit if (v,) * arity in tab else c for v, c in enumerate(codes)]
-        s._codes = tuple(codes)
+    and codes sort as the tuples of those facts."""
     return s._codes
 
 
@@ -555,7 +544,8 @@ def find_embeddings(a: FinStructure, b: FinStructure,
         return []
     if a.size == 0:
         return [Embedding(a, b, (), check=False)]
-    if a.size > b.size:
+    # more points of some code than b has: no search
+    if any(m.bit_count() > b.code_bits(c).bit_count() for c, m in a._code_bits.items()):
         return []
     codes = point_codes(a)
     out: list[Embedding] = []
@@ -727,12 +717,8 @@ def _canonical_search(s: FinStructure) -> tuple[tuple, tuple[int, ...]]:
     if n == 0:
         return (), ()
     codes = point_codes(s)
-    # rows that s does not hold yet are built here and not stored on s
-    held = s._bits or {}
-    links = []                      # per binary symbol (out-rows, in-rows)
-    for sym in s.vocab.binary_symbols():
-        out, inn = (held.get((sym, c)) or s._table_rows(sym, c) for c in (False, True))
-        links.append((out, out if inn == out else inn))
+    # per binary symbol (out-rows, in-rows), one tuple when symmetric
+    links = [(s.out_bits(sym), s.in_bits(sym)) for sym in s.vocab.binary_symbols()]
     # row -> converse rows; equal rows have equal converses, so one entry serves
     converse = {r: c for out, inn in links for r, c in ((out, inn), (inn, out))}
     wide = [(name, arity) for name, arity in s.vocab.symbols if arity > 2]
@@ -866,6 +852,7 @@ def canonical_key(s: FinStructure) -> TypeId:
 # convenience constructors
 
 
+@cache     # built once, not per graph that `undirected_graph` makes
 def graph_vocabulary() -> Vocabulary:
     return Vocabulary([("adj", 2)])
 

@@ -342,10 +342,7 @@ def sample_uniform(p2: P2Spec, n: int, seed: int) -> FinStructure:
             if not symmetric:
                 inn.append(int((before.translate(_FIRST) + loop + after.translate(_SECOND))[::-1], 2))
         rows.append((out, out if symmetric else inn))
-    code_bits: dict[int, int] = {}
-    for v, c in enumerate(point):
-        code_bits[c] = code_bits.get(c, 0) | 1 << v
-    return FinStructure._trusted(vocab, n, rows, point, code_bits)
+    return FinStructure._trusted(vocab, n, rows, point)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from fraisse import structures
 from fraisse.structures import (FinStructure, Vocabulary, canonical_key, is_isomorphic,
-                                reduct_to, undirected_graph)
+                                reduct_to, undirected_graph, with_point)
 
 from _naive import (graph_of_bits, is_valid_embedding, naive_code, naive_is_isomorphic,
                     naive_refine, permuted_copy, random_graph, random_mixed,
@@ -208,22 +208,24 @@ def test_twins_need_equal_in_rows():
         assert canonical_key(h) == canonical_key(s)
 
 
-def test_keying_stores_no_rows_on_a_table_built_structure():
-    """The twin test builds the rows of a structure made from tables
-    locally, so a keyed structure does not keep them for its lifetime; a
-    structure that already holds rows is keyed from them, as its equal
-    table-built copy is."""
+def test_table_built_binary_structures_hold_rows_not_tables():
+    """A structure built from tables over a binary vocabulary holds its
+    point codes and bit rows, as one grown by `with_point` does, and
+    decodes its tables only when read; a vocabulary with a ternary symbol
+    keeps its tables."""
     vocab = Vocabulary([("arc", 2)])
     arcs = {(0, 1), (0, 2), (1, 2), (2, 1), (3, 3), (4, 3), (5, 3)}
     s = FinStructure(vocab, 6, {"arc": arcs})
-    key = canonical_key(s)
-    assert s._bits is None
-    held = FinStructure(vocab, 6, {"arc": arcs})
-    held.out_bits("arc"), held.in_bits("arc")
-    rows = dict(held._bits)
-    with mock.patch.object(FinStructure, "_table_rows", side_effect=AssertionError):
-        assert canonical_key(held) == key
-    assert held._bits == rows
+    assert s._tables is None
+    grown = FinStructure(vocab, 0)
+    for w in range(6):
+        grown = with_point(grown, int((w, w) in arcs),
+                           [(((v, w) in arcs, (w, v) in arcs),) for v in range(w)])
+    assert s == grown and hash(s) == hash(grown)
+    assert canonical_key(s) == canonical_key(grown)
+    assert s.tables == grown.tables == {"arc": arcs}
+    mixed = random_mixed(random.Random(3), 5)
+    assert mixed._tables is not None and mixed.tables is mixed._tables
 
 
 def _nx_graph(nx, g):

@@ -151,15 +151,15 @@ LINK_VOCABS = (Vocabulary([("red", 1), ("arc", 2)]),
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _raw_structure(vocab: Vocabulary, n: int, bits: int) -> FinStructure:
-    """A structure with the facts that `bits` picks, loops included:
-    n ** arity bits per symbol."""
+def _raw_tables(vocab: Vocabulary, n: int, bits: int) -> dict[str, set]:
+    """The facts that `bits` picks, loops included: n ** arity bits per
+    symbol."""
     tables = {}
     for name, arity in vocab.symbols:
         cells = list(product(range(n), repeat=arity))
         tables[name] = {t for i, t in enumerate(cells) if bits >> i & 1}
         bits >>= len(cells)
-    return FinStructure(vocab, n, tables)
+    return tables
 
 
 _linked = st.tuples(st.sampled_from(LINK_VOCABS), st.integers(0, 5),
@@ -170,13 +170,16 @@ _linked = st.tuples(st.sampled_from(LINK_VOCABS), st.integers(0, 5),
 @given(_linked)
 def test_link_and_link_rows_match_naive(raw):
     vocab, n, bits = raw
-    s = _raw_structure(vocab, n, bits)
+    tables = _raw_tables(vocab, n, bits)
+    s = FinStructure(vocab, n, tables)
     for u in range(n):
         for v in range(n):
             assert s.link(u, v) == naive_link(s, u, v)
     for option in product(PAIRS, repeat=len(vocab.binary_symbols())):
         assert s.link_rows(option) == tuple(naive_link_rows(s, option))
         assert s.link_rows(option) is s.link_rows(option)
+    # decoded from codes and rows where the vocabulary is binary
+    assert s.tables == tables
 
 
 @settings(max_examples=100, deadline=None)

@@ -455,26 +455,29 @@ def expand_with_marks(s: FinStructure, marks: Iterable[tuple[str, Iterable[int]]
 
 
 def tuple_payload(s: FinStructure, tup: tuple[int, ...]):
-    """The raw payload behind `tuple_type`, read from s's tables."""
-    n = len(tup)
+    """The raw payload behind `tuple_type`: the length, the equality
+    pattern, then over the distinct points in first-occurrence order
+    their point codes, the `FinStructure.link` of each pair of them and,
+    per symbol of arity above 2, which position tuples over them are
+    facts."""
     first: dict[int, int] = {}
     eq = tuple(first.setdefault(v, i) for i, v in enumerate(tup))
-    rel = []
-    tables = s.tables
-    for name, arity in s.vocab.symbols:
-        tab = tables[name]
-        hits = tuple(pos for pos in product(range(n), repeat=arity)
-                     if tuple(tup[p] for p in pos) in tab)
-        rel.append(hits)
-    return (n, eq, tuple(rel))
+    pts = tuple(first)
+    links = tuple(s.link(u, v) for i, u in enumerate(pts) for v in pts[i + 1:])
+    wide = tuple(tuple(pos for pos in product(range(len(pts)), repeat=arity)
+                       if tuple(pts[p] for p in pos) in s.tables[name])
+                 for name, arity in s.vocab.symbols if arity > 2)
+    return (len(tup), eq, tuple(map(point_codes(s).__getitem__, pts)), links, wide)
 
 
 def tuple_type(s: FinStructure, tup: Sequence[int]) -> TypeId:
     """Quantifier-free type of an ordered tuple (repeats allowed).
 
-    The payload records the equality pattern and, for each symbol, which
-    position patterns are facts; the tuple's own order pins any candidate
-    isomorphism, so this positional encoding is canonical without search.
+    Over a binary vocabulary a tuple's facts are its points' codes and the
+    links between them, so the payload reads only those besides the
+    equality pattern; facts of higher arity are read position by position.
+    The tuple's own order pins any candidate isomorphism, so this encoding
+    is canonical without search.
     """
     tup = tuple(int(x) for x in tup)
     if any(x < 0 or x >= s.size for x in tup):

@@ -72,9 +72,7 @@ class AxiomSpec:
                                  "per binary symbol")
         for code in self.slots + (point,):
             vocab.check_code(code, InputError)
-        self._sort_key = (self.k, point, tuple(
-            _link_key(vocab, slot, option, point)
-            for slot, option in zip(self.slots, self.dirs)))
+        self._sort_key = (self.k, point, tuple(zip(self.slots, self.dirs)))
 
     def sort_key(self):
         return self._sort_key
@@ -104,21 +102,6 @@ class AxiomSpec:
 
     def __repr__(self) -> str:
         return f"AxiomSpec({self.label()!r})"
-
-
-def _link_key(vocab: Vocabulary, slot: int, option, point: int) -> tuple:
-    """The link's place in the order that tuple types give its two-point
-    structure: per symbol, which positions hold, among (base) and (new)
-    for a unary symbol and among (base, base), (base, new), (new, base)
-    and (new, new) for a binary one."""
-    pairs = iter(option)
-    key = []
-    for name, arity in vocab.symbols:
-        bit = vocab.code_bit(name)
-        on_base, on_new = slot & bit, point & bit
-        facts = (on_base, *next(pairs), on_new) if arity == 2 else (on_base, on_new)
-        key.append(tuple(j for j, f in enumerate(facts) if f))
-    return tuple(key)
 
 
 def parse_axiom(vocab: Vocabulary, text: str) -> AxiomSpec:

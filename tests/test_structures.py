@@ -472,7 +472,7 @@ TYPE_ID_MAKERS = {
     "structure": (_structure_types,
                   ["9bc6971addbb3f0e", "802879f8098ba1c7", "95f6abde409cd42f"]),
     "tuple": (_tuple_types,
-              ["202373424fa2f186", "5ae8054025887c35", "5699ef4a38da13c7", "106a0f4be86b5b67"]),
+              ["8327599c5850b26c", "4ab81c9fb2b35b97", "839a8626fb456278", "5a8c7baa3e6cd279"]),
     "pair": (_pair_types,
              ["5d2d6404bbbdea5b", "911214b10f6b6268", "6ce2e0453bb0149e", "164452829dfafaad"]),
     "pairfam": (_pairfam_types, ["0cb6976e8429890b", "094b134d30411575", "1c41e18ec8b3c25b"]),

@@ -463,14 +463,12 @@ class DoubledAclSource:
         if self._built_at == self.oracle.size:
             return
         d = build_double(self.oracle.current, self.oracle.saturation)
-        bonds = set()
-        for u in range(d.m.size):
-            bonds.add((u, u ^ 1))
-        vocab = d.m.vocab.extended([("bond", 2)])
-        tables = dict(d.m.tables)
-        tables["bond"] = bonds
+        # the cover and the bond are symmetric and loop-free: every code is 0
+        adj = d.m.out_bits(d.symbol)
+        bond = [1 << (u ^ 1) for u in range(d.m.size)]
         self._double = d
-        self._snap = FinStructure(vocab, d.m.size, tables)
+        self._snap = FinStructure._trusted(d.m.vocab.extended([("bond", 2)]), d.m.size,
+                                           [(adj, adj), (bond, bond)], [0] * d.m.size)
         self._built_at = self.oracle.size
 
     @property

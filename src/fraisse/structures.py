@@ -4,14 +4,15 @@ Universes are always {0, ..., n-1}.  A structure holds its facts as point
 codes and, per binary symbol, out- and in-rows of bits; its relation
 tables, sets of index tuples, are decoded from these when read, unless a
 symbol of arity above 2 makes it keep them.  Nothing is assumed about
-symmetry or irreflexivity unless a caller builds it in.  Structures are
-value objects: `==` is literal equality of vocabulary, size, and facts,
-while `canonical_key` identifies structures up to isomorphism: a
-backtracking search for the least encoding over bit rows, whose ordered
-partitions a queue of splitter cells refines and which the automorphisms
-it finds prune, so no external canonicalisation dependency is needed.
-`is_isomorphic` reads its witness off the canonical orders of its two
-arguments.
+symmetry or irreflexivity unless a caller builds it in.  A tuple's type
+reads its points' codes and links, and only facts of arity above 2 by
+position.  Structures are value objects: `==` is literal equality of
+vocabulary, size, and facts, while `canonical_key` identifies structures
+up to isomorphism: a backtracking search for the least encoding over bit
+rows, whose ordered partitions a queue of splitter cells refines and
+which the automorphisms it finds prune, so no external canonicalisation
+dependency is needed.  `is_isomorphic` reads its witness off the
+canonical orders of its two arguments.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ the axiom's point code and realises the prescribed link with each of
 them.  Axioms use the oracle's encoding (`generic.ExtensionType`): a
 point is its code (`structures.point_codes`), written in labels as its
 `Vocabulary.mark_tokens`, and a link is one of `Vocabulary.link_options`,
-so only binary vocabularies have axioms.  One evaluator reads every
-axiom on row bitmasks.  Sampling draws structures uniformly in the
-labelled sense: each point's code uniform over the permitted ones, each
-unordered pair's cross links uniform over the permitted options for the
-chosen endpoint codes, all independently."""
+so only binary vocabularies have axioms.  Axioms sort by slot count, the
+new point's code, then each slot's code and link option in slot order.
+One evaluator reads every axiom on row bitmasks.  Sampling draws
+structures uniformly in the labelled sense: each point's code uniform
+over the permitted ones, each unordered pair's cross links uniform over
+the permitted options for the chosen endpoint codes, all independently."""
 
 from __future__ import annotations
 

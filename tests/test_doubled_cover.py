@@ -15,8 +15,8 @@ from fraisse.errors import (ConfigurationNotFoundError, InputError,
 from fraisse.generic import (grow_random, new_generic, saturate,
                              saturate_until_stable)
 from fraisse.amalgamation import graph_p2
-from fraisse.structures import (FinStructure, expand_with_marks, induced_substructure, tuple_type,
-                                undirected_graph)
+from fraisse.structures import (FinStructure, expand_with_marks, induced_substructure,
+                                point_codes, tuple_type, undirected_graph)
 from fraisse.types_orbits import acl_approx, enumerate_types
 
 from _naive import all_graphs, graph_of_bits, naive_pair_key, random_graph
@@ -395,6 +395,25 @@ def test_doubled_source_vocab_has_bond():
     assert ("bond", 2) in s.vocab.symbols
     assert (0, 1) in s.tables["bond"] and (1, 0) in s.tables["bond"]
     assert (0, 2) not in s.tables["bond"]
+
+
+@pytest.mark.parametrize("seed", [1, 4, 9])
+def test_doubled_source_snapshot_is_built_from_rows(seed):
+    o = new_generic(graph_p2(), seed)
+    grow_random(o, 5)
+    src = DoubledAclSource(o)
+    for _ in range(2):
+        s, m = src.snapshot(), src._double.m
+        # the snapshot reads the cover's rows; nothing decodes its tables
+        assert m._tables is None and s._tables is None
+        ref = FinStructure(s.vocab, m.size,
+                           {"adj": m.tables["adj"], "bond": {(u, u ^ 1) for u in range(m.size)}})
+        assert s == ref and hash(s) == hash(ref) and s.tables == ref.tables
+        assert point_codes(s) == point_codes(ref) == (0,) * m.size
+        for sym in ("adj", "bond"):
+            assert s.out_bits(sym) == ref.out_bits(sym)
+            assert s.in_bits(sym) is s.out_bits(sym)
+        assert src.add_realization((0,), 2)
 
 
 def test_doubled_source_refuses_partner_duplication():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fraisse.doubled_cover import build_double, quotient
 from fraisse.errors import InvalidElementError, ParseError, VocabularyError
-from fraisse.generic import ExtensionType, find_realization
+from fraisse.generic import ExtensionType, find_realization, grow_random, new_generic
 from fraisse.reduct import pair_family_universe
 from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
                                 canonical_key, expand_with_marks,
@@ -20,11 +20,13 @@ from fraisse.structures import (Embedding, FinStructure, TypeId, Vocabulary,
                                 point_codes, reduct_to, tuple_type,
                                 undirected_graph, with_point)
 from fraisse.textio import parse_typed_universe
+from fraisse.zero_one import sample_uniform
 
 from _naive import (all_graphs, graph_of_bits, is_valid_embedding,
                     naive_embeddings, naive_is_isomorphic, naive_link,
                     naive_link_rows, permuted_copy, random_graph, random_mixed,
                     type_desc)
+from test_sampling_golden import marked_p2
 
 graphs = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.tuples(st.just(n),
@@ -412,21 +414,41 @@ def test_tuple_type_sees_equality_pattern():
     assert tuple_type(g, (0, 0)) == tuple_type(g, (1, 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs, st.data())
-def test_tuple_type_partition_matches_naive(spec, data):
-    g = mkgraph(spec)
+def _grown(seed: int, n: int) -> FinStructure:
+    o = new_generic(marked_p2(), seed)
+    grow_random(o, n)
+    return o.current
+
+
+# table-built graphs and LINK_VOCABS structures (directed arcs, loops,
+# unary marks, a ternary symbol), random MIXED structures, and marked
+# structures built from rows by the sampler and by `with_point`
+_typed = st.one_of(
+    graphs.map(mkgraph),
+    _linked.map(lambda raw: FinStructure(raw[0], raw[1], _raw_tables(*raw))),
+    st.tuples(st.integers(0, 1 << 16), st.integers(1, 6)).map(
+        lambda a: random_mixed(random.Random(a[0]), a[1])),
+    st.tuples(st.integers(1, 9), st.integers(0, 1 << 16)).map(
+        lambda a: sample_uniform(marked_p2(), *a)),
+    st.tuples(st.integers(0, 1 << 16), st.integers(1, 9)).map(lambda a: _grown(*a)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_typed, st.data())
+def test_tuple_type_partition_matches_naive(g, data):
     if g.size == 0:
         return
+    held = g._tables
     pts = st.integers(min_value=0, max_value=g.size - 1)
     tups = [tuple(data.draw(st.lists(pts, min_size=k, max_size=k)))
-            for k in (1, 2, 3) for _ in range(4)]
-    for t1 in tups:
-        for t2 in tups:
-            if len(t1) != len(t2):
-                continue
-            assert ((tuple_type(g, t1) == tuple_type(g, t2))
-                    == (type_desc(g, t1) == type_desc(g, t2)))
+            for k in (1, 2, 3, 4) for _ in range(4)]
+    types = [tuple_type(g, t) for t in tups]
+    # typing reads codes and links, so a binary structure decodes no tables
+    assert g._tables is held and (held is None) == g.vocab.binary
+    for t1, a in zip(tups, types):
+        for t2, b in zip(tups, types):
+            if len(t1) == len(t2):
+                assert (a == b) == (type_desc(g, t1) == type_desc(g, t2))
 
 
 def test_type_id_fingerprint_is_stable():

@@ -85,19 +85,15 @@ def build_double(f: FinStructure, f_saturation: dict[int, int] | None = None
         if extra:
             b = (extra & -extra).bit_length() - 1
             raise InputError(f"base structure is not symmetric at ({a}, {b})")
-    n = f.size
-    rows = set()
-    for a in range(n):
-        rows.add((2 * a, 2 * a + 1))
-        rows.add((2 * a + 1, 2 * a))
-        for b in range(a + 1, n):
-            if (bits[a] >> b) & 1:
-                rows.update(((2 * a, 2 * b), (2 * b, 2 * a),
-                             (2 * a + 1, 2 * b + 1), (2 * b + 1, 2 * a + 1)))
-            else:
-                rows.update(((2 * a, 2 * b + 1), (2 * b + 1, 2 * a),
-                             (2 * a + 1, 2 * b), (2 * b, 2 * a + 1)))
-    m = FinStructure(f.vocab, 2 * n, {symbol: rows})
+    # row 2a: a's neighbours at level 0, a and its non-neighbours at level
+    # 1 (so a's partner); row 2a+1 is its mirror image
+    evens = (4 ** f.size - 1) // 3                      # bit 2b for every b
+    spread = str.maketrans({"0": "00", "1": "01"})      # bit b to bit 2b
+    rows = []
+    for row in bits:
+        same = int(bin(row)[2:].translate(spread), 2)
+        rows += (same | (evens ^ same) << 1, evens ^ same | same << 1)
+    m = FinStructure._trusted(f.vocab, 2 * f.size, [(rows, rows)], [0] * (2 * f.size))
     return DoubledStructure(f, m, symbol, f_saturation)
 
 

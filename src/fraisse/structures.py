@@ -135,13 +135,14 @@ class Vocabulary:
 class FinStructure:
     """A finite structure: a vocabulary, a size, and its facts.
 
-    `FinStructure(vocab, size, tables)` checks the tables, then holds the
-    facts as `_trusted` does: the point codes and, per binary symbol, the
-    out- and in-rows.  Library code that builds a binary structure from
-    valid indices (the sampler, `with_point`) hands those over to
-    `_trusted` directly.  Over a binary vocabulary `tables` is decoded from
-    them on first read; a vocabulary with a symbol of arity above 2 keeps
-    its tables beside them."""
+    `FinStructure(vocab, size, tables)` is the one validator of outside
+    tables: it checks them tuple by tuple, then holds the facts as
+    `_trusted` does: the point codes and, per binary symbol, the out- and
+    in-rows.  Library code that builds a binary structure from valid
+    indices (the sampler, `with_point`, `undirected_graph`, `build_double`)
+    hands those over to `_trusted` directly.  Over a binary vocabulary
+    `tables` is decoded from them on first read; a vocabulary with a
+    symbol of arity above 2 keeps its tables beside them."""
 
     __slots__ = ("vocab", "size", "_tables", "_hash", "_canon", "_bits", "_codes",
                  "_code_bits", "_binary_rows")
@@ -157,12 +158,8 @@ class FinStructure:
             if name not in vocab:
                 raise VocabularyError(f"table for unknown symbol {name!r}")
         for name, arity in vocab.symbols:
-            given = tables.get(name, ())
-            if type(given) in (set, frozenset) and _clean_rows(given, arity, size):
-                clean[name] = frozenset(given)
-                continue
             rows = set()
-            for t in given:
+            for t in tables.get(name, ()):
                 t = tuple(int(x) for x in t)
                 if len(t) != arity:
                     raise InvalidElementError(
@@ -196,7 +193,8 @@ class FinStructure:
     def _trusted(cls, vocab: Vocabulary, size: int,
                  rows: Iterable[tuple[Sequence[int], Sequence[int]]],
                  codes: Sequence[int]) -> "FinStructure":
-        """A binary structure that library code builds from valid indices,
+        """A binary structure that library code builds from valid indices
+        (the sampler, `with_point`, `undirected_graph`, `build_double`),
         made without `__init__`'s checks from what `_setup` takes.  The
         tables are decoded on first read."""
         s = cls.__new__(cls)
@@ -316,17 +314,6 @@ def _points(mask: int):
     if mask < 1024:
         return _SMALL_POINTS[mask]
     return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT))
-
-
-def _clean_rows(rows, arity: int, size: int) -> bool:
-    """Whether every row is a plain tuple of `arity` plain ints in 0..size-1,
-    checked in C-level passes; else the per-tuple loop normalises or raises."""
-    flat = chain.from_iterable
-    if (set(map(type, rows)) != {tuple} or set(map(len, rows)) != {arity}
-            or set(map(type, flat(rows))) != {int}):
-        return False
-    points = set(flat(rows))
-    return min(points) >= 0 and max(points) < size
 
 
 class Embedding:
@@ -862,11 +849,18 @@ def graph_vocabulary() -> Vocabulary:
 
 
 def undirected_graph(size: int, edges: Iterable[tuple[int, int]]) -> FinStructure:
-    """A loop-free symmetric binary structure from an edge list."""
-    tab = set()
+    """A loop-free symmetric binary structure from an edge list: endpoints
+    read as ints, checked in `__init__`'s wording, one shared row list."""
+    size = int(size)
+    if size < 0:
+        raise InvalidElementError(f"size {size} is negative")
+    rows = [0] * size
     for u, v in edges:
+        u, v = int(u), int(v)
         if u == v:
             raise InvalidElementError(f"loop edge at {u}")
-        tab.add((u, v))
-        tab.add((v, u))
-    return FinStructure(graph_vocabulary(), size, {"adj": tab})
+        if not (0 <= u < size and 0 <= v < size):
+            raise InvalidElementError(f"tuple {(u, v)} for 'adj' is outside universe 0..{size - 1}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return FinStructure._trusted(graph_vocabulary(), size, [(rows, rows)], [0] * size)

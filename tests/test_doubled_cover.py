@@ -15,8 +15,9 @@ from fraisse.errors import (ConfigurationNotFoundError, InputError,
 from fraisse.generic import (grow_random, new_generic, saturate,
                              saturate_until_stable)
 from fraisse.amalgamation import graph_p2
-from fraisse.structures import (FinStructure, expand_with_marks, induced_substructure,
-                                point_codes, tuple_type, undirected_graph)
+from fraisse.structures import (FinStructure, expand_with_marks, graph_vocabulary,
+                                induced_substructure, point_codes, tuple_type,
+                                undirected_graph)
 from fraisse.types_orbits import acl_approx, enumerate_types
 
 from _naive import all_graphs, graph_of_bits, naive_pair_key, random_graph
@@ -50,17 +51,44 @@ def test_double_adjacency_law():
             assert ((2 * a, 2 * b + 1) in adj) == (not base_adj)
 
 
+def cover_from_tables(base: FinStructure) -> FinStructure:
+    """The cover as the module docstring defines it, built from a table:
+    (2a+i, 2b+j) holds iff a, b are adjacent exactly when i == j."""
+    adj = base.tables["adj"]
+    pts = range(base.size)
+    return FinStructure(base.vocab, 2 * base.size, {"adj": {
+        (2 * a + i, 2 * b + j) for a in pts for b in pts for i in (0, 1) for j in (0, 1)
+        if ((a, b) in adj) == (i == j)}})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 40])
+def test_double_matches_the_table_built_cover(n):
+    # from 10 base points on, the cover's rows run past bit 9, so reading
+    # its tables goes through `_points`' compress path
+    rng = random.Random(n)
+    for _ in range(3):
+        base = random_graph(rng, n)
+        d = build_double(base)
+        want = cover_from_tables(base)
+        assert d.m == want and hash(d.m) == hash(want)
+        assert d.m._tables is None      # equality and hash decode no tables
+        assert d.m.tables == want.tables
+        assert d.m.in_bits("adj") is d.m.out_bits("adj")
+
+
 def test_double_rejects_bad_bases():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^doubling expects exactly one binary symbol$"):
         build_double(expand_with_marks(undirected_graph(2, []), [("m", [0])]))
-    from fraisse.structures import graph_vocabulary
-    loopy = FinStructure(graph_vocabulary(), 2,
-                         {"adj": frozenset({(0, 0)})})
-    with pytest.raises(InputError):
-        build_double(loopy)
-    asym = FinStructure(graph_vocabulary(), 2, {"adj": frozenset({(0, 1)})})
-    with pytest.raises(InputError):
-        build_double(asym)
+    # the least offending point, or pair (a, b) by a then b, is named
+    for adj, message in [
+            ({(0, 0)}, "has a loop at 0"),
+            ({(0, 1)}, r"is not symmetric at \(0, 1\)"),
+            ({(2, 2), (1, 1), (3, 3)}, "has a loop at 1"),
+            ({(0, 1), (1, 0), (2, 1), (3, 0), (2, 0)}, r"is not symmetric at \(2, 0\)"),
+            ({(3, 3), (1, 2), (0, 1), (1, 0)}, r"is not symmetric at \(1, 2\)"),
+            ({(0, 3), (0, 2), (3, 0), (1, 1)}, r"is not symmetric at \(0, 2\)")]:
+        with pytest.raises(InputError, match=f"^base structure {message}$"):
+            build_double(FinStructure(graph_vocabulary(), 4, {"adj": adj}))
 
 
 def test_accessors():

@@ -121,7 +121,8 @@ VALIDATION_CASES = [
 @pytest.mark.parametrize("label,size,tables,expected", VALIDATION_CASES,
                          ids=[case[0] for case in VALIDATION_CASES])
 def test_structure_validation_outcomes(label, size, tables, expected):
-    # outcomes recorded before set tables got a bulk validation pass
+    # the outcomes of `__init__`'s one per-tuple loop, for set and list
+    # tables alike
     try:
         s = FinStructure(MIXED3, size, tables)
     except Exception as e:
@@ -287,6 +288,75 @@ def test_with_point_rejects_codes_outside_the_vocabulary():
 def test_undirected_graph_symmetrizes():
     g = undirected_graph(3, [(0, 1)])
     assert g.tables["adj"] == frozenset({(0, 1), (1, 0)})
+
+
+# (label, size, edges, outcome): the edges u < v, or the exception type and
+# message.  Edges are checked one at a time, in order: each endpoint is read
+# as an int, then a loop is rejected, then an out-of-range edge, named as
+# given.
+UNDIRECTED_CASES = [
+    ("ok", 3, [(0, 1), (1, 2)], [(0, 1), (1, 2)]),
+    ("empty", 0, [], []),
+    ("no-edges", 4, [], []),
+    ("repeated", 3, [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2)], [(0, 1), (1, 2)]),
+    ("high", 3, [(0, 1), (1, 3)],
+     ("InvalidElementError", "tuple (1, 3) for 'adj' is outside universe 0..2")),
+    ("high-first-endpoint", 5, [(5, 0)],
+     ("InvalidElementError", "tuple (5, 0) for 'adj' is outside universe 0..4")),
+    ("high-second-endpoint", 5, [(0, 5)],
+     ("InvalidElementError", "tuple (0, 5) for 'adj' is outside universe 0..4")),
+    ("negative", 3, [(-1, 0)],
+     ("InvalidElementError", "tuple (-1, 0) for 'adj' is outside universe 0..2")),
+    ("negative-second-endpoint", 3, [(0, -2)],
+     ("InvalidElementError", "tuple (0, -2) for 'adj' is outside universe 0..2")),
+    ("size-0-edge", 0, [(0, 1)],
+     ("InvalidElementError", "tuple (0, 1) for 'adj' is outside universe 0..-1")),
+    ("size-negative", -1, [], ("InvalidElementError", "size -1 is negative")),
+    ("size-negative-edge", -1, [(0, 1)], ("InvalidElementError", "size -1 is negative")),
+    ("size-float", 3.0, [(0, 2)], [(0, 2)]),
+    ("loop", 3, [(0, 1), (2, 2)], ("InvalidElementError", "loop edge at 2")),
+    ("loop-high", 3, [(5, 5)], ("InvalidElementError", "loop edge at 5")),
+    ("high-then-loop", 3, [(0, 5), (1, 1)],
+     ("InvalidElementError", "tuple (0, 5) for 'adj' is outside universe 0..2")),
+    ("float", 3, [(1.0, 2.0)], [(1, 2)]),
+    ("float-frac", 3, [(1.5, 0.2)], [(0, 1)]),
+    ("float-loop", 3, [(1.0, 1.5)], ("InvalidElementError", "loop edge at 1")),
+    ("float-high", 3, [(1.0, 3.0)],
+     ("InvalidElementError", "tuple (1, 3) for 'adj' is outside universe 0..2")),
+    ("bool", 3, [(True, False), (0, 2)], [(0, 1), (0, 2)]),
+    ("bool-loop", 3, [(True, 1)], ("InvalidElementError", "loop edge at 1")),
+    ("str", 3, [("1", "2")], [(1, 2)]),
+    ("str-loop", 3, [("1", 1)], ("InvalidElementError", "loop edge at 1")),
+    ("bad-str", 3, [("x", 1)], ("ValueError", "invalid literal for int() with base 10: 'x'")),
+    ("none", 3, [(None, 1)],
+     ("TypeError", "int() argument must be a string, a bytes-like object "
+                   "or a real number, not 'NoneType'")),
+    ("triple", 3, [(0, 1, 2)], ("ValueError", "too many values to unpack (expected 2)")),
+    ("single", 3, [(0,)], ("ValueError", "not enough values to unpack (expected 2, got 1)")),
+]
+
+
+@pytest.mark.parametrize("label,size,edges,expected", UNDIRECTED_CASES,
+                         ids=[case[0] for case in UNDIRECTED_CASES])
+def test_undirected_graph_outcomes(label, size, edges, expected):
+    try:
+        g = undirected_graph(size, edges)
+    except Exception as e:
+        assert (type(e).__name__, str(e)) == expected
+        return
+    table = {(u, v) for u, v in expected} | {(v, u) for u, v in expected}
+    want = FinStructure(graph_vocabulary(), int(size), {"adj": table})
+    assert g == want and hash(g) == hash(want)
+    assert g._tables is None      # equality and hash decode no tables
+    assert sorted((u, v) for u, v in g.tables["adj"] if u < v) == expected
+
+
+def test_graph_builders_skip_the_table_validator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("FinStructure.__init__ called")
+    monkeypatch.setattr(FinStructure, "__init__", refuse)
+    d = build_double(undirected_graph(12, [(0, 11), (3, 4)]))
+    assert d.m.size == 24 and d.m.link(0, 22) == ((1, 1),)
 
 
 def test_induced_substructure_relabels():
